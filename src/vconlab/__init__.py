@@ -27,7 +27,7 @@ from .tensor import (
     sum_all,
     transpose,
 )
-from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, clone_block, init_params
+from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, init_params
 from .compression import (
     BinaryQuant,
     CompressedBlock,

@@ -6,28 +6,23 @@ Layout (documented in the README and kept stable):
     header  one UTF-8 JSON line ending in "\\n"
     payload concatenated arrays, little-endian float64, row-major
 
-Per-block payload order -- dense: weight, bias. Compressed: pruning
-stores weight, bias, then the mask as packed bit rows (each row padded to
-a byte); binary stores weight, bias, alpha (one float64), sign bits;
-low-rank stores a, b, bias. A blended block stores its original's payload
-followed by its branch's. The header carries layer sizes, activation
-tags, specs, and the shared scheduler state (q, t) when present.
+Per-block payload order -- dense: weight, bias. Compressed: whatever the
+family's class in compression.py writes through the float and bit-row
+helpers below (bit rows are padded with zeros to a byte). A blended block
+stores its original's payload followed by its branch's. The header
+carries layer sizes, activation tags, specs, and the shared scheduler
+state (q, t) when present; a file loads only if its header is exactly the
+one its network saves as.
 """
 
 from __future__ import annotations
 
 import json
-from typing import BinaryIO
+import math
 
 import numpy as np
 
-from .compression import (
-    BinaryQuant,
-    CompressedBlock,
-    LowRank,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .compression import CompressedBlock, spec_from_dict, spec_to_dict
 from .model import ACTIVATIONS, DenseBlock, Network
 from .tensor import Tensor
 from .vcon import BetaScheduler, VconBlock
@@ -40,13 +35,19 @@ class CheckpointError(ValueError):
     """Unreadable or inconsistent network file."""
 
 
-def _pack_bits(rows: np.ndarray) -> bytes:
-    # one padded bit-row per matrix row keeps rows byte-aligned
-    return np.packbits(rows.astype(np.uint8), axis=1).tobytes()
+class _Writer:
+    def __init__(self, fh):
+        self.fh = fh
 
+    def floats(self, array) -> None:
+        self.fh.write(np.asarray(array).astype("<f8").tobytes())
 
-def _bit_row_bytes(n: int, m: int) -> int:
-    return n * ((m + 7) // 8)
+    def bits(self, rows: np.ndarray) -> None:
+        # one padded bit-row per matrix row keeps rows byte-aligned
+        self.fh.write(np.packbits(rows.astype(np.uint8), axis=1).tobytes())
+
+    def fail(self, message: str):
+        raise CheckpointError(message)
 
 
 class _Reader:
@@ -55,11 +56,14 @@ class _Reader:
         self.pos = offset
         self.path = path
 
+    def fail(self, message: str):
+        raise CheckpointError(f"{self.path}: {message}")
+
     def take(self, count: int, what: str) -> bytes:
         end = self.pos + count
         if end > len(self.blob):
-            raise CheckpointError(
-                f"{self.path}: truncated payload: needed {count} bytes for {what} at byte "
+            self.fail(
+                f"truncated payload: needed {count} bytes for {what} at byte "
                 f"offset {self.pos}, file ends at {len(self.blob)}"
             )
         chunk = self.blob[self.pos : end]
@@ -67,65 +71,51 @@ class _Reader:
         return chunk
 
     def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * count, what)
+        raw = self.take(8 * math.prod(shape), what)
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     def bits(self, n: int, m: int, what: str) -> np.ndarray:
-        raw = self.take(_bit_row_bytes(n, m), what)
+        raw = self.take(n * ((m + 7) // 8), what)
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, -1), axis=1)
+        if bits[:, m:].any():
+            self.fail(f"{what} has non-zero padding bits before byte offset {self.pos}")
         return bits[:, :m].astype(np.float64)
 
 
 def _block_header(block) -> dict:
-    if isinstance(block, DenseBlock):
-        return {
-            "kind": "dense",
-            "out_dim": block.out_dim,
-            "in_dim": block.in_dim,
-            "activation": block.activation,
-        }
-    if isinstance(block, CompressedBlock):
-        return {
-            "kind": "compressed",
-            "out_dim": block.out_dim,
-            "in_dim": block.in_dim,
-            "activation": block.activation,
-            "spec": spec_to_dict(block.spec),
-        }
     if isinstance(block, VconBlock):
-        return {
-            "kind": "vcon",
-            "out_dim": block.out_dim,
-            "in_dim": block.in_dim,
-            "activation": block.original.activation,
-            "spec": spec_to_dict(block.branch.spec),
-        }
-    raise TypeError(f"cannot serialize block of type {type(block).__name__}")
+        return {**_block_header(block.branch), "kind": "vcon", "activation": block.original.activation}
+    if not isinstance(block, (DenseBlock, CompressedBlock)):
+        raise TypeError(f"cannot serialize block of type {type(block).__name__}")
+    hdr = {
+        "kind": "dense" if isinstance(block, DenseBlock) else "compressed",
+        "out_dim": block.out_dim,
+        "in_dim": block.in_dim,
+        "activation": block.activation,
+    }
+    if isinstance(block, CompressedBlock):
+        hdr["spec"] = spec_to_dict(block.spec)
+    return hdr
 
 
-def _write_dense(fh: BinaryIO, block: DenseBlock) -> None:
-    fh.write(block.weight.data.astype("<f8").tobytes())
-    fh.write(block.bias.data.astype("<f8").tobytes())
+def _header(net: Network, scheduler: BetaScheduler | None) -> dict:
+    return {
+        "format": FORMAT_VERSION,
+        "name": net.name,
+        "blocks": [_block_header(b) for b in net.blocks],
+        "scheduler": None if scheduler is None else {"q": scheduler.q, "t": scheduler.t},
+    }
 
 
-def _write_compressed(fh: BinaryIO, block: CompressedBlock) -> None:
-    if isinstance(block.spec, LowRank):
-        fh.write(block.a.data.astype("<f8").tobytes())
-        fh.write(block.b.data.astype("<f8").tobytes())
-        fh.write(block.bias.data.astype("<f8").tobytes())
-        return
-    fh.write(block.weight.data.astype("<f8").tobytes())
-    fh.write(block.bias.data.astype("<f8").tobytes())
-    if isinstance(block.spec, BinaryQuant):
-        if block.alpha is None or block.signs is None:
-            raise CheckpointError("binary block has no derived state; call refresh() first")
-        fh.write(np.float64(block.alpha).astype("<f8").tobytes())
-        fh.write(_pack_bits(block.signs > 0.0))
+def _write_block(w: _Writer, block) -> None:
+    if isinstance(block, VconBlock):
+        _write_block(w, block.original)
+        _write_block(w, block.branch)
+    elif isinstance(block, CompressedBlock):
+        block.spec.write(block, w)
     else:
-        if block.mask is None:
-            raise CheckpointError("pruned block has no mask; call refresh() first")
-        fh.write(_pack_bits(block.mask))
+        w.floats(block.weight.data)
+        w.floats(block.bias.data)
 
 
 def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> None:
@@ -133,24 +123,46 @@ def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> 
     if scheduler is None:
         found = [b.scheduler for b in net.blocks if isinstance(b, VconBlock)]
         scheduler = found[0] if found else None
-    header = {
-        "format": FORMAT_VERSION,
-        "name": net.name,
-        "blocks": [_block_header(b) for b in net.blocks],
-        "scheduler": None if scheduler is None else {"q": scheduler.q, "t": scheduler.t},
-    }
+    header = _header(net, scheduler)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(MAGIC + json.dumps(header).encode("utf-8") + b"\n")
+        w = _Writer(fh)
         for block in net.blocks:
-            if isinstance(block, DenseBlock):
-                _write_dense(fh, block)
-            elif isinstance(block, CompressedBlock):
-                _write_compressed(fh, block)
-            else:
-                _write_dense(fh, block.original)
-                _write_compressed(fh, block.branch)
+            _write_block(w, block)
+
+
+def _is_count(value, low: int = 0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _check_header(header, path) -> None:
+    """Reject every structural fault a header can carry before any payload is read."""
+
+    def malformed(detail: str):
+        raise CheckpointError(f"{path}: malformed header near byte offset {len(MAGIC)}: {detail}")
+
+    if not isinstance(header, dict):
+        malformed("the header is not a JSON object")
+    if header.get("format") != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format {header.get('format')!r}")
+    sched = header.get("scheduler")
+    if sched is not None and not (isinstance(sched, dict) and _is_count(sched.get("q")) and _is_count(sched.get("t"))):
+        malformed(f"scheduler must be null or hold non-negative integers q and t, got {sched!r}")
+    blocks = header.get("blocks")
+    if not isinstance(blocks, list) or not blocks:
+        malformed("blocks must be a non-empty list")
+    for i, hdr in enumerate(blocks):
+        kind = hdr.get("kind") if isinstance(hdr, dict) else None
+        if kind not in ("dense", "compressed", "vcon"):
+            raise CheckpointError(f"{path}: unknown block kind {kind!r}")
+        if not (_is_count(hdr.get("out_dim"), 1) and _is_count(hdr.get("in_dim"), 1)):
+            malformed(f"block {i} needs positive integers out_dim and in_dim")
+        if hdr.get("activation") not in ACTIVATIONS:
+            raise CheckpointError(f"{path}: block {i} has unknown activation {hdr.get('activation')!r}")
+        if kind != "dense" and not isinstance(hdr.get("spec"), dict):
+            malformed(f"block {i} needs a spec object")
+        if kind == "vcon" and sched is None:
+            raise CheckpointError(f"{path}: blended block without scheduler state")
 
 
 def _read_dense(r: _Reader, hdr: dict, label: str) -> DenseBlock:
@@ -161,24 +173,19 @@ def _read_dense(r: _Reader, hdr: dict, label: str) -> DenseBlock:
 
 
 def _read_compressed(r: _Reader, hdr: dict, label: str) -> CompressedBlock:
-    n, m = hdr["out_dim"], hdr["in_dim"]
     spec = spec_from_dict(hdr["spec"])
     if spec is None:
-        raise CheckpointError(f"{label}: compressed block with spec 'none'")
-    if isinstance(spec, LowRank):
-        a = Tensor(r.floats((n, spec.rank), f"{label} factor a"), requires_grad=True)
-        b = Tensor(r.floats((spec.rank, m), f"{label} factor b"), requires_grad=True)
-        bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-        return CompressedBlock(spec, bias, hdr["activation"], factors=(a, b))
-    weight = Tensor(r.floats((n, m), f"{label} weight"), requires_grad=True)
-    bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-    block = CompressedBlock(spec, bias, hdr["activation"], weight=weight)
-    if isinstance(spec, BinaryQuant):
-        block.alpha = float(r.floats((), f"{label} alpha"))
-        block.signs = r.bits(n, m, f"{label} signs") * 2.0 - 1.0
-    else:
-        block.mask = r.bits(n, m, f"{label} mask")
-    return block
+        r.fail(f"{label}: compressed block with spec 'none'")
+    return spec.read(r, hdr["out_dim"], hdr["in_dim"], hdr["activation"], label)
+
+
+def _read_block(r: _Reader, hdr: dict, label: str, scheduler: BetaScheduler | None):
+    if hdr["kind"] == "dense":
+        return _read_dense(r, hdr, label)
+    if hdr["kind"] == "compressed":
+        return _read_compressed(r, hdr, label)
+    original = _read_dense(r, hdr, f"{label} original")
+    return VconBlock(original, _read_compressed(r, hdr, f"{label} branch"), scheduler)
 
 
 def load_network(path) -> tuple[Network, BetaScheduler | None]:
@@ -191,33 +198,17 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
     if newline < 0:
         raise CheckpointError(f"{path}: unterminated header starting at byte offset {len(MAGIC)}")
     try:
-        header = json.loads(blob[len(MAGIC) : newline].decode("utf-8"))
+        text = blob[len(MAGIC) : newline].decode("utf-8")
+        header = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header at byte offset {len(MAGIC)}: {exc}") from None
-    if header.get("format") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format {header.get('format')!r}")
-    sched_hdr = header.get("scheduler")
-    scheduler = None if sched_hdr is None else BetaScheduler(q=int(sched_hdr["q"]), t=int(sched_hdr["t"]))
+    _check_header(header, path)
+    sched = header.get("scheduler")
+    scheduler = None if sched is None else BetaScheduler(q=sched["q"], t=sched["t"])
     r = _Reader(blob, newline + 1, path=str(path))
-    blocks = []
     try:
-        for i, hdr in enumerate(header["blocks"]):
-            kind = hdr.get("kind")
-            label = f"block {i}"
-            if kind == "dense":
-                blocks.append(_read_dense(r, hdr, label))
-            elif kind == "compressed":
-                blocks.append(_read_compressed(r, hdr, label))
-            elif kind == "vcon":
-                original = _read_dense(r, hdr, f"{label} original")
-                branch = _read_compressed(r, hdr, f"{label} branch")
-                if scheduler is None:
-                    raise CheckpointError(f"{path}: blended block without scheduler state")
-                blocks.append(VconBlock(original, branch, scheduler))
-            else:
-                raise CheckpointError(f"{path}: unknown block kind {kind!r}")
-            if hdr.get("activation") not in ACTIVATIONS:
-                raise CheckpointError(f"{path}: {label} has unknown activation {hdr.get('activation')!r}")
+        blocks = [_read_block(r, hdr, f"block {i}", scheduler) for i, hdr in enumerate(header["blocks"])]
+        net = Network(blocks, name=header.get("name", "net"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):
             raise
@@ -226,4 +217,9 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
         raise CheckpointError(
             f"{path}: {len(blob) - r.pos} unexpected trailing bytes at byte offset {r.pos}"
         )
-    return Network(blocks, name=header.get("name", "net")), scheduler
+    if json.dumps(_header(net, scheduler)) != text:
+        raise CheckpointError(
+            f"{path}: header at byte offset {len(MAGIC)} is not the one its network saves as"
+            " (unknown key, key order, or number form)"
+        )
+    return net, scheduler

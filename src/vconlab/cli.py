@@ -8,23 +8,25 @@ overridden from the command line with --set dotted.key=value. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_network, save_network
 from .compression import (
+    FAMILIES,
     CompressedBlock,
     CompressionSpec,
-    LowRank,
     bit_footprint,
     compress_network,
     spec_from_dict,
+    spec_to_dict,
 )
 from .model import ACTIVATIONS, Network, init_params
 from .training import (
@@ -54,27 +56,10 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "model": {"layer_sizes", "activation"},
     "dataset": {"kind", "classes", "samples_per_class", "noise", "seed", "path"},
-    "compression": {"kind", "sparsity", "keep", "group", "rank"},
+    "compression": {"kind", *(f.name for cls in FAMILIES.values() for f in fields(cls))},
     "optimizer": {"kind", "lr", "beta1", "beta2", "eps", "schedule"},
     "schedule": {"kind", "warmup_ratio", "warmup_start_lr", "total_steps"},
 }
-_TOP_KEYS = {
-    "model",
-    "dataset",
-    "compression",
-    "optimizer",
-    "mode",
-    "q_epochs",
-    "q_steps",
-    "epochs",
-    "batch_size",
-    "seeds",
-    "output_dir",
-    "freeze_original",
-    "freeze_mask",
-    "eval_compressed_only",
-}
-
 DEFAULT_CONFIG = {
     "model": {"layer_sizes": [2, 16, 3], "activation": "relu"},
     "dataset": {"kind": "blobs", "classes": 3, "samples_per_class": 100, "noise": 0.1, "seed": 0},
@@ -90,6 +75,7 @@ DEFAULT_CONFIG = {
     "freeze_mask": False,
     "eval_compressed_only": False,
 }
+_TOP_KEYS = {*DEFAULT_CONFIG, "q_epochs", "q_steps"}
 
 
 def _reject_unknown(section: dict, allowed: set, prefix: str) -> None:
@@ -98,8 +84,6 @@ def _reject_unknown(section: dict, allowed: set, prefix: str) -> None:
             raise ConfigError(f"unknown config key: {prefix}{key}")
         if key in _SCHEMA and isinstance(value, dict):
             _reject_unknown(value, _SCHEMA[key], f"{prefix}{key}.")
-        elif key == "schedule" and isinstance(value, dict):
-            _reject_unknown(value, _SCHEMA["schedule"], f"{prefix}schedule.")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -173,6 +157,15 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _dataset_number(ds: dict, key: str, kind):
+    # ds is merged over DEFAULT_CONFIG, so every key is present
+    try:
+        return kind(ds[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"dataset.{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {ds[key]!r}") from None
+
+
 def _build_optimizer(section: dict) -> OptimizerSpec:
     sched_cfg = section.get("schedule", {"kind": "constant"})
     kind = sched_cfg.get("kind", "constant")
@@ -219,13 +212,14 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     if ds_kind == "csv":
         _expect(isinstance(ds.get("path"), str), "dataset.path is required for csv datasets")
     else:
-        _expect(int(ds.get("classes", 3)) >= 2, "dataset.classes must be >= 2")
-        _expect(int(ds.get("samples_per_class", 100)) >= 1, "dataset.samples_per_class must be >= 1")
-        _expect(float(ds.get("noise", 0.1)) >= 0.0, "dataset.noise must be >= 0")
+        _expect(_dataset_number(ds, "classes", int) >= 2, "dataset.classes must be >= 2")
+        _expect(_dataset_number(ds, "samples_per_class", int) >= 1, "dataset.samples_per_class must be >= 1")
+        _expect(_dataset_number(ds, "noise", float) >= 0.0, "dataset.noise must be >= 0")
+        _dataset_number(ds, "seed", int)
 
     try:
         spec = spec_from_dict(merged["compression"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"compression: {exc}") from None
 
     mode = merged["mode"]
@@ -284,10 +278,10 @@ def build_dataset(exp: ExperimentConfig) -> Dataset:
         return load_csv(ds["path"])
     return make_synthetic(
         ds["kind"],
-        classes=int(ds.get("classes", 3)),
-        samples_per_class=int(ds.get("samples_per_class", 100)),
-        noise=float(ds.get("noise", 0.1)),
-        seed=int(ds.get("seed", 0)),
+        classes=_dataset_number(ds, "classes", int),
+        samples_per_class=_dataset_number(ds, "samples_per_class", int),
+        noise=_dataset_number(ds, "noise", float),
+        seed=_dataset_number(ds, "seed", int),
     )
 
 
@@ -364,10 +358,7 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
 
 def _compressed_param_count(net: Network) -> int:
     # count the structure that remains once originals are dropped
-    total = 0
-    for block in net.blocks:
-        total += block.branch.param_count() if isinstance(block, VconBlock) else block.param_count()
-    return total
+    return sum(getattr(block, "branch", block).param_count() for block in net.blocks)
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
@@ -407,30 +398,33 @@ def _summary_dict(exp: ExperimentConfig, mode: str, results: list[SeedResult]) -
     }
 
 
-def read_summary(path) -> dict:
+def _write_json(path: Path, data: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+
+
+def _read_json(path, what: str, keys: tuple[str, ...]) -> dict:
     with open(path) as fh:
         data = json.load(fh)
-    for key in ("config", "mode", "per_seed", "aggregate"):
+    for key in keys:
         if key not in data:
-            raise ConfigError(f"{path}: summary is missing {key!r}")
+            raise ConfigError(f"{path}: {what} is missing {key!r}")
     return data
+
+
+def read_summary(path) -> dict:
+    return _read_json(path, "summary", ("config", "mode", "per_seed", "aggregate"))
 
 
 def read_compare(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    for key in ("config", "baseline_mode", "per_seed", "aggregate"):
-        if key not in data:
-            raise ConfigError(f"{path}: comparison is missing {key!r}")
-    return data
+    return _read_json(path, "comparison", ("config", "baseline_mode", "per_seed", "aggregate"))
 
 
 def read_sweep_csv(path) -> list[tuple[int, int, int, float]]:
     rows = []
     with open(path, newline="") as fh:
-        import csv as _csv
-
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["q", "seed", "epoch", "val_accuracy"]:
             raise ConfigError(f"{path}: unexpected sweep header {header}")
@@ -452,9 +446,7 @@ def cmd_train(exp: ExperimentConfig, quiet: bool = False) -> int:
         _write_seed_outputs(exp.output_dir, result)
         results.append(result)
     summary = _summary_dict(exp, exp.mode, results)
-    exp.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(exp.output_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(exp.output_dir / "summary.json", summary)
     if not quiet:
         agg = summary["aggregate"]["test_accuracy"]
         print(f"{exp.mode}: mean test accuracy {agg['mean']:.4f} (std {agg['stddev']:.4f}) "
@@ -477,19 +469,15 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
         _write_seed_outputs(base_dir, r)
     for r in vcon_results:
         _write_seed_outputs(vcon_dir, r)
-    with open(base_dir / "summary.json", "w") as fh:
-        json.dump(_summary_dict(exp, baseline, base_results), fh, indent=2)
-    with open(vcon_dir / "summary.json", "w") as fh:
-        json.dump(_summary_dict(exp, "vcon", vcon_results), fh, indent=2)
+    _write_json(base_dir / "summary.json", _summary_dict(exp, baseline, base_results))
+    _write_json(vcon_dir / "summary.json", _summary_dict(exp, "vcon", vcon_results))
 
-    per_seed = []
-    for b, v in zip(base_results, vcon_results):
-        per_seed.append({
-            "seed": b.seed,
-            "baseline_test_accuracy": b.final_test_accuracy,
-            "vcon_test_accuracy": v.final_test_accuracy,
-            "delta": v.final_test_accuracy - b.final_test_accuracy,
-        })
+    per_seed = [{
+        "seed": b.seed,
+        "baseline_test_accuracy": b.final_test_accuracy,
+        "vcon_test_accuracy": v.final_test_accuracy,
+        "delta": v.final_test_accuracy - b.final_test_accuracy,
+    } for b, v in zip(base_results, vcon_results)]
     deltas = [row["delta"] for row in per_seed]
     mean_delta = float(np.mean(deltas))
     compare = {
@@ -505,8 +493,7 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
             "formatted_delta": f"({100.0 * mean_delta:+.2f})",
         },
     }
-    with open(exp.output_dir / "compare.json", "w") as fh:
-        json.dump(compare, fh, indent=2)
+    _write_json(exp.output_dir / "compare.json", compare)
     if not quiet:
         print(f"vcon vs {baseline}: mean delta {compare['aggregate']['formatted_delta']} "
               f"accuracy points -> {exp.output_dir / 'compare.json'}")
@@ -534,9 +521,7 @@ def cmd_sweep_q(exp: ExperimentConfig, quiet: bool = False) -> int:
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = exp.output_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["q", "seed", "epoch", "val_accuracy"])
         for q, seed, epoch, acc in rows:
             writer.writerow([q, seed, epoch, repr(acc)])
@@ -549,55 +534,21 @@ def inspect_data(path) -> dict:
     """Structured checkpoint report (what cmd_inspect prints)."""
     net, scheduler = load_network(path)
     report: dict = {"path": str(path), "blocks": [], "param_count": net.param_count()}
-    if scheduler is None:
-        report["scheduler"] = None
-    else:
-        report["scheduler"] = {
-            "q": scheduler.q,
-            "t": scheduler.t,
-            "beta": beta_at(scheduler.t, scheduler.q),
-            "phase": scheduler.phase,
-        }
+    report["scheduler"] = None if scheduler is None else {
+        "q": scheduler.q, "t": scheduler.t, "beta": beta_at(scheduler.t, scheduler.q), "phase": scheduler.phase,
+    }
     for i, block in enumerate(net.blocks):
+        comp = getattr(block, "branch", block)
+        entry = {"kind": "dense", "compression": "none", "out_dim": block.out_dim, "in_dim": block.in_dim,
+                 "activation": comp.activation}
+        if isinstance(comp, CompressedBlock):
+            entry.update(kind="compressed", compression=spec_to_dict(comp.spec),
+                         bit_footprint=bit_footprint(comp.spec, comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
         if isinstance(block, VconBlock):
-            entry = _describe_compressed(block.branch)
-            entry["kind"] = "vcon"
-            entry["original_params"] = block.original.param_count()
-        elif isinstance(block, CompressedBlock):
-            entry = _describe_compressed(block)
-        else:
-            entry = {
-                "kind": "dense",
-                "compression": "none",
-                "out_dim": block.out_dim,
-                "in_dim": block.in_dim,
-                "activation": block.activation,
-            }
-        entry["index"] = i
-        entry["param_count"] = block.param_count()
+            entry.update(kind="vcon", original_params=block.original.param_count())
+        entry.update(index=i, param_count=block.param_count())
         report["blocks"].append(entry)
     return report
-
-
-def _describe_compressed(block: CompressedBlock) -> dict:
-    from .compression import spec_to_dict
-
-    entry = {
-        "kind": "compressed",
-        "compression": spec_to_dict(block.spec),
-        "out_dim": block.out_dim,
-        "in_dim": block.in_dim,
-        "activation": block.activation,
-        "bit_footprint": bit_footprint(block.spec, block.out_dim, block.in_dim),
-    }
-    if block.mask is not None:
-        entry["kept_weights"] = int(block.mask.sum())
-        entry["density"] = float(block.mask.sum() / block.mask.size)
-    if block.alpha is not None:
-        entry["alpha"] = block.alpha
-    if isinstance(block.spec, LowRank):
-        entry["rank"] = block.a.data.shape[1]
-    return entry
 
 
 def cmd_inspect(path) -> int:

@@ -1,4 +1,4 @@
-"""Compression transforms for dense layers and the blocks that apply them.
+"""Compression families for dense layers and the blocks that apply them.
 
 Four magnitude-pruning granularities (per-layer, global, N-of-M groups,
 whole rows), sign binarization with a single Frobenius-derived scale, and
@@ -6,6 +6,10 @@ truncated-SVD factorization. Pruning and binarization keep a trainable
 full-precision weight and push gradients through the transform with a
 straight-through estimator; low-rank blocks train the two factors
 directly.
+
+Each family is one spec class (see ``CompressionSpec``), the single home
+of its rule, size accounting, file payload and report; ``FAMILIES`` maps
+each config/header ``kind`` to its class.
 
 Tie rule used everywhere: when magnitudes tie at the pruning threshold,
 the smaller flat index is pruned first (global pruning orders by layer
@@ -17,45 +21,145 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence, get_type_hints
 
 import numpy as np
 
-from .model import DenseBlock, apply_activation
+from .model import DenseBlock, Network, apply_activation
 from .tensor import ShapeError, Tensor, add_bias, matmul, ste_apply, transpose
 
 Array = np.ndarray
 
 
 # --------------------------------------------------------------------------
-# Specs
+# Families
+
+
+class CompressionSpec:
+    """One compression family; each subclass is a frozen dataclass.
+
+    A family derives block state from the weights (``refresh``, called once
+    per group of blocks with equal specs), gives the block's effective
+    weight (``effective_weight``; low rank instead overrides ``linear``
+    with its factor product), counts the stored entries and bits of an
+    n x m layer (``stored``, ``bits``), writes and reads its ``.vcnet``
+    payload through checkpoint.py's writer and reader (``floats``, ``bits``,
+    ``fail``), and names its ``inspect`` fields (``describe``).
+    """
+
+    kind: ClassVar[str]
+    factored: ClassVar[bool] = False  # blocks train factors a, b instead of a weight
+
+    def compress(self, block: DenseBlock) -> CompressedBlock:
+        weight = Tensor(block.weight.data.copy(), requires_grad=True)
+        out = CompressedBlock(self, Tensor(block.bias.data.copy(), requires_grad=True), block.activation, weight)
+        out.refresh()
+        return out
+
+    def refresh(self, blocks: Sequence[CompressedBlock], refresh_masks: bool = True) -> None:
+        pass
+
+    def linear(self, block: CompressedBlock, x: Tensor) -> Tensor:
+        return matmul(x, transpose(self.effective_weight(block)))
+
+    def bits(self, n: int, m: int) -> int:
+        return 64 * self.stored(n, m)
+
+    def count(self, block: CompressedBlock) -> int:
+        return self.stored(block.out_dim, block.in_dim)
+
+    def write(self, block: CompressedBlock, w) -> None:
+        w.floats(block.weight.data)
+        w.floats(block.bias.data)
+
+    def read(self, r, n: int, m: int, activation: str, label: str) -> CompressedBlock:
+        weight = Tensor(r.floats((n, m), f"{label} weight"), requires_grad=True)
+        bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
+        return CompressedBlock(self, bias, activation, weight)
+
+    def describe(self, block: CompressedBlock) -> dict:
+        return {}
+
+
+class _MaskSpec(CompressionSpec):
+    """Pruning: a 0/1 mask applied through the STE. Subclasses give the
+    rule ``masks``, which maps a list of weights to their masks."""
+
+    network_wide: ClassVar[bool] = False  # the kept count holds per network, not per layer
+
+    def refresh(self, blocks, refresh_masks=True):
+        if refresh_masks:
+            for blk, mask in zip(blocks, self.masks([blk.weight.data for blk in blocks])):
+                blk.mask = mask
+
+    def effective_weight(self, block):
+        if block.mask is None:
+            raise RuntimeError("pruned block used before refresh()")
+        mask = block.mask
+        return ste_apply(block.weight, lambda w: w * mask)
+
+    def count(self, block):
+        return super().count(block) if block.mask is None else int(block.mask.sum())
+
+    def write(self, block, w):
+        if block.mask is None:
+            w.fail("pruned block has no mask; call refresh() first")
+        super().write(block, w)
+        w.bits(block.mask)
+
+    def read(self, r, n, m, activation, label):
+        block = super().read(r, n, m, activation, label)
+        block.mask = r.bits(n, m, f"{label} mask")
+        if not self.network_wide and self.count(block) != self.stored(n, m):
+            r.fail(f"{label} mask keeps {self.count(block)} weights, {self.kind} keeps {self.stored(n, m)}")
+        return block
+
+    def describe(self, block):
+        if block.mask is None:
+            return {}
+        return {"kept_weights": self.count(block), "density": float(block.mask.sum() / block.mask.size)}
 
 
 @dataclass(frozen=True)
-class PruneUnstructuredLayer:
+class _SparsityMask(_MaskSpec):
+    """Pruning rules that drop a fraction of the entries (or rows)."""
+
+    sparsity: float
+
+    def __post_init__(self):
+        _check_sparsity(self.sparsity)
+
+    def stored(self, n, m):
+        return n * m - int(math.floor(self.sparsity * (n * m)))
+
+
+@dataclass(frozen=True)
+class PruneUnstructuredLayer(_SparsityMask):
     """Zero the smallest-|w| entries of each layer independently."""
 
-    sparsity: float
+    kind = "prune_layer"
 
-    def __post_init__(self):
-        _check_sparsity(self.sparsity)
+    def masks(self, weights):
+        return [prune_layerwise(w, self.sparsity) for w in weights]
 
 
 @dataclass(frozen=True)
-class PruneUnstructuredGlobal:
+class PruneUnstructuredGlobal(_SparsityMask):
     """One magnitude threshold shared by every governed layer."""
 
-    sparsity: float
+    kind = "prune_global"
+    network_wide = True
 
-    def __post_init__(self):
-        _check_sparsity(self.sparsity)
+    def masks(self, weights):
+        return prune_global(weights, self.sparsity)
 
 
 @dataclass(frozen=True)
-class PruneNM:
+class PruneNM(_MaskSpec):
     """Keep ``keep`` entries in every group of ``group`` along the input axis."""
 
+    kind = "prune_nm"
     keep: int
     group: int
 
@@ -63,43 +167,115 @@ class PruneNM:
         if not (1 <= self.keep <= self.group):
             raise ValueError(f"N:M pruning needs 1 <= N <= M, got {self.keep}:{self.group}")
 
+    def masks(self, weights):
+        return [prune_nm(w, self.keep, self.group) for w in weights]
+
+    def stored(self, n, m):
+        full, rem = divmod(m, self.group)
+        per_row = full * self.keep
+        if rem:
+            per_row += -(-self.keep * rem // self.group)
+        return n * per_row
+
 
 @dataclass(frozen=True)
-class PruneStructured:
+class PruneStructured(_SparsityMask):
     """Zero whole rows (output units) with the smallest l2 norms."""
 
-    sparsity: float
+    kind = "prune_structured"
 
-    def __post_init__(self):
-        _check_sparsity(self.sparsity)
+    def masks(self, weights):
+        return [prune_structured(w, self.sparsity) for w in weights]
+
+    def stored(self, n, m):
+        return (n - int(math.floor(self.sparsity * n))) * m
 
 
 @dataclass(frozen=True)
-class BinaryQuant:
+class BinaryQuant(CompressionSpec):
     """Replace the weight by alpha * sign(w), alpha = ||W||_F / sqrt(n*m)."""
 
+    kind = "binary"
+
+    def refresh(self, blocks, refresh_masks=True):
+        for blk in blocks:
+            ss = binarize_scaled(blk.weight.data)
+            blk.alpha = ss.alpha
+            blk.signs = ss.signs
+
+    def effective_weight(self, block):
+        if block.alpha is None:
+            raise RuntimeError("binary block used before refresh()")
+        alpha = block.alpha
+        return ste_apply(block.weight, lambda w: alpha * np.where(w >= 0.0, 1.0, -1.0))
+
+    def stored(self, n, m):
+        return n * m  # every entry stays, shrunk to one bit
+
+    def bits(self, n, m):
+        return n * m + 64
+
+    def write(self, block, w):
+        if block.alpha is None or block.signs is None:
+            w.fail("binary block has no derived state; call refresh() first")
+        super().write(block, w)
+        w.floats(np.float64(block.alpha))
+        w.bits(block.signs > 0.0)
+
+    def read(self, r, n, m, activation, label):
+        block = super().read(r, n, m, activation, label)
+        block.alpha = float(r.floats((), f"{label} alpha"))
+        block.signs = r.bits(n, m, f"{label} signs") * 2.0 - 1.0
+        return block
+
+    def describe(self, block):
+        return {} if block.alpha is None else {"alpha": block.alpha}
+
 
 @dataclass(frozen=True)
-class LowRank:
+class LowRank(CompressionSpec):
     """Replace the weight by a rank-r product A @ B from a truncated SVD."""
 
+    kind = "low_rank"
+    factored = True
     rank: int
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
+    def compress(self, block):
+        return factorize_layer(block, self.rank)
 
-CompressionSpec = Union[
-    PruneUnstructuredLayer,
-    PruneUnstructuredGlobal,
-    PruneNM,
-    PruneStructured,
-    BinaryQuant,
-    LowRank,
-]
+    def linear(self, block, x):
+        return matmul(matmul(x, transpose(block.b)), transpose(block.a))
 
-_PRUNING_SPECS = (PruneUnstructuredLayer, PruneUnstructuredGlobal, PruneNM, PruneStructured)
+    def stored(self, n, m):
+        return min(self.rank, n, m) * (n + m)
+
+    def count(self, block):
+        return block.a.data.size + block.b.data.size
+
+    def write(self, block, w):
+        for t in (block.a, block.b, block.bias):
+            w.floats(t.data)
+
+    def read(self, r, n, m, activation, label):
+        if self.rank > min(n, m):
+            r.fail(f"{label} has rank {self.rank} above min({n}, {m})")
+        a = Tensor(r.floats((n, self.rank), f"{label} factor a"), requires_grad=True)
+        b = Tensor(r.floats((self.rank, m), f"{label} factor b"), requires_grad=True)
+        bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
+        return CompressedBlock(self, bias, activation, factors=(a, b))
+
+    def describe(self, block):
+        return {"rank": block.a.data.shape[1]}
+
+
+FAMILIES: dict[str, type[CompressionSpec]] = {
+    cls.kind: cls
+    for cls in (PruneUnstructuredLayer, PruneUnstructuredGlobal, PruneNM, PruneStructured, BinaryQuant, LowRank)
+}
 
 
 def _check_sparsity(s: float) -> None:
@@ -107,47 +283,21 @@ def _check_sparsity(s: float) -> None:
         raise ValueError(f"sparsity must be in [0, 1), got {s}")
 
 
-_SPEC_KINDS = {
-    PruneUnstructuredLayer: "prune_layer",
-    PruneUnstructuredGlobal: "prune_global",
-    PruneNM: "prune_nm",
-    PruneStructured: "prune_structured",
-    BinaryQuant: "binary",
-    LowRank: "low_rank",
-}
-
-
 def spec_to_dict(spec: CompressionSpec | None) -> dict:
     if spec is None:
         return {"kind": "none"}
-    d = {"kind": _SPEC_KINDS[type(spec)]}
-    if isinstance(spec, (PruneUnstructuredLayer, PruneUnstructuredGlobal, PruneStructured)):
-        d["sparsity"] = spec.sparsity
-    elif isinstance(spec, PruneNM):
-        d["keep"] = spec.keep
-        d["group"] = spec.group
-    elif isinstance(spec, LowRank):
-        d["rank"] = spec.rank
-    return d
+    return {"kind": spec.kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def spec_from_dict(d: dict) -> CompressionSpec | None:
     kind = d.get("kind")
     if kind == "none":
         return None
-    if kind == "prune_layer":
-        return PruneUnstructuredLayer(float(d["sparsity"]))
-    if kind == "prune_global":
-        return PruneUnstructuredGlobal(float(d["sparsity"]))
-    if kind == "prune_nm":
-        return PruneNM(int(d["keep"]), int(d["group"]))
-    if kind == "prune_structured":
-        return PruneStructured(float(d["sparsity"]))
-    if kind == "binary":
-        return BinaryQuant()
-    if kind == "low_rank":
-        return LowRank(int(d["rank"]))
-    raise ValueError(f"unknown compression kind {kind!r}")
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown compression kind {kind!r}")
+    types = get_type_hints(cls)  # coerce each field to its declared type
+    return cls(*(types[f.name](d[f.name]) for f in fields(cls)))
 
 
 # --------------------------------------------------------------------------
@@ -160,15 +310,7 @@ def magnitude_scores(w: Array) -> Array:
 
 def prune_layerwise(w: Array, sparsity: float) -> Array:
     """0/1 mask zeroing the floor(sparsity * size) smallest |w| entries."""
-    _check_sparsity(sparsity)
-    w = np.asarray(w, dtype=np.float64)
-    flat = magnitude_scores(w).ravel()
-    drop = int(math.floor(sparsity * flat.size))
-    mask = np.ones(flat.size)
-    if drop:
-        # stable sort keeps ties in flat-index order, so smaller indices go first
-        mask[np.argsort(flat, kind="stable")[:drop]] = 0.0
-    return mask.reshape(w.shape)
+    return prune_global([w], sparsity)[0]
 
 
 def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
@@ -186,6 +328,7 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     drop = int(math.floor(sparsity * flat.size))
     mask_flat = np.ones(flat.size)
     if drop:
+        # stable sort keeps ties in (layer, flat index) order, so smaller indices go first
         mask_flat[np.argsort(flat, kind="stable")[:drop]] = 0.0
     masks = []
     offset = 0
@@ -349,12 +492,9 @@ class CompressedBlock:
         weight: Tensor | None = None,
         factors: tuple[Tensor, Tensor] | None = None,
     ):
-        if isinstance(spec, LowRank):
-            if factors is None or weight is not None:
-                raise ValueError("low-rank blocks take factors, not a weight")
-        else:
-            if weight is None or factors is not None:
-                raise ValueError(f"{type(spec).__name__} blocks take a weight, not factors")
+        if (factors is not None, weight is not None) != (spec.factored, not spec.factored):
+            takes = "factors, not a weight" if spec.factored else "a weight, not factors"
+            raise ValueError(f"{spec.kind} blocks take {takes}")
         self.spec = spec
         self.bias = bias
         self.activation = activation
@@ -378,36 +518,10 @@ class CompressedBlock:
         Global pruning refreshed through this method sees only this block;
         use ``refresh_blocks`` to share the threshold across layers.
         """
-        spec = self.spec
-        if isinstance(spec, PruneUnstructuredLayer):
-            self.mask = prune_layerwise(self.weight.data, spec.sparsity)
-        elif isinstance(spec, PruneUnstructuredGlobal):
-            self.mask = prune_global([self.weight.data], spec.sparsity)[0]
-        elif isinstance(spec, PruneNM):
-            self.mask = prune_nm(self.weight.data, spec.keep, spec.group)
-        elif isinstance(spec, PruneStructured):
-            self.mask = prune_structured(self.weight.data, spec.sparsity)
-        elif isinstance(spec, BinaryQuant):
-            ss = binarize_scaled(self.weight.data)
-            self.alpha = ss.alpha
-            self.signs = ss.signs
+        self.spec.refresh([self])
 
     def forward(self, x: Tensor) -> Tensor:
-        spec = self.spec
-        if isinstance(spec, LowRank):
-            z = matmul(matmul(x, transpose(self.b)), transpose(self.a))
-            return apply_activation(add_bias(z, self.bias), self.activation)
-        if isinstance(spec, BinaryQuant):
-            if self.alpha is None:
-                raise RuntimeError("binary block used before refresh()")
-            alpha = self.alpha
-            w_eff = ste_apply(self.weight, lambda w: alpha * np.where(w >= 0.0, 1.0, -1.0))
-        else:
-            if self.mask is None:
-                raise RuntimeError("pruned block used before refresh()")
-            mask = self.mask
-            w_eff = ste_apply(self.weight, lambda w: w * mask)
-        z = add_bias(matmul(x, transpose(w_eff)), self.bias)
+        z = add_bias(self.spec.linear(self, x), self.bias)
         return apply_activation(z, self.activation)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -415,8 +529,7 @@ class CompressedBlock:
             return [("a", self.a), ("b", self.b), ("bias", self.bias)]
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        return self.named_parameters()
+    trainable_parameters = named_parameters
 
     def param_count(self) -> int:
         """Stored parameters after discarding what the transform drops.
@@ -425,28 +538,12 @@ class CompressedBlock:
         count (entries shrink to one bit, see bit_footprint), low rank
         counts both factors. Biases are never compressed and always count.
         """
-        bias = self.bias.data.size
-        if isinstance(self.spec, LowRank):
-            return self.a.data.size + self.b.data.size + bias
-        if isinstance(self.spec, BinaryQuant):
-            return self.weight.data.size + bias
-        if self.mask is not None:
-            return int(self.mask.sum()) + bias
-        return spec_param_count(self.spec, self.out_dim, self.in_dim) + bias
+        return self.spec.count(self) + self.bias.data.size
 
 
 def compress_block(block: DenseBlock, spec: CompressionSpec) -> CompressedBlock:
     """Build a compressed twin of a dense block (the block is left alone)."""
-    if isinstance(spec, LowRank):
-        return factorize_layer(block, spec.rank)
-    out = CompressedBlock(
-        spec=spec,
-        bias=Tensor(block.bias.data.copy(), requires_grad=True),
-        activation=block.activation,
-        weight=Tensor(block.weight.data.copy(), requires_grad=True),
-    )
-    out.refresh()
-    return out
+    return spec.compress(block)
 
 
 def factorize_layer(block: DenseBlock, rank: int) -> CompressedBlock:
@@ -482,29 +579,19 @@ def factorize_layer(block: DenseBlock, rank: int) -> CompressedBlock:
 def refresh_blocks(blocks: Sequence[CompressedBlock], refresh_masks: bool = True) -> None:
     """Refresh derived state; blocks under global pruning share a threshold.
 
-    ``refresh_masks=False`` freezes pruning masks (binary scales still
-    track the weights).
+    Blocks are refreshed in groups of equal specs, so a global threshold
+    covers its group. ``refresh_masks=False`` freezes pruning masks
+    (binary scales still track the weights).
     """
-    global_groups: dict[PruneUnstructuredGlobal, list[CompressedBlock]] = {}
+    groups: dict[CompressionSpec, list[CompressedBlock]] = {}
     for blk in blocks:
-        if isinstance(blk.spec, PruneUnstructuredGlobal):
-            if refresh_masks:
-                global_groups.setdefault(blk.spec, []).append(blk)
-        elif isinstance(blk.spec, _PRUNING_SPECS):
-            if refresh_masks:
-                blk.refresh()
-        else:
-            blk.refresh()
-    for spec, group in global_groups.items():
-        masks = prune_global([blk.weight.data for blk in group], spec.sparsity)
-        for blk, mask in zip(group, masks):
-            blk.mask = mask
+        groups.setdefault(blk.spec, []).append(blk)
+    for spec, group in groups.items():
+        spec.refresh(group, refresh_masks)
 
 
 def compress_network(net, spec: CompressionSpec):
     """Compress every block of a dense network with one shared spec."""
-    from .model import Network  # local import keeps module load order simple
-
     blocks = [compress_block(b, spec) for b in net.blocks]
     refresh_blocks(blocks)
     return Network(blocks, name=net.name)
@@ -519,29 +606,10 @@ def spec_param_count(spec: CompressionSpec | None, n: int, m: int) -> int:
 
     Bias entries are not included here; block/network counts add them.
     """
-    size = n * m
-    if spec is None:
-        return size
-    if isinstance(spec, (PruneUnstructuredLayer, PruneUnstructuredGlobal)):
-        return size - int(math.floor(spec.sparsity * size))
-    if isinstance(spec, PruneStructured):
-        return (n - int(math.floor(spec.sparsity * n))) * m
-    if isinstance(spec, PruneNM):
-        full, rem = divmod(m, spec.group)
-        per_row = full * spec.keep
-        if rem:
-            per_row += -(-spec.keep * rem // spec.group)
-        return n * per_row
-    if isinstance(spec, BinaryQuant):
-        return size
-    if isinstance(spec, LowRank):
-        return min(spec.rank, n, m) * (n + m)
-    raise TypeError(f"unknown spec {spec!r}")
+    return n * m if spec is None else spec.stored(n, m)
 
 
 def bit_footprint(spec: CompressionSpec | None, n: int, m: int) -> int:
     """Bits needed for the weight payload: 64 per stored float, except
     binarization, which stores one bit per entry plus 64 for alpha."""
-    if isinstance(spec, BinaryQuant):
-        return n * m + 64
-    return 64 * spec_param_count(spec, n, m)
+    return 64 * n * m if spec is None else spec.bits(n, m)

@@ -53,20 +53,10 @@ class DenseBlock:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        return self.named_parameters()
+    trainable_parameters = named_parameters
 
     def param_count(self) -> int:
         return self.weight.data.size + self.bias.data.size
-
-
-def clone_block(block: DenseBlock) -> DenseBlock:
-    """Deep copy: fresh tensors, copied values, no graph references."""
-    return DenseBlock(
-        Tensor(block.weight.data.copy(), requires_grad=True),
-        Tensor(block.bias.data.copy(), requires_grad=True),
-        block.activation,
-    )
 
 
 class Network:
@@ -91,11 +81,14 @@ class Network:
     def output_dim(self) -> int:
         return self.blocks[-1].out_dim
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ShapeError(
                 f"forward: expected input shape (batch, {self.input_dim}), got {x.data.shape}"
             )
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check_input(x)
         for block in self.blocks:
             x = block.forward(x)
         return x
@@ -103,26 +96,17 @@ class Network:
     def forward_compressed(self, x: Tensor) -> Tensor:
         """Forward ignoring any blend: blocks that carry a compressed branch
         evaluate it alone; plain blocks run as usual."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"forward: expected input shape (batch, {self.input_dim}), got {x.data.shape}"
-            )
+        self._check_input(x)
         for block in self.blocks:
             fwd = getattr(block, "forward_compressed", block.forward)
             x = fwd(x)
         return x
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend((f"blocks.{i}.{name}", p) for name, p in block.named_parameters())
-        return out
+        return [(f"blocks.{i}.{n}", p) for i, b in enumerate(self.blocks) for n, p in b.named_parameters()]
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend((f"blocks.{i}.{name}", p) for name, p in block.trainable_parameters())
-        return out
+        return [(f"blocks.{i}.{n}", p) for i, b in enumerate(self.blocks) for n, p in b.trainable_parameters()]
 
     def param_count(self) -> int:
         return sum(block.param_count() for block in self.blocks)

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Minimal define-by-run engine: every op computes its result eagerly and
-attaches a closure that routes gradients to its inputs. ``backward`` walks
-the graph once in reverse topological order, accumulating gradients
-additively (fan-out sums). Graphs are rebuilt by each forward pass and
-thrown away afterwards.
+attaches a closure that routes the result's gradient, passed in by
+``backward``, to its inputs. ``backward`` walks the graph once in reverse
+topological order, accumulating gradients additively (fan-out sums).
+Each forward pass builds a new graph; no closure holds its own result, so
+a graph has no reference cycles and is freed once its output is dropped.
 
 Everything is float64. Forward results on finite inputs stay finite: the
 only exp/log live in ``softmax_cross_entropy``, which subtracts the row
@@ -42,7 +43,7 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,9 +86,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: cannot multiply shapes {a.data.shape} and {b.data.shape}")
     out = _result(a.data @ b.data, (a, b))
 
-    def _bw() -> None:
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def _bw(g: Array) -> None:
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
     out._backward = _bw
     return out
@@ -98,8 +99,8 @@ def transpose(t: Tensor) -> Tensor:
         raise ShapeError(f"transpose: expected a 2-D tensor, got shape {t.data.shape}")
     out = _result(t.data.T, (t,))
 
-    def _bw() -> None:
-        t.grad += out.grad.T
+    def _bw(g: Array) -> None:
+        t.grad += g.T
 
     out._backward = _bw
     return out
@@ -109,9 +110,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     out = _result(a.data + b.data, (a, b))
 
-    def _bw() -> None:
-        a.grad += out.grad
-        b.grad += out.grad
+    def _bw(g: Array) -> None:
+        a.grad += g
+        b.grad += g
 
     out._backward = _bw
     return out
@@ -121,9 +122,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     out = _result(a.data - b.data, (a, b))
 
-    def _bw() -> None:
-        a.grad += out.grad
-        b.grad -= out.grad
+    def _bw(g: Array) -> None:
+        a.grad += g
+        b.grad -= g
 
     out._backward = _bw
     return out
@@ -134,9 +135,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     out = _result(a.data * b.data, (a, b))
 
-    def _bw() -> None:
-        a.grad += out.grad * b.data
-        b.grad += out.grad * a.data
+    def _bw(g: Array) -> None:
+        a.grad += g * b.data
+        b.grad += g * a.data
 
     out._backward = _bw
     return out
@@ -147,8 +148,8 @@ def scale(t: Tensor, c: float) -> Tensor:
     c = float(c)
     out = _result(t.data * c, (t,))
 
-    def _bw() -> None:
-        t.grad += out.grad * c
+    def _bw(g: Array) -> None:
+        t.grad += g * c
 
     out._backward = _bw
     return out
@@ -164,9 +165,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_bias: cannot add bias {b.data.shape} to shape {x.data.shape}")
     out = _result(x.data + b.data, (x, b))
 
-    def _bw() -> None:
-        x.grad += out.grad
-        b.grad += out.grad.sum(axis=0)
+    def _bw(g: Array) -> None:
+        x.grad += g
+        b.grad += g.sum(axis=0)
 
     out._backward = _bw
     return out
@@ -175,8 +176,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     out = _result(np.maximum(t.data, 0.0), (t,))
 
-    def _bw() -> None:
-        t.grad += out.grad * (t.data > 0.0)
+    def _bw(g: Array) -> None:
+        t.grad += g * (t.data > 0.0)
 
     out._backward = _bw
     return out
@@ -189,10 +190,10 @@ def gelu(t: Tensor) -> Tensor:
     th = np.tanh(inner)
     out = _result(0.5 * x * (1.0 + th), (t,))
 
-    def _bw() -> None:
+    def _bw(g: Array) -> None:
         d_inner = _GELU_K * (1.0 + 3.0 * _GELU_C * x**2)
         local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
-        t.grad += out.grad * local
+        t.grad += g * local
 
     out._backward = _bw
     return out
@@ -202,8 +203,8 @@ def sum_all(t: Tensor) -> Tensor:
     """Sum of all entries, as a 0-d tensor."""
     out = _result(np.asarray(t.data.sum()), (t,))
 
-    def _bw() -> None:
-        t.grad += out.grad
+    def _bw(g: Array) -> None:
+        t.grad += g
 
     out._backward = _bw
     return out
@@ -236,10 +237,10 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     rows = np.arange(n)
     out = _result(np.asarray(-log_probs[rows, y].mean()), (logits,))
 
-    def _bw() -> None:
+    def _bw(g: Array) -> None:
         probs = ez / sum_ez
         probs[rows, y] -= 1.0
-        logits.grad += out.grad * probs / n
+        logits.grad += g * probs / n
 
     out._backward = _bw
     return out
@@ -257,8 +258,8 @@ def ste_apply(x: Tensor, transform: Callable[[Array], Array]) -> Tensor:
         raise ShapeError(f"ste_apply: transform changed shape {x.data.shape} -> {data.shape}")
     out = _result(data, (x,))
 
-    def _bw() -> None:
-        x.grad += out.grad
+    def _bw(g: Array) -> None:
+        x.grad += g
 
     out._backward = _bw
     return out
@@ -295,5 +296,5 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
     return {node: node.grad for node in topo}

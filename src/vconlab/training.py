@@ -364,13 +364,8 @@ def batch_order(seed: int, epoch: int, n_train: int) -> Array:
 
 def refresh_network(net: Network, refresh_masks: bool = True) -> None:
     """Re-derive masks/scales for every compressed block (or branch)."""
-    targets = []
-    for block in net.blocks:
-        if isinstance(block, VconBlock):
-            targets.append(block.branch)
-        elif isinstance(block, CompressedBlock):
-            targets.append(block)
-    refresh_blocks(targets, refresh_masks=refresh_masks)
+    targets = [getattr(block, "branch", block) for block in net.blocks]
+    refresh_blocks([t for t in targets if isinstance(t, CompressedBlock)], refresh_masks=refresh_masks)
 
 
 def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float:

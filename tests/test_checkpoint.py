@@ -1,11 +1,18 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vconlab.checkpoint import MAGIC, CheckpointError, load_network, save_network
 from vconlab.compression import (
+    FAMILIES,
     BinaryQuant,
+    CompressedBlock,
     LowRank,
     PruneNM,
     PruneStructured,
@@ -13,7 +20,7 @@ from vconlab.compression import (
     PruneUnstructuredLayer,
     compress_network,
 )
-from vconlab.model import init_params
+from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
 from vconlab.vcon import BetaScheduler, wrap_network
 
@@ -208,3 +215,137 @@ def test_errors_carry_the_path(tmp_path):
     p.write_bytes(blob[:-1])
     with pytest.raises(CheckpointError, match="model_a.vcnet"):
         load_network(p)
+
+
+# --------------------------------------------------------------------------
+# Structural faults: every one is a CheckpointError, never another type
+
+
+def _split(blob):
+    newline = blob.index(b"\n", len(MAGIC))
+    return json.loads(blob[len(MAGIC) : newline]), newline + 1
+
+
+def _with_header(blob, header):
+    _, start = _split(blob)
+    return MAGIC + json.dumps(header).encode() + b"\n" + blob[start:]
+
+
+def _edit_header(edit, payload=True):
+    def fault(blob):
+        header, start = _split(blob)
+        edit(header)
+        return _with_header(blob if payload else blob[:start], header)
+
+    return fault
+
+
+def _set_low_bit(offset):
+    # packed rows are MSB-first, so bit 0 of a 2-wide row's byte is padding
+    def fault(blob):
+        pos = _split(blob)[1] + offset
+        return blob[:pos] + bytes([blob[pos] | 1]) + blob[pos + 1 :]
+
+    return fault
+
+
+# on [2, 16, 3] block 0 is 16x2: weight 256 bytes and bias 128, then its bit rows
+FAULTS = {
+    "header is a list": (PruneUnstructuredLayer(0.5), lambda blob: _with_header(blob, [1, 2])),
+    "blocks is an object": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(blocks=dict(enumerate(h["blocks"]))))),
+    "scheduler is a list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler=[3, 1]))),
+    "negative scheduler q": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler={"q": -1, "t": 0}))),
+    "float scheduler t": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler={"q": 4, "t": 1.0}))),
+    "empty block list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(blocks=[]), payload=False)),
+    "zero out_dim": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(out_dim=0))),
+    "string in_dim": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(in_dim="2"))),
+    "spec is a list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(spec=[]))),
+    "unknown spec kind": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0]["spec"].update(kind="ternary"))),
+    "sparsity edited": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][1]["spec"].update(sparsity=0.25))),
+    "N:M edited": (PruneNM(2, 4), _edit_header(lambda h: h["blocks"][1]["spec"].update(keep=1))),
+    "rows edited": (PruneStructured(0.25), _edit_header(lambda h: h["blocks"][0]["spec"].update(sparsity=0.5))),
+    "unknown header key": (BinaryQuant(), _edit_header(lambda h: h.update(comment="hi"))),
+    "int where float is saved": (PruneUnstructuredGlobal(0.0), _edit_header(lambda h: h["blocks"][0]["spec"].update(sparsity=0))),
+    "mask padding bit": (PruneUnstructuredLayer(0.5), _set_low_bit(256 + 128)),
+    "sign padding bit": (BinaryQuant(), _set_low_bit(256 + 128 + 8)),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_structural_fault_is_checkpoint_error(tmp_path, name):
+    spec, fault = FAULTS[name]
+    p = tmp_path / "net.vcnet"
+    save_network(compress_network(init_params([2, 16, 3], seed=10), spec), p)
+    load_network(p)  # the unedited file is fine
+    p.write_bytes(fault(p.read_bytes()))
+    with pytest.raises(CheckpointError):
+        load_network(p)
+
+
+def test_rank_above_layer_dims_rejected(tmp_path):
+    # factors of rank 3 on a 16x2 layer are self-consistent but not low rank
+    rng = np.random.default_rng(12)
+    a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((16, 3), (3, 2)))
+    block = CompressedBlock(LowRank(3), Tensor(np.zeros(16), requires_grad=True), "none", factors=(a, b))
+    p = tmp_path / "net.vcnet"
+    save_network(Network([block]), p)
+    with pytest.raises(CheckpointError, match="rank 3 above"):
+        load_network(p)
+
+
+def test_fuzz_specs_cover_every_family():
+    assert {spec.kind for spec in SPECS} == set(FAMILIES)
+
+
+def _fuzz_file(spec) -> bytes:
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # low rank on tiny layers has no size benefit
+        p = Path(d) / "net.vcnet"
+        save_network(wrap_network(init_params([3, 4, 2], seed=11), spec, BetaScheduler(q=7, t=3)), p)
+        return p.read_bytes()
+
+
+_FUZZ_FILES = {spec.kind: _fuzz_file(spec) for spec in SPECS}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _header_slots(header):
+    """(container, key) pairs for every value the header holds."""
+    slots = [(header, k) for k in header]
+    for block in header["blocks"]:
+        slots += [(block, k) for k in block] + [(block["spec"], k) for k in block["spec"]]
+    return slots + [(header["scheduler"], k) for k in header["scheduler"]]
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_damaged_files_load_exactly_or_raise_checkpoint_error(data):
+    kind = data.draw(st.sampled_from(sorted(_FUZZ_FILES)), label="family")
+    blob = _FUZZ_FILES[kind]
+    damage = data.draw(st.sampled_from(["truncate", "flip", "header"]), label="damage")
+    if damage == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:pos] + bytes([blob[pos] ^ data.draw(st.integers(1, 255))]) + blob[pos + 1 :]
+    else:
+        header, _ = _split(blob)
+        container, key = data.draw(st.sampled_from(_header_slots(header)))
+        if data.draw(st.booleans(), label="delete"):
+            del container[key]
+        else:
+            container[key] = data.draw(_JSON)
+        blob = _with_header(blob, header)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "net.vcnet"
+        p.write_bytes(blob)
+        try:
+            net, scheduler = load_network(p)
+        except CheckpointError:
+            return
+        save_network(net, Path(d) / "again.vcnet", scheduler)
+        assert (Path(d) / "again.vcnet").read_bytes() == blob

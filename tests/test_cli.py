@@ -88,6 +88,18 @@ def test_compression_section_errors_are_config_errors():
         validate_config({"compression": {"kind": "prune_layer", "sparsity": 1.0}})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("classes", "three"), ("samples_per_class", [100]), ("noise", "loud"), ("seed", None),
+])
+def test_dataset_numbers_that_do_not_coerce_are_config_errors(tmp_path, capsys, key, value):
+    dataset = {"kind": "blobs", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0, key: value}
+    with pytest.raises(ConfigError, match=f"dataset.{key} must be"):
+        validate_config({"dataset": dataset})
+    path, _ = _write_config(tmp_path, dataset=dataset)
+    assert main(["train", "--config", str(path), "--quiet"]) == 2
+    assert f"dataset.{key}" in capsys.readouterr().err
+
+
 def test_apply_overrides_json_and_string():
     cfg = {"optimizer": {"lr": 1e-3}}
     out = apply_overrides(cfg, ["optimizer.lr=0.05", "mode=vcon", "q_steps=[0,8]", "output_dir=runs/x"])

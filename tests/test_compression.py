@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vconlab.compression import (
+    FAMILIES,
     BinaryQuant,
     LowRank,
     PruneNM,
@@ -504,6 +505,7 @@ def test_spec_roundtrip_through_dicts():
         LowRank(4),
         None,
     ]
+    assert {spec.kind for spec in specs if spec is not None} == set(FAMILIES)
     for spec in specs:
         assert spec_from_dict(spec_to_dict(spec)) == spec
 

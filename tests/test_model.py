@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vconlab.model import DenseBlock, Network, ShapeError, clone_block, init_params
+from vconlab.model import DenseBlock, Network, ShapeError, init_params
 from vconlab.tensor import Tensor, backward, softmax_cross_entropy
 
 from oracles import finite_difference, mlp_forward, rel_error
@@ -77,15 +77,6 @@ def test_network_gradient_against_finite_differences():
 
         numeric = finite_difference(f, saved.copy())
         assert rel_error(p.grad, numeric) <= 1e-4, name
-
-
-def test_clone_block_is_deep_and_detached():
-    block = init_params([2, 3, 2], seed=0).blocks[0]
-    twin = clone_block(block)
-    assert np.array_equal(twin.weight.data, block.weight.data)
-    twin.weight.data[0, 0] += 1.0
-    assert twin.weight.data[0, 0] != block.weight.data[0, 0]
-    assert twin.weight._parents == ()
 
 
 def test_forward_rejects_wrong_width():
