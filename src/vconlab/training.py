@@ -433,8 +433,11 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(gstep, lr_at(opt.step_count, opt.spec), beta)
+            params = net.trainable_parameters()
+            for _, p in params:
+                p.grad = None  # a branch that left the graph must not replay its last gradient
             backward(loss)
-            lr_used = opt.step(net.trainable_parameters())
+            lr_used = opt.step(params)
             for sch in schedulers:
                 sch.step()
             log.steps.append((gstep, beta, lr_used, loss_val))

@@ -387,6 +387,22 @@ def test_vcon_q_zero_is_bit_identical_to_ste():
         assert np.array_equal(p_ste.data, p_v.data)
 
 
+def test_dead_originals_stay_frozen_after_transition():
+    # once beta reaches 0 the originals leave the graph; their last gradient
+    # must not keep driving Adam, so their bytes stay at the step-q values
+    ds = _blobs(noise=0.2, per_class=20)
+    q = steps_per_epoch(len(ds.split("train")[1]), 16)
+
+    def originals_after(epochs):
+        net = wrap_network(init_params([2, 8, 3], seed=4), PruneUnstructuredLayer(0.5), BetaScheduler(q=q))
+        train(net, ds, TrainConfig(epochs=epochs, batch_size=16, seed=4, mode="vcon", q_steps=q))
+        return [p.data.tobytes() for n, p in net.named_parameters() if n.split(".")[2] == "original"]
+
+    at_q = originals_after(1)  # the first epoch is exactly the transition
+    for epochs in (2, 3, 4):
+        assert originals_after(epochs) == at_q
+
+
 def test_post_shot_sparsity_zero_matches_dense_trajectory():
     ds = _blobs(noise=0.2, per_class=30)
     cfg_kwargs = dict(epochs=2, batch_size=16, seed=8)
