@@ -1,3 +1,4 @@
+import functools
 import json
 import tempfile
 import warnings
@@ -249,24 +250,37 @@ def _set_low_bit(offset):
     return fault
 
 
+def _top(**values):
+    return _edit_header(lambda h: h.update(values))
+
+
+def _block(i, **values):
+    return _edit_header(lambda h: h["blocks"][i].update(values))
+
+
+def _spec(i, **values):
+    return _edit_header(lambda h: h["blocks"][i]["spec"].update(values))
+
+
+HALF = PruneUnstructuredLayer(0.5)
 # on [2, 16, 3] block 0 is 16x2: weight 256 bytes and bias 128, then its bit rows
 FAULTS = {
-    "header is a list": (PruneUnstructuredLayer(0.5), lambda blob: _with_header(blob, [1, 2])),
-    "blocks is an object": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(blocks=dict(enumerate(h["blocks"]))))),
-    "scheduler is a list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler=[3, 1]))),
-    "negative scheduler q": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler={"q": -1, "t": 0}))),
-    "float scheduler t": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(scheduler={"q": 4, "t": 1.0}))),
-    "empty block list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h.update(blocks=[]), payload=False)),
-    "zero out_dim": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(out_dim=0))),
-    "string in_dim": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(in_dim="2"))),
-    "spec is a list": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0].update(spec=[]))),
-    "unknown spec kind": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][0]["spec"].update(kind="ternary"))),
-    "sparsity edited": (PruneUnstructuredLayer(0.5), _edit_header(lambda h: h["blocks"][1]["spec"].update(sparsity=0.25))),
-    "N:M edited": (PruneNM(2, 4), _edit_header(lambda h: h["blocks"][1]["spec"].update(keep=1))),
-    "rows edited": (PruneStructured(0.25), _edit_header(lambda h: h["blocks"][0]["spec"].update(sparsity=0.5))),
-    "unknown header key": (BinaryQuant(), _edit_header(lambda h: h.update(comment="hi"))),
-    "int where float is saved": (PruneUnstructuredGlobal(0.0), _edit_header(lambda h: h["blocks"][0]["spec"].update(sparsity=0))),
-    "mask padding bit": (PruneUnstructuredLayer(0.5), _set_low_bit(256 + 128)),
+    "header is a list": (HALF, lambda blob: _with_header(blob, [1, 2])),
+    "blocks is an object": (HALF, _edit_header(lambda h: h.update(blocks=dict(enumerate(h["blocks"]))))),
+    "scheduler is a list": (HALF, _top(scheduler=[3, 1])),
+    "negative scheduler q": (HALF, _top(scheduler={"q": -1, "t": 0})),
+    "float scheduler t": (HALF, _top(scheduler={"q": 4, "t": 1.0})),
+    "empty block list": (HALF, _edit_header(lambda h: h.update(blocks=[]), payload=False)),
+    "zero out_dim": (HALF, _block(0, out_dim=0)),
+    "string in_dim": (HALF, _block(0, in_dim="2")),
+    "spec is a list": (HALF, _block(0, spec=[])),
+    "unknown spec kind": (HALF, _spec(0, kind="ternary")),
+    "sparsity edited": (HALF, _spec(1, sparsity=0.25)),
+    "N:M edited": (PruneNM(2, 4), _spec(1, keep=1)),
+    "rows edited": (PruneStructured(0.25), _spec(0, sparsity=0.5)),
+    "unknown header key": (BinaryQuant(), _top(comment="hi")),
+    "int where float is saved": (PruneUnstructuredGlobal(0.0), _spec(0, sparsity=0)),
+    "mask padding bit": (HALF, _set_low_bit(256 + 128)),
     "sign padding bit": (BinaryQuant(), _set_low_bit(256 + 128 + 8)),
 }
 
@@ -297,7 +311,10 @@ def test_fuzz_specs_cover_every_family():
     assert {spec.kind for spec in SPECS} == set(FAMILIES)
 
 
-def _fuzz_file(spec) -> bytes:
+@functools.cache
+def _fuzz_file(kind: str) -> bytes:
+    """A mid-transition blended network under the family's sample spec."""
+    spec = next(spec for spec in SPECS if spec.kind == kind)
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # low rank on tiny layers has no size benefit
         p = Path(d) / "net.vcnet"
@@ -305,7 +322,6 @@ def _fuzz_file(spec) -> bytes:
         return p.read_bytes()
 
 
-_FUZZ_FILES = {spec.kind: _fuzz_file(spec) for spec in SPECS}
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
@@ -324,8 +340,7 @@ def _header_slots(header):
 @settings(max_examples=400)
 @given(data=st.data())
 def test_damaged_files_load_exactly_or_raise_checkpoint_error(data):
-    kind = data.draw(st.sampled_from(sorted(_FUZZ_FILES)), label="family")
-    blob = _FUZZ_FILES[kind]
+    blob = _fuzz_file(data.draw(st.sampled_from(sorted(FAMILIES)), label="family"))
     damage = data.draw(st.sampled_from(["truncate", "flip", "header"]), label="damage")
     if damage == "truncate":
         blob = blob[: data.draw(st.integers(0, len(blob) - 1))]

@@ -1,8 +1,8 @@
-"""Every registered compression family, through training, files and reports.
+"""Every registered compression family, through size accounting, files and reports.
 
 ``SAMPLES`` must name one spec per ``FAMILIES`` kind, so a new family is
-picked up here (and by the checkpoint fuzz test) as soon as it is
-registered and given a sample.
+picked up here as soon as it is registered and given a sample
+(``SPECS`` in test_checkpoint.py needs one too, for the fuzz test).
 """
 
 import math
