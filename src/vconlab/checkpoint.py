@@ -200,7 +200,7 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
     try:
         text = blob[len(MAGIC) : newline].decode("utf-8")
         header = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long integers, deep nesting
         raise CheckpointError(f"{path}: unreadable header at byte offset {len(MAGIC)}: {exc}") from None
     _check_header(header, path)
     sched = header.get("scheduler")
@@ -209,7 +209,7 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
     try:
         blocks = [_read_block(r, hdr, f"block {i}", scheduler) for i, hdr in enumerate(header["blocks"])]
         net = Network(blocks, name=header.get("name", "net"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, CheckpointError):
             raise
         raise CheckpointError(f"{path}: malformed header near byte offset {r.pos}: {exc}") from None

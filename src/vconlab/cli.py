@@ -219,7 +219,7 @@ def validate_config(cfg: dict) -> ExperimentConfig:
 
     try:
         spec = spec_from_dict(merged["compression"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"compression: {exc}") from None
 
     mode = merged["mode"]

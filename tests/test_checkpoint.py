@@ -280,6 +280,9 @@ FAULTS = {
     "rows edited": (PruneStructured(0.25), _spec(0, sparsity=0.5)),
     "unknown header key": (BinaryQuant(), _top(comment="hi")),
     "int where float is saved": (PruneUnstructuredGlobal(0.0), _spec(0, sparsity=0)),
+    "infinite rank": (LowRank(2), _spec(0, rank=float("inf"))),
+    "over-long integer": (HALF, lambda blob: blob.replace(b'"format": 1', b'"format": 1' + b"0" * 5000, 1)),
+    "deeply nested header": (HALF, lambda blob: MAGIC + b"[" * 100_000 + b"]" * 100_000 + b"\n"),
     "mask padding bit": (HALF, _set_low_bit(256 + 128)),
     "sign padding bit": (BinaryQuant(), _set_low_bit(256 + 128 + 8)),
 }

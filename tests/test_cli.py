@@ -86,6 +86,8 @@ def test_bad_schedule_kind():
 def test_compression_section_errors_are_config_errors():
     with pytest.raises(ConfigError, match="compression"):
         validate_config({"compression": {"kind": "prune_layer", "sparsity": 1.0}})
+    with pytest.raises(ConfigError, match="compression"):
+        validate_config({"compression": {"kind": "low_rank", "rank": float("inf")}})
 
 
 @pytest.mark.parametrize("key, value", [
