@@ -119,10 +119,14 @@ def _write_block(w: _Writer, block) -> None:
 
 
 def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> None:
-    """Write the network (and optional scheduler state) to one flat file."""
-    if scheduler is None:
-        found = [b.scheduler for b in net.blocks if isinstance(b, VconBlock)]
-        scheduler = found[0] if found else None
+    """Write the network and one scheduler state (by default the first blended
+    block's, which every blended block must share) to one flat file."""
+    blended = [b.scheduler for b in net.blocks if isinstance(b, VconBlock)]
+    if scheduler is None and blended:
+        scheduler = blended[0]
+    if any(s != scheduler for s in blended):  # BetaScheduler compares (q, t)
+        raise CheckpointError(f"blended blocks at scheduler states {[(s.q, s.t) for s in blended]} "
+                              f"cannot share the header state ({scheduler.q}, {scheduler.t})")
     header = _header(net, scheduler)
     with open(path, "wb") as fh:
         fh.write(MAGIC + json.dumps(header).encode("utf-8") + b"\n")

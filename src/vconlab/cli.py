@@ -23,13 +23,17 @@ from .compression import (
     FAMILIES,
     CompressedBlock,
     CompressionSpec,
+    ConfigError,
     bit_footprint,
     compress_network,
+    config_fields,
+    config_value,
     spec_from_dict,
     spec_to_dict,
 )
 from .model import ACTIVATIONS, Network, init_params
 from .training import (
+    MODES,
     Constant,
     Cosine,
     Dataset,
@@ -44,10 +48,6 @@ from .training import (
 )
 from .training import evaluate as _evaluate
 from .vcon import BetaScheduler, VconBlock, beta_at, finalize, wrap_network
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration."""
 
 
 # --------------------------------------------------------------------------
@@ -76,14 +76,17 @@ DEFAULT_CONFIG = {
     "eval_compressed_only": False,
 }
 _TOP_KEYS = {*DEFAULT_CONFIG, "q_epochs", "q_steps"}
+_SYNTHETIC_NUMBERS = {"classes": int, "samples_per_class": int, "noise": float, "seed": int}
+_SCHEDULES = {"constant": Constant, "cosine": Cosine}
+_FLAGS = ("freeze_original", "freeze_mask", "eval_compressed_only")
 
 
 def _reject_unknown(section: dict, allowed: set, prefix: str) -> None:
     for key, value in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        if key in _SCHEMA and isinstance(value, dict):
-            _reject_unknown(value, _SCHEMA[key], f"{prefix}{key}.")
+        if key in _SCHEMA:
+            _reject_unknown(config_value(value, dict, prefix + key), _SCHEMA[key], f"{prefix}{key}.")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -136,12 +139,12 @@ class ExperimentConfig:
 
     layer_sizes: list[int]
     activation: str
-    dataset: dict
+    dataset: dict  # make_synthetic's keyword arguments, or kind "csv" and a path
     compression: CompressionSpec | None
     optimizer: OptimizerSpec
     mode: str
-    q_epochs: object  # int or list for sweeps, or None
-    q_steps: object
+    q_epochs: int | list[int] | None
+    q_steps: int | list[int] | None
     epochs: int
     batch_size: int
     seeds: list[int]
@@ -157,113 +160,80 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _dataset_number(ds: dict, key: str, kind):
-    # ds is merged over DEFAULT_CONFIG, so every key is present
-    try:
-        return kind(ds[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"dataset.{key} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {ds[key]!r}") from None
+def _int_list(value, key: str) -> list[int]:
+    return [config_value(v, int, f"{key}[{i}]") for i, v in enumerate(config_value(value, list, key))]
 
 
-def _build_optimizer(section: dict) -> OptimizerSpec:
-    sched_cfg = section.get("schedule", {"kind": "constant"})
-    kind = sched_cfg.get("kind", "constant")
-    if kind == "constant":
-        schedule = Constant()
-    elif kind == "cosine":
-        try:
-            schedule = Cosine(
-                total_steps=sched_cfg.get("total_steps"),
-                warmup_ratio=float(sched_cfg.get("warmup_ratio", 0.0)),
-                warmup_start_lr=float(sched_cfg.get("warmup_start_lr", 0.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"optimizer.schedule: {exc}") from None
-    else:
-        raise ConfigError(f"optimizer.schedule.kind must be 'constant' or 'cosine', got {kind!r}")
-    try:
-        return OptimizerSpec(
-            kind=section.get("kind", "adam"),
-            lr=float(section.get("lr", 1e-3)),
-            beta1=float(section.get("beta1", 0.9)),
-            beta2=float(section.get("beta2", 0.999)),
-            eps=float(section.get("eps", 1e-8)),
-            schedule=schedule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from None
+def _read_q(merged: dict, key: str) -> int | list[int] | None:
+    q = merged.get(key)
+    if q is not None:
+        values = _int_list(q, key) if isinstance(q, list) else [config_value(q, int, key)]
+        _expect(all(v >= 0 for v in values), f"{key} must be an integer >= 0 or a list of them")
+    return q
+
+
+def _read_dataset(ds: dict) -> dict:
+    kind = config_value(ds["kind"], str, "dataset.kind")
+    _expect(kind in ("blobs", "spiral", "csv"), f"dataset.kind must be blobs, spiral, or csv, got {kind!r}")
+    if kind == "csv":
+        _expect("path" in ds, "dataset.path is required for csv datasets")
+        return {"kind": kind, "path": config_value(ds["path"], str, "dataset.path")}
+    out = {"kind": kind, **{key: config_value(ds[key], t, f"dataset.{key}") for key, t in _SYNTHETIC_NUMBERS.items()}}
+    _expect(out["classes"] >= 2, "dataset.classes must be >= 2")
+    _expect(out["samples_per_class"] >= 1, "dataset.samples_per_class must be >= 1")
+    _expect(out["noise"] >= 0.0, "dataset.noise must be >= 0")
+    return out
+
+
+def _read_optimizer(section: dict) -> OptimizerSpec:
+    sched = section["schedule"]
+    kind = config_value(sched["kind"], str, "optimizer.schedule.kind")
+    _expect(kind in _SCHEDULES, f"optimizer.schedule.kind must be 'constant' or 'cosine', got {kind!r}")
+    schedule = config_fields(_SCHEDULES[kind], sched, "optimizer.schedule.")
+    return config_fields(OptimizerSpec, section, "optimizer.", schedule=schedule)
 
 
 def validate_config(cfg: dict) -> ExperimentConfig:
+    """Check ``cfg`` merged over ``DEFAULT_CONFIG``: every section must be an
+    object and every value must already have its JSON type (``config_value``)."""
     _reject_unknown(cfg, _TOP_KEYS, "")
     merged = _merge(DEFAULT_CONFIG, cfg)
 
     model = merged["model"]
-    sizes = model.get("layer_sizes")
-    _expect(isinstance(sizes, list) and len(sizes) >= 2 and all(isinstance(s, int) and s >= 1 for s in sizes),
-            "model.layer_sizes must be a list of >= 2 positive integers")
-    activation = model.get("activation", "relu")
+    sizes = _int_list(model["layer_sizes"], "model.layer_sizes")
+    _expect(len(sizes) >= 2 and min(sizes) >= 1, "model.layer_sizes must be a list of >= 2 positive integers")
+    activation = config_value(model["activation"], str, "model.activation")
     _expect(activation in ACTIVATIONS, f"model.activation must be one of {ACTIVATIONS}, got {activation!r}")
 
-    ds = merged["dataset"]
-    ds_kind = ds.get("kind")
-    _expect(ds_kind in ("blobs", "spiral", "csv"), f"dataset.kind must be blobs, spiral, or csv, got {ds_kind!r}")
-    if ds_kind == "csv":
-        _expect(isinstance(ds.get("path"), str), "dataset.path is required for csv datasets")
-    else:
-        _expect(_dataset_number(ds, "classes", int) >= 2, "dataset.classes must be >= 2")
-        _expect(_dataset_number(ds, "samples_per_class", int) >= 1, "dataset.samples_per_class must be >= 1")
-        _expect(_dataset_number(ds, "noise", float) >= 0.0, "dataset.noise must be >= 0")
-        _dataset_number(ds, "seed", int)
-
-    try:
-        spec = spec_from_dict(merged["compression"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"compression: {exc}") from None
-
-    mode = merged["mode"]
-    _expect(mode in ("dense", "ste_standard", "post_shot", "vcon"),
-            f"mode must be dense, ste_standard, post_shot, or vcon, got {mode!r}")
+    spec = spec_from_dict(merged["compression"])
+    mode = config_value(merged["mode"], str, "mode")
+    _expect(mode in MODES, f"mode must be dense, ste_standard, post_shot, or vcon, got {mode!r}")
     if mode != "dense":
         _expect(spec is not None, f"mode {mode!r} requires a compression section with kind != 'none'")
 
-    q_epochs = merged.get("q_epochs")
-    q_steps = merged.get("q_steps")
-    _expect(not (q_epochs is not None and q_steps is not None),
-            "give q_epochs or q_steps, not both")
-    for name, q in (("q_epochs", q_epochs), ("q_steps", q_steps)):
-        if q is None:
-            continue
-        if isinstance(q, list):
-            _expect(all(isinstance(v, int) and v >= 0 for v in q), f"{name} entries must be integers >= 0")
-        else:
-            _expect(isinstance(q, int) and q >= 0, f"{name} must be an integer >= 0 or a list of them")
-
-    epochs = merged["epochs"]
-    batch = merged["batch_size"]
-    _expect(isinstance(epochs, int) and epochs >= 1, "epochs must be an integer >= 1")
-    _expect(isinstance(batch, int) and batch >= 1, "batch_size must be an integer >= 1")
-    seeds = merged["seeds"]
-    _expect(isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
-            "seeds must be a non-empty list of integers")
+    q_epochs, q_steps = _read_q(merged, "q_epochs"), _read_q(merged, "q_steps")
+    _expect(q_epochs is None or q_steps is None, "give q_epochs or q_steps, not both")
+    epochs = config_value(merged["epochs"], int, "epochs")
+    _expect(epochs >= 1, "epochs must be an integer >= 1")
+    batch = config_value(merged["batch_size"], int, "batch_size")
+    _expect(batch >= 1, "batch_size must be an integer >= 1")
+    seeds = _int_list(merged["seeds"], "seeds")
+    _expect(bool(seeds), "seeds must be a non-empty list of integers")
 
     return ExperimentConfig(
-        layer_sizes=list(sizes),
+        layer_sizes=sizes,
         activation=activation,
-        dataset=ds,
+        dataset=_read_dataset(merged["dataset"]),
         compression=spec,
-        optimizer=_build_optimizer(merged["optimizer"]),
+        optimizer=_read_optimizer(merged["optimizer"]),
         mode=mode,
         q_epochs=q_epochs,
         q_steps=q_steps,
         epochs=epochs,
         batch_size=batch,
-        seeds=list(seeds),
-        output_dir=Path(merged["output_dir"]),
-        freeze_original=bool(merged["freeze_original"]),
-        freeze_mask=bool(merged["freeze_mask"]),
-        eval_compressed_only=bool(merged["eval_compressed_only"]),
+        seeds=seeds,
+        output_dir=Path(config_value(merged["output_dir"], str, "output_dir")),
+        **{flag: config_value(merged[flag], bool, flag) for flag in _FLAGS},
         raw=merged,
     )
 
@@ -274,30 +244,24 @@ def validate_config(cfg: dict) -> ExperimentConfig:
 
 def build_dataset(exp: ExperimentConfig) -> Dataset:
     ds = exp.dataset
-    if ds["kind"] == "csv":
-        return load_csv(ds["path"])
-    return make_synthetic(
-        ds["kind"],
-        classes=_dataset_number(ds, "classes", int),
-        samples_per_class=_dataset_number(ds, "samples_per_class", int),
-        noise=_dataset_number(ds, "noise", float),
-        seed=_dataset_number(ds, "seed", int),
-    )
+    return load_csv(ds["path"]) if ds["kind"] == "csv" else make_synthetic(**ds)
 
 
-def _resolve_q(exp: ExperimentConfig, dataset: Dataset) -> int:
-    q_epochs = exp.q_epochs
-    q_steps = exp.q_steps
-    if isinstance(q_steps, list) or isinstance(q_epochs, list):
-        raise ConfigError("train/compare need a scalar q_epochs or q_steps (lists are for sweep-q)")
-    if q_steps is not None:
-        return int(q_steps)
-    if q_epochs is not None:
-        n_train = len(dataset.split("train")[1])
-        return q_steps_from_epochs(int(q_epochs), n_train, exp.batch_size)
-    if exp.mode in ("vcon", "post_shot"):
-        raise ConfigError(f"mode {exp.mode!r} needs q_epochs or q_steps")
-    return 0
+def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool) -> list[int]:
+    """The config's transition lengths in optimizer steps: one for train and
+    compare, at least two for sweep-q; q_epochs count whole epochs of steps."""
+    q = exp.q_steps if exp.q_epochs is None else exp.q_epochs
+    if sweep:
+        _expect(isinstance(q, list) and len(q) >= 2,
+                "sweep-q needs q_epochs or q_steps as a list of at least 2 values")
+    else:
+        _expect(not isinstance(q, list), "train/compare need a scalar q_epochs or q_steps (lists are for sweep-q)")
+        _expect(q is not None or exp.mode not in ("vcon", "post_shot"), f"mode {exp.mode!r} needs q_epochs or q_steps")
+        q = [q or 0]
+    if exp.q_epochs is None:
+        return q
+    n_train = len(dataset.split("train")[1])
+    return [q_steps_from_epochs(v, n_train, exp.batch_size) for v in q]
 
 
 @dataclass
@@ -343,17 +307,7 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     if not quiet:
         print(f"  mode={mode} seed={seed} test_acc={test_acc:.4f} ({elapsed:.1f}s)")
     best_val = max((acc for _, acc in log.epochs if not math.isnan(acc)), default=float("nan"))
-    return SeedResult(
-        seed=seed,
-        final_test_accuracy=test_acc,
-        best_val_accuracy=best_val,
-        param_count_dense=dense_count,
-        param_count_compressed=compressed_count,
-        wall_clock_seconds=elapsed,
-        log=log,
-        net=net,
-        scheduler=scheduler,
-    )
+    return SeedResult(seed, test_acc, best_val, dense_count, compressed_count, elapsed, log, net, scheduler)
 
 
 def _compressed_param_count(net: Network) -> int:
@@ -376,26 +330,49 @@ def _aggregate(values: list[float]) -> dict:
     return {"mean": float(arr.mean()), "stddev": float(arr.std())}
 
 
-def _summary_dict(exp: ExperimentConfig, mode: str, results: list[SeedResult]) -> dict:
+def _summary_dict(exp: ExperimentConfig, mode: str, rows: list[dict]) -> dict:
     return {
         "config": exp.raw,
         "mode": mode,
-        "per_seed": [
-            {
-                "seed": r.seed,
-                "final_test_accuracy": r.final_test_accuracy,
-                "best_val_accuracy": r.best_val_accuracy,
-                "param_count_dense": r.param_count_dense,
-                "param_count_compressed": r.param_count_compressed,
-                "wall_clock_seconds": r.wall_clock_seconds,
-            }
-            for r in results
-        ],
+        "per_seed": rows,
         "aggregate": {
-            "test_accuracy": _aggregate([r.final_test_accuracy for r in results]),
-            "best_val_accuracy": _aggregate([r.best_val_accuracy for r in results]),
+            "test_accuracy": _aggregate([r["final_test_accuracy"] for r in rows]),
+            "best_val_accuracy": _aggregate([r["best_val_accuracy"] for r in rows]),
         },
     }
+
+
+_ROW_FIELDS = ("seed", "final_test_accuracy", "best_val_accuracy", "param_count_dense",
+               "param_count_compressed", "wall_clock_seconds")
+
+
+@dataclass
+class _Arm:
+    """One output directory of runs: a mode and a transition length, run on every seed."""
+
+    out_dir: Path
+    mode: str
+    q: int
+    val_accuracy: list[tuple[int, int, float]] = field(default_factory=list)  # seed, epoch, accuracy
+    summary: dict = field(default_factory=dict)
+
+
+def _finish_run(arm: _Arm, result: SeedResult) -> dict:
+    """Write one run's files; keep its validation curve and return its summary row."""
+    _write_seed_outputs(arm.out_dir, result)
+    arm.val_accuracy.extend((result.seed, epoch, acc) for epoch, acc in result.log.epochs)
+    return {name: getattr(result, name) for name in _ROW_FIELDS}
+
+
+def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: bool) -> list[_Arm]:
+    """Run each arm on every seed, one arm after the other. A run's files are
+    written as soon as it ends and only its summary row is kept; an arm's
+    summary.json is written after its last seed."""
+    for arm in arms:
+        rows = [_finish_run(arm, run_single(exp, dataset, seed, arm.mode, arm.q, quiet=quiet)) for seed in exp.seeds]
+        arm.summary = _summary_dict(exp, arm.mode, rows)
+        _write_json(arm.out_dir / "summary.json", arm.summary)
+    return arms
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -439,16 +416,10 @@ def read_sweep_csv(path) -> list[tuple[int, int, int, float]]:
 
 def cmd_train(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
-    q_steps = _resolve_q(exp, dataset)
-    results = []
-    for seed in exp.seeds:
-        result = run_single(exp, dataset, seed, exp.mode, q_steps, quiet=quiet)
-        _write_seed_outputs(exp.output_dir, result)
-        results.append(result)
-    summary = _summary_dict(exp, exp.mode, results)
-    _write_json(exp.output_dir / "summary.json", summary)
+    (q,) = _transition_steps(exp, dataset, sweep=False)
+    (arm,) = _run_arms(exp, dataset, [_Arm(exp.output_dir, exp.mode, q)], quiet)
     if not quiet:
-        agg = summary["aggregate"]["test_accuracy"]
+        agg = arm.summary["aggregate"]["test_accuracy"]
         print(f"{exp.mode}: mean test accuracy {agg['mean']:.4f} (std {agg['stddev']:.4f}) "
               f"over {len(exp.seeds)} seed(s) -> {exp.output_dir / 'summary.json'}")
     return 0
@@ -458,36 +429,25 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
     if baseline not in ("ste_standard", "post_shot"):
         raise ConfigError(f"baseline must be ste_standard or post_shot, got {baseline!r}")
     dataset = build_dataset(exp)
-    q_steps = _resolve_q(exp, dataset)
-    base_results, vcon_results = [], []
-    for seed in exp.seeds:
-        base_results.append(run_single(exp, dataset, seed, baseline, q_steps, quiet=quiet))
-        vcon_results.append(run_single(exp, dataset, seed, "vcon", q_steps, quiet=quiet))
-    base_dir = exp.output_dir / "baseline"
-    vcon_dir = exp.output_dir / "vcon"
-    for r in base_results:
-        _write_seed_outputs(base_dir, r)
-    for r in vcon_results:
-        _write_seed_outputs(vcon_dir, r)
-    _write_json(base_dir / "summary.json", _summary_dict(exp, baseline, base_results))
-    _write_json(vcon_dir / "summary.json", _summary_dict(exp, "vcon", vcon_results))
-
+    (q,) = _transition_steps(exp, dataset, sweep=False)
+    base, vcon = _run_arms(exp, dataset, [_Arm(exp.output_dir / "baseline", baseline, q),
+                                          _Arm(exp.output_dir / "vcon", "vcon", q)], quiet)
     per_seed = [{
-        "seed": b.seed,
-        "baseline_test_accuracy": b.final_test_accuracy,
-        "vcon_test_accuracy": v.final_test_accuracy,
-        "delta": v.final_test_accuracy - b.final_test_accuracy,
-    } for b, v in zip(base_results, vcon_results)]
+        "seed": b["seed"],
+        "baseline_test_accuracy": b["final_test_accuracy"],
+        "vcon_test_accuracy": v["final_test_accuracy"],
+        "delta": v["final_test_accuracy"] - b["final_test_accuracy"],
+    } for b, v in zip(base.summary["per_seed"], vcon.summary["per_seed"])]
     deltas = [row["delta"] for row in per_seed]
     mean_delta = float(np.mean(deltas))
     compare = {
         "config": exp.raw,
         "baseline_mode": baseline,
-        "q_steps": q_steps,
+        "q_steps": q,
         "per_seed": per_seed,
         "aggregate": {
-            "baseline_test_accuracy": _aggregate([r.final_test_accuracy for r in base_results]),
-            "vcon_test_accuracy": _aggregate([r.final_test_accuracy for r in vcon_results]),
+            "baseline_test_accuracy": base.summary["aggregate"]["test_accuracy"],
+            "vcon_test_accuracy": vcon.summary["aggregate"]["test_accuracy"],
             "delta": _aggregate(deltas),
             # accuracy-point delta in the conventional parenthesized form
             "formatted_delta": f"({100.0 * mean_delta:+.2f})",
@@ -502,23 +462,9 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
 
 def cmd_sweep_q(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
-    n_train = len(dataset.split("train")[1])
-    if isinstance(exp.q_steps, list):
-        q_list = [int(q) for q in exp.q_steps]
-    elif isinstance(exp.q_epochs, list):
-        q_list = [q_steps_from_epochs(int(q), n_train, exp.batch_size) for q in exp.q_epochs]
-    else:
-        raise ConfigError("sweep-q needs q_epochs or q_steps as a list of at least 2 values")
-    if len(q_list) < 2:
-        raise ConfigError("sweep-q needs at least 2 q values")
-    rows = []
-    for q in q_list:
-        q_dir = exp.output_dir / f"q{q}"
-        for seed in exp.seeds:
-            result = run_single(exp, dataset, seed, "vcon", q, quiet=quiet)
-            _write_seed_outputs(q_dir, result)
-            rows.extend((q, seed, epoch, acc) for epoch, acc in result.log.epochs)
-    exp.output_dir.mkdir(parents=True, exist_ok=True)
+    q_list = _transition_steps(exp, dataset, sweep=True)
+    arms = _run_arms(exp, dataset, [_Arm(exp.output_dir / f"q{q}", "vcon", q) for q in q_list], quiet)
+    rows = [(arm.q, *row) for arm in arms for row in arm.val_accuracy]
     sweep_path = exp.output_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)

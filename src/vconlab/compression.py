@@ -20,9 +20,10 @@ the weights.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, fields
-from typing import ClassVar, Sequence, get_type_hints
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -290,14 +291,57 @@ def spec_to_dict(spec: CompressionSpec | None) -> dict:
 
 
 def spec_from_dict(d: dict) -> CompressionSpec | None:
-    kind = d.get("kind")
+    kind = config_value(d.get("kind"), str, "compression.kind")
     if kind == "none":
         return None
-    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown compression kind {kind!r}")
-    types = get_type_hints(cls)  # coerce each field to its declared type
-    return cls(*(types[f.name](d[f.name]) for f in fields(cls)))
+    if kind not in FAMILIES:
+        raise ConfigError(f"compression.kind must be 'none' or one of {', '.join(FAMILIES)}, got {kind!r}")
+    return config_fields(FAMILIES[kind], d, "compression.")
+
+
+# --------------------------------------------------------------------------
+# Typed JSON values (experiment configs and checkpoint specs)
+
+
+class ConfigError(ValueError):
+    """Invalid or unknown configuration."""
+
+
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def config_value(value, kind, key: str):
+    """Return ``value`` if it already has the JSON type ``kind`` (a key of
+    ``_JSON_TYPES``, or ``T | None``), else raise a ``ConfigError`` naming the
+    dotted ``key``. A bool is not an integer, a float is finite, and the one
+    conversion is that a float also takes an integer (returned as a float)."""
+    if value is None and type(None) in get_args(kind):
+        return None
+    kind = next((t for t in get_args(kind) if t is not type(None)), kind)
+    if isinstance(value, bool) == (kind is bool):
+        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind is not float and isinstance(value, kind):
+            return value
+    raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def config_fields(cls, section: dict, prefix: str, **given):
+    """Build the dataclass ``cls`` from a JSON object: each field present in
+    ``section`` goes through ``config_value`` with its declared type, an absent
+    one takes its default, and ``given`` fields are passed as they are."""
+    types = get_type_hints(cls)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in section and f.name not in given:
+            values[f.name] = config_value(section[f.name], types[f.name], prefix + f.name)
+        elif f.name not in values and f.default is MISSING:
+            raise ConfigError(f"{prefix}{f.name} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -217,8 +217,8 @@ def load_csv(path, standardize: bool = True) -> Dataset:
     """Load `f0,...,fk,label` rows; split 70/15/15 in file order.
 
     Features are standardized per column with mean/std taken over the
-    train split only (constant columns become zeros). Labels must be
-    non-negative integers.
+    train split only (constant columns become zeros). Feature cells must be
+    finite; labels must be non-negative integers that fit int64.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -244,8 +244,10 @@ def load_csv(path, standardize: bool = True) -> Dataset:
             values = [float(cell) for cell in row]
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed numeric value in {row!r}") from None
+        if not all(map(math.isfinite, values[:-1])):
+            raise DataError(f"{path}:{lineno}: non-finite feature value in {row!r}")
         lab = values[-1]
-        if lab != int(lab) or lab < 0:
+        if not (0 <= lab < 2**63 and lab == int(lab)):  # NaN and infinity fail the range test
             raise IndexError(f"{path}:{lineno}: label {row[-1]!r} is not a valid class index")
         features[i] = values[:-1]
         labels[i] = int(lab)

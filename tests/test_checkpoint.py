@@ -100,6 +100,20 @@ def test_scheduler_can_be_passed_explicitly(tmp_path):
     assert sched.phase == "converged"
 
 
+def test_blended_blocks_on_different_schedulers_are_refused(tmp_path):
+    # the header holds one scheduler state; a file holding block 0's would
+    # load block 1 at the wrong beta and still re-save to the same bytes
+    net = wrap_network(init_params([2, 4, 3], seed=5), PruneUnstructuredLayer(0.5), BetaScheduler(q=4, t=1))
+    net.blocks[1].scheduler = BetaScheduler(q=10, t=0)
+    with pytest.raises(CheckpointError, match=r"scheduler states \[\(4, 1\), \(10, 0\)\]"):
+        save_network(net, tmp_path / "net.vcnet")
+    with pytest.raises(CheckpointError, match="header state"):
+        save_network(net, tmp_path / "net.vcnet", BetaScheduler(q=10, t=0))
+    net.blocks[1].scheduler = BetaScheduler(q=4, t=1)  # equal states share the header
+    save_network(net, tmp_path / "net.vcnet")
+    assert load_network(tmp_path / "net.vcnet")[1] == BetaScheduler(q=4, t=1)
+
+
 def test_signs_of_exact_zero_weights_roundtrip(tmp_path):
     # sign(0) = +1 must survive the bit packing
     net = compress_network(init_params([2, 3], seed=6), BinaryQuant())

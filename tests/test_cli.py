@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -7,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from vconlab.checkpoint import save_network
+from vconlab import cli
+from vconlab.checkpoint import load_network, save_network
 from vconlab.cli import (
     ConfigError,
+    _evaluate,
     apply_overrides,
+    build_dataset,
     inspect_data,
     load_config,
     main,
@@ -21,7 +25,7 @@ from vconlab.cli import (
 )
 from vconlab.compression import PruneNM, compress_network
 from vconlab.model import init_params
-from vconlab.training import read_runlog
+from vconlab.training import TrainingDiverged, read_runlog
 from vconlab.vcon import BetaScheduler, wrap_network
 
 
@@ -90,16 +94,44 @@ def test_compression_section_errors_are_config_errors():
         validate_config({"compression": {"kind": "low_rank", "rank": float("inf")}})
 
 
-@pytest.mark.parametrize("key, value", [
-    ("classes", "three"), ("samples_per_class", [100]), ("noise", "loud"), ("seed", None),
-])
-def test_dataset_numbers_that_do_not_coerce_are_config_errors(tmp_path, capsys, key, value):
-    dataset = {"kind": "blobs", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0, key: value}
-    with pytest.raises(ConfigError, match=f"dataset.{key} must be"):
-        validate_config({"dataset": dataset})
-    path, _ = _write_config(tmp_path, dataset=dataset)
+def _dataset(key, value):
+    return {"dataset": {"kind": "blobs", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0, key: value}}
+
+
+# (config entries replacing the test config's, dotted key the error must name)
+CONFIG_ERRORS = [
+    pytest.param(_dataset("classes", "three"), "dataset.classes", id="classes-three"),
+    pytest.param(_dataset("samples_per_class", [100]), "dataset.samples_per_class", id="samples_per_class-value1"),
+    pytest.param(_dataset("noise", "loud"), "dataset.noise", id="noise-loud"),
+    pytest.param(_dataset("seed", None), "dataset.seed", id="seed-None"),
+    pytest.param(_dataset("classes", 3.7), "dataset.classes", id="classes-float"),
+    pytest.param({"dataset": 5}, "dataset", id="dataset-not-object"),
+    pytest.param({"model": 3}, "model", id="model-not-object"),
+    pytest.param({"optimizer": {"lr": None}}, "optimizer.lr", id="lr-null"),
+    pytest.param({"optimizer": {"lr": float("nan")}}, "optimizer.lr", id="lr-nan"),
+    pytest.param({"optimizer": {"schedule": 7}}, "optimizer.schedule", id="schedule-not-object"),
+    pytest.param({"optimizer": {"schedule": {"kind": "cosine", "warmup_ratio": None}}},
+                 "optimizer.schedule.warmup_ratio", id="warmup_ratio-null"),
+    pytest.param({"optimizer": {"schedule": {"kind": "cosine", "total_steps": "x"}}},
+                 "optimizer.schedule.total_steps", id="total_steps-string"),
+    pytest.param({"compression": {"kind": "low_rank", "rank": 2.7}}, "compression.rank", id="rank-float"),
+    pytest.param({"epochs": True}, "epochs", id="epochs-true"),
+    pytest.param({"mode": "vcon", "q_steps": True}, "q_steps", id="q_steps-true"),
+    pytest.param({"seeds": [True]}, "seeds", id="seeds-true"),
+    pytest.param({"freeze_mask": "no"}, "freeze_mask", id="freeze_mask-string"),
+]
+
+
+@pytest.mark.parametrize("entries, key", CONFIG_ERRORS)
+def test_dataset_numbers_that_do_not_coerce_are_config_errors(tmp_path, capsys, entries, key):
+    # a value that is not already of its JSON type (or a section that is not
+    # an object) is a config error naming the dotted key, never converted
+    path, cfg = _write_config(tmp_path, **entries)
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)}\S* must be"):
+        validate_config(cfg)
     assert main(["train", "--config", str(path), "--quiet"]) == 2
-    assert f"dataset.{key}" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_apply_overrides_json_and_string():
@@ -272,6 +304,29 @@ def test_compare_shared_seeds_share_data_order(tmp_path):
     assert base == vcon
 
 
+def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monkeypatch):
+    real_run = cli.run_single
+
+    def run_single(exp, dataset, seed, mode, q_steps, quiet=True):
+        if (mode, seed) == ("vcon", 1):
+            raise TrainingDiverged(3, 0.01, 0.5)
+        return real_run(exp, dataset, seed, mode, q_steps, quiet)
+
+    monkeypatch.setattr(cli, "run_single", run_single)
+    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
+    assert main(["compare", "--config", str(path), "--quiet"]) == 1
+    assert "training diverged at step 3 (lr=0.01, beta=0.5)" in capsys.readouterr().err
+    out = tmp_path / "out"
+    files = ["runlog_steps_seed{}.csv", "runlog_epochs_seed{}.csv", "checkpoint_seed{}.vcnet"]
+    for seed in (0, 1):
+        assert all((out / "baseline" / name.format(seed)).exists() for name in files)
+    assert [r["seed"] for r in read_summary(out / "baseline" / "summary.json")["per_seed"]] == [0, 1]
+    assert all((out / "vcon" / name.format(0)).exists() for name in files + ["finalized_seed{}.vcnet"])
+    assert not any((out / "vcon" / name.format(1)).exists() for name in files)
+    assert not (out / "vcon" / "summary.json").exists()
+    assert not (out / "compare.json").exists()
+
+
 # --------------------------------------------------------------------------
 # cmd_sweep_q
 
@@ -320,6 +375,42 @@ def test_sweep_q_needs_a_list(tmp_path, capsys):
     path2, _ = _write_config(tmp_path, q_steps=[4], mode="dense")
     assert main(["sweep-q", "--config", str(path2), "--quiet"]) == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# The three run flags, end to end
+
+
+def _vcon_checkpoint(tmp_path, flag):
+    # q far beyond the run's 8 steps: the checkpoint is saved mid-transition
+    path, cfg = _write_config(tmp_path, mode="vcon", q_steps=1000, **{flag: True})
+    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    net, scheduler = load_network(tmp_path / "out" / "checkpoint_seed0.vcnet")
+    assert scheduler.t == 8
+    return net, validate_config(cfg)
+
+
+def test_freeze_original_keeps_initial_originals(tmp_path):
+    net, exp = _vcon_checkpoint(tmp_path, "freeze_original")
+    init = init_params(exp.layer_sizes, 0, exp.activation)
+    for block, start in zip(net.blocks, init.blocks):
+        assert np.array_equal(block.original.weight.data, start.weight.data)
+        assert np.array_equal(block.original.bias.data, start.bias.data)
+        assert not np.array_equal(block.branch.weight.data, start.weight.data)  # the branch still trained
+
+
+def test_freeze_mask_keeps_initial_masks(tmp_path):
+    net, exp = _vcon_checkpoint(tmp_path, "freeze_mask")
+    first = compress_network(init_params(exp.layer_sizes, 0, exp.activation), exp.compression)
+    for block, start in zip(net.blocks, first.blocks):
+        assert np.array_equal(block.branch.mask, start.mask)
+
+
+def test_eval_compressed_only_reports_the_compressed_branches(tmp_path):
+    net, exp = _vcon_checkpoint(tmp_path, "eval_compressed_only")
+    x_test, y_test = build_dataset(exp).split("test")
+    (row,) = read_summary(tmp_path / "out" / "summary.json")["per_seed"]
+    assert row["final_test_accuracy"] == _evaluate(net, x_test, y_test, compressed_only=True)
 
 
 # --------------------------------------------------------------------------

@@ -246,6 +246,10 @@ def test_load_csv_malformed_row_reports_line(tmp_path):
     p = _write_csv(tmp_path / "d.csv", "f0,label\n1.0,0\noops,1\n")
     with pytest.raises(DataError, match=r"d\.csv:3: malformed numeric"):
         load_csv(p)
+    for cell in ("nan", "inf", "-inf", "1e999"):
+        p = _write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n0.5,{cell},1\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: non-finite feature value"):
+            load_csv(p)
 
 
 def test_load_csv_wrong_cell_count(tmp_path):
@@ -261,6 +265,11 @@ def test_load_csv_bad_label_is_index_error(tmp_path):
     p2 = _write_csv(tmp_path / "e.csv", "f0,label\n1.0,-1\n")
     with pytest.raises(IndexError, match="not a valid class index"):
         load_csv(p2)
+    # not finite, or beyond int64
+    for label in ("nan", "inf", "-inf", "1e30", "9223372036854775808"):
+        p3 = _write_csv(tmp_path / "f.csv", f"f0,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(IndexError, match=rf"f\.csv:3: label '{label}' is not a valid class index"):
+            load_csv(p3)
 
 
 def test_load_csv_empty_and_headless(tmp_path):
