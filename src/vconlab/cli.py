@@ -105,7 +105,7 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or a number past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -123,6 +123,8 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"--set {dotted}: value is not usable JSON: {exc}") from None
         node = cfg
         parts = dotted.split(".")
         for part in parts[:-1]:

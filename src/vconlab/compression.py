@@ -13,8 +13,8 @@ each config/header ``kind`` to its class.
 
 Tie rule used everywhere: when magnitudes tie at the pruning threshold,
 the smaller flat index is pruned first (global pruning orders by layer
-index, then flat index). Masks are therefore a deterministic function of
-the weights.
+index, then flat index), and NaN ranks above every number. Masks are
+therefore a deterministic function of the weights.
 """
 
 from __future__ import annotations
@@ -352,6 +352,26 @@ def magnitude_scores(w: Array) -> Array:
     return np.abs(np.asarray(w, dtype=np.float64))
 
 
+def drop_smallest(scores: Array, drop: int) -> Array:
+    """0/1 mask over the 1-D ``scores`` zeroing the ``drop`` smallest.
+
+    The mask a stable sort would give (ties go by the smaller index, NaN
+    ranks above every number), found in linear time: the drop-th smallest
+    score is the threshold, everything below it goes, then the entries tied
+    at it in index order until ``drop`` are gone.
+    """
+    mask = np.ones(scores.size)
+    if drop:
+        thr = np.partition(scores, drop - 1)[drop - 1]
+        if np.isnan(thr):  # NaN compares false with everything: it ties only with NaN
+            below, tied = ~np.isnan(scores), np.isnan(scores)
+        else:
+            below, tied = scores < thr, scores == thr
+        mask[below] = 0.0
+        mask[np.flatnonzero(tied)[: drop - np.count_nonzero(below)]] = 0.0
+    return mask
+
+
 def prune_layerwise(w: Array, sparsity: float) -> Array:
     """0/1 mask zeroing the floor(sparsity * size) smallest |w| entries."""
     return prune_global([w], sparsity)[0]
@@ -369,11 +389,7 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
         raise ValueError("prune_global needs at least one layer")
     arrs = [np.asarray(w, dtype=np.float64) for w in layers]
     flat = np.concatenate([magnitude_scores(a).ravel() for a in arrs])
-    drop = int(math.floor(sparsity * flat.size))
-    mask_flat = np.ones(flat.size)
-    if drop:
-        # stable sort keeps ties in (layer, flat index) order, so smaller indices go first
-        mask_flat[np.argsort(flat, kind="stable")[:drop]] = 0.0
+    mask_flat = drop_smallest(flat, int(math.floor(sparsity * flat.size)))
     masks = []
     offset = 0
     for a in arrs:
@@ -413,11 +429,8 @@ def prune_structured(w: Array, sparsity: float) -> Array:
     if w.ndim != 2:
         raise ShapeError(f"prune_structured expects a 2-D weight, got shape {w.shape}")
     norms = np.sqrt((w * w).sum(axis=1))
-    drop = int(math.floor(sparsity * w.shape[0]))
-    mask = np.ones_like(w)
-    if drop:
-        mask[np.argsort(norms, kind="stable")[:drop], :] = 0.0
-    return mask
+    rows = drop_smallest(norms, int(math.floor(sparsity * w.shape[0])))
+    return np.repeat(rows[:, None], w.shape[1], axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class Cosine:
     warmup_start_lr: float = 0.0
 
     def __post_init__(self):
+        if self.total_steps is not None and self.total_steps < 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         if not (0.0 <= self.warmup_ratio < 1.0):
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.warmup_start_lr < 0.0:
@@ -69,6 +71,11 @@ class OptimizerSpec:
             raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 def lr_at(step: int, spec: OptimizerSpec) -> float:

@@ -137,3 +137,37 @@ def rerank_mask_oracle(w: np.ndarray, sparsity: float) -> np.ndarray:
     for val, idx in pairs[:drop]:
         mask[idx] = 0.0
     return mask.reshape(w.shape)
+
+
+def stable_sort_masks_oracle(layers, sparsity: float, rule: str) -> list[np.ndarray]:
+    """Pruning masks by a full stable argsort, the reference the package's
+    linear-time selection must reproduce bit for bit, NaN included.
+
+    ``rule`` is "global" (one ranking over all layers, ties by layer index,
+    then flat index), "layer" (each layer ranked on its own) or "rows"
+    (whole rows ranked by l2 norm).
+    """
+    arrs = [np.asarray(w, dtype=np.float64) for w in layers]
+    if rule == "layer":
+        return [stable_sort_masks_oracle([a], sparsity, "global")[0] for a in arrs]
+    if rule == "rows":
+        masks = []
+        for w in arrs:
+            norms = np.sqrt((w * w).sum(axis=1))
+            drop = int(math.floor(sparsity * w.shape[0]))
+            mask = np.ones_like(w)
+            if drop:
+                mask[np.argsort(norms, kind="stable")[:drop], :] = 0.0
+            masks.append(mask)
+        return masks
+    flat = np.concatenate([np.abs(a).ravel() for a in arrs])
+    drop = int(math.floor(sparsity * flat.size))
+    mask_flat = np.ones(flat.size)
+    if drop:
+        mask_flat[np.argsort(flat, kind="stable")[:drop]] = 0.0
+    masks = []
+    offset = 0
+    for a in arrs:
+        masks.append(mask_flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return masks

@@ -119,13 +119,21 @@ CONFIG_ERRORS = [
     pytest.param({"mode": "vcon", "q_steps": True}, "q_steps", id="q_steps-true"),
     pytest.param({"seeds": [True]}, "seeds", id="seeds-true"),
     pytest.param({"freeze_mask": "no"}, "freeze_mask", id="freeze_mask-string"),
+    pytest.param({"optimizer": {"schedule": {"kind": "cosine", "total_steps": -5}}},
+                 "optimizer.schedule: total_steps", id="total_steps-negative"),
+    pytest.param({"optimizer": {"schedule": {"kind": "cosine", "total_steps": 0}}},
+                 "optimizer.schedule: total_steps", id="total_steps-zero"),
+    pytest.param({"optimizer": {"beta1": 1.0}}, "optimizer: beta1", id="beta1-one"),
+    pytest.param({"optimizer": {"beta2": -0.1}}, "optimizer: beta2", id="beta2-negative"),
+    pytest.param({"optimizer": {"eps": 0.0}}, "optimizer: eps", id="eps-zero"),
 ]
 
 
 @pytest.mark.parametrize("entries, key", CONFIG_ERRORS)
 def test_dataset_numbers_that_do_not_coerce_are_config_errors(tmp_path, capsys, entries, key):
     # a value that is not already of its JSON type (or a section that is not
-    # an object) is a config error naming the dotted key, never converted
+    # an object) is a config error naming the dotted key, never converted;
+    # so is a value out of its field's range
     path, cfg = _write_config(tmp_path, **entries)
     with pytest.raises(ConfigError, match=rf"{re.escape(key)}\S* must be"):
         validate_config(cfg)
@@ -160,6 +168,20 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="must be a JSON object"):
         load_config(arr)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["5000-digits", "nested-100000"])
+def test_json_python_cannot_read_is_a_config_error(tmp_path, capsys, text):
+    # past Python's integer-digit limit (a ValueError) or its recursion limit,
+    # in the file or through --set: exit 2, nothing written
+    path, cfg = _write_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg)[:-1] + f', "seeds": {text}}}')
+    assert main(["train", "--config", str(bad), "--quiet"]) == 2
+    assert f"config {bad} is not valid JSON" in capsys.readouterr().err
+    assert main(["train", "--config", str(path), "--quiet", "--set", f"seeds={text}"]) == 2
+    assert "--set seeds:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vconlab import cli, compression
 from vconlab.compression import (
     FAMILIES,
     BinaryQuant,
@@ -32,7 +34,13 @@ from vconlab.compression import (
 from vconlab.model import DenseBlock, init_params
 from vconlab.tensor import Tensor, backward, sum_all
 
-from oracles import finite_difference, rel_error, rerank_mask_oracle, singular_values_oracle
+from oracles import (
+    finite_difference,
+    rel_error,
+    rerank_mask_oracle,
+    singular_values_oracle,
+    stable_sort_masks_oracle,
+)
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +214,85 @@ def test_prune_structured_invariants(seed, sparsity):
     row_sums = mask.sum(axis=1)
     assert set(row_sums.tolist()) <= {0.0, float(m)}
     assert int((row_sums == 0).sum()) == math.floor(sparsity * n)
+
+
+# --------------------------------------------------------------------------
+# Selection against the stable sort
+
+# per-layer palettes: heavy ties among small integers and signed zeros, an
+# all-zero layer, and continuous values; NaN sits in two of them
+_PALETTES = [
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, math.nan]),
+    st.sampled_from([0.0, -0.0]),
+    st.one_of(st.floats(-4.0, 4.0, allow_nan=False), st.just(math.nan)),
+]
+
+
+@st.composite
+def _layer(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = draw(st.lists(draw(st.sampled_from(_PALETTES)), min_size=n * m, max_size=n * m))
+    return np.array(values, dtype=np.float64).reshape(n, m)
+
+
+def _sparsity(draw, size):
+    """0, any fraction, or the one that drops all but one of ``size``."""
+    return draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.99)), (size - 0.5) / size]))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_masks_equal_the_stable_sort_bit_for_bit(data):
+    layers = data.draw(st.lists(_layer(), min_size=1, max_size=3))
+    s_global = _sparsity(data.draw, sum(w.size for w in layers))
+    got = prune_global(layers, s_global)
+    want = stable_sort_masks_oracle(layers, s_global, "global")
+    for g, o in zip(got, want, strict=True):
+        assert g.dtype == o.dtype and g.shape == o.shape and g.tobytes() == o.tobytes()
+    w = layers[0]
+    s_layer = _sparsity(data.draw, w.size)
+    assert prune_layerwise(w, s_layer).tobytes() == stable_sort_masks_oracle([w], s_layer, "layer")[0].tobytes()
+    s_rows = _sparsity(data.draw, w.shape[0])
+    got, want = prune_structured(w, s_rows), stable_sort_masks_oracle([w], s_rows, "rows")[0]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_nan_scores_are_pruned_last_in_index_order():
+    # threshold at NaN: every number goes first, then NaNs by flat index
+    w = np.array([[math.nan, 1.0], [math.nan, 0.0]])
+    assert np.array_equal(prune_layerwise(w, 0.75), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    masks = prune_global([np.array([[math.nan]]), np.array([[math.nan, 5.0]])], 0.7)
+    assert np.array_equal(masks[0], np.zeros((1, 1))) and np.array_equal(masks[1], np.array([[1.0, 0.0]]))
+    rows = prune_structured(np.array([[math.nan, 0.0], [1.0, 1.0], [0.0, math.nan]]), 0.9)
+    assert np.array_equal(rows[:, 0], np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ["prune_layer", "prune_global", "prune_structured"])
+@pytest.mark.parametrize("mode", ["ste_standard", "vcon"])
+def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
+    # the same run with the masks built by the stable-sort oracle writes the
+    # same step logs and the same checkpoint bytes
+    cfg = {
+        "model": {"layer_sizes": [2, 8, 6, 3]},
+        "dataset": {"kind": "spiral", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0},
+        "compression": {"kind": kind, "sparsity": 0.6},
+        "optimizer": {"kind": "adam", "lr": 0.05},
+        "mode": mode, "q_steps": 5, "epochs": 3, "batch_size": 16, "seeds": [0, 1],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    def run(out):
+        assert cli.main(["train", "--config", str(path), "--quiet", "--set", f"output_dir={out}"]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "summary.json"}
+
+    shipped = run(tmp_path / "shipped")
+    monkeypatch.setattr(compression, "prune_global", lambda ws, s: stable_sort_masks_oracle(ws, s, "global"))
+    monkeypatch.setattr(compression, "prune_layerwise", lambda w, s: stable_sort_masks_oracle([w], s, "layer")[0])
+    monkeypatch.setattr(compression, "prune_structured", lambda w, s: stable_sort_masks_oracle([w], s, "rows")[0])
+    assert run(tmp_path / "oracle") == shipped
+    assert any(name.startswith("checkpoint_seed") for name in shipped)
+    assert any(name.startswith("runlog_steps_seed") for name in shipped)
 
 
 # --------------------------------------------------------------------------

@@ -101,6 +101,12 @@ def test_optimizer_spec_validation():
         OptimizerSpec(lr=0.0)
     with pytest.raises(ValueError):
         Cosine(warmup_ratio=1.0)
+    with pytest.raises(ValueError, match="total_steps"):
+        Cosine(total_steps=0)
+    for bad in ({"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"eps": 0.0}, {"eps": -1e-8}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            OptimizerSpec(**bad)
+    OptimizerSpec(beta1=0.0, beta2=0.0, schedule=Cosine(total_steps=1))  # the edges that are allowed
 
 
 # --------------------------------------------------------------------------
