@@ -61,7 +61,6 @@ from .vcon import (
     beta_at,
     finalize,
     schedulers_of,
-    wrap_block,
     wrap_network,
 )
 from .training import (

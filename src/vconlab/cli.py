@@ -33,7 +33,6 @@ from .compression import (
 )
 from .model import ACTIVATIONS, Network, init_params
 from .training import (
-    MODES,
     Constant,
     Cosine,
     Dataset,
@@ -79,6 +78,7 @@ _TOP_KEYS = {*DEFAULT_CONFIG, "q_epochs", "q_steps"}
 _SYNTHETIC_NUMBERS = {"classes": int, "samples_per_class": int, "noise": float, "seed": int}
 _SCHEDULES = {"constant": Constant, "cosine": Cosine}
 _FLAGS = ("freeze_original", "freeze_mask", "eval_compressed_only")
+MODES = ("dense", "ste_standard", "post_shot", "vcon")
 
 
 def _reject_unknown(section: dict, allowed: set, prefix: str) -> None:
@@ -221,6 +221,8 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     _expect(batch >= 1, "batch_size must be an integer >= 1")
     seeds = _int_list(merged["seeds"], "seeds")
     _expect(bool(seeds), "seeds must be a non-empty list of integers")
+    for i, seed in enumerate(seeds):
+        _expect(0 <= seed < 2**63, f"seeds[{i}] must be an integer in [0, 2**63), got {seed}")
 
     return ExperimentConfig(
         layer_sizes=sizes,
@@ -295,7 +297,6 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
         batch_size=exp.batch_size,
         seed=seed,
         optimizer=exp.optimizer,
-        mode=mode,
         q_steps=q_steps,
         post_shot_spec=exp.compression if mode == "post_shot" else None,
         freeze_mask=exp.freeze_mask,

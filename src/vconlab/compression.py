@@ -166,7 +166,7 @@ class PruneNM(_MaskSpec):
 
     def __post_init__(self):
         if not (1 <= self.keep <= self.group):
-            raise ValueError(f"N:M pruning needs 1 <= N <= M, got {self.keep}:{self.group}")
+            raise ValueError(f"keep must be in [1, group] for N:M pruning, got {self.keep}:{self.group}")
 
     def masks(self, weights):
         return [prune_nm(w, self.keep, self.group) for w in weights]
@@ -330,7 +330,9 @@ def config_value(value, kind, key: str):
 def config_fields(cls, section: dict, prefix: str, **given):
     """Build the dataclass ``cls`` from a JSON object: each field present in
     ``section`` goes through ``config_value`` with its declared type, an absent
-    one takes its default, and ``given`` fields are passed as they are."""
+    one takes its default, and ``given`` fields are passed as they are. A
+    ``ValueError`` from the class is a ``ConfigError`` under the prefix, so each
+    class's message starts with the name of the field it rejects."""
     types = get_type_hints(cls)
     values = dict(given)
     for f in fields(cls):
@@ -341,7 +343,7 @@ def config_fields(cls, section: dict, prefix: str, **given):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The loop is deterministic end to end: parameter init, batch order, and
 every numeric op are pure functions of the config and seeds, so two runs
 with identical arguments produce bit-identical logs. Batch order per
-epoch depends only on (seed, epoch), never on the training mode, which is
-what lets a zero-length transition reproduce the standard STE baseline
-exactly.
+epoch depends only on (seed, epoch), never on the network being trained,
+which is what lets a zero-length transition reproduce the standard STE
+baseline exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .compression import CompressedBlock, CompressionSpec, compress_block, refresh_blocks
 from .model import DenseBlock, Network
 from .tensor import Tensor, backward, softmax_cross_entropy
-from .vcon import VconBlock, schedulers_of
+from .vcon import schedulers_of
 
 Array = np.ndarray
 
@@ -68,7 +68,7 @@ class OptimizerSpec:
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
+            raise ValueError(f"kind must be 'sgd' or 'adam', got {self.kind!r}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         for name in ("beta1", "beta2"):
@@ -327,30 +327,22 @@ class TrainingDiverged(RuntimeError):
 # --------------------------------------------------------------------------
 # The loop
 
-MODES = ("dense", "ste_standard", "post_shot", "vcon")
-
-
 @dataclass
 class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
     optimizer: OptimizerSpec = OptimizerSpec()
-    mode: str = "dense"
-    q_steps: int = 0  # vcon transition length; doubles as the post-shot dense budget
+    q_steps: int = 0  # post-shot dense budget: steps trained dense before the switch
     post_shot_spec: CompressionSpec | None = None
     freeze_mask: bool = False
     eval_compressed_only: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.q_steps < 0:
             raise ValueError(f"q_steps must be >= 0, got {self.q_steps}")
-        if self.mode == "post_shot" and self.post_shot_spec is None:
-            raise ValueError("post_shot mode needs post_shot_spec")
 
 
 def steps_per_epoch(n_train: int, batch_size: int) -> int:
@@ -387,16 +379,6 @@ def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool
     return float((pred == labels).mean())
 
 
-def _check_mode(net: Network, cfg: TrainConfig) -> None:
-    kinds = {type(b) for b in net.blocks}
-    if cfg.mode == "vcon" and VconBlock not in kinds:
-        raise ValueError("vcon mode needs a network with wrapped blocks")
-    if cfg.mode in ("dense", "post_shot") and kinds != {DenseBlock}:
-        raise ValueError(f"{cfg.mode} mode needs an all-dense network")
-    if cfg.mode == "ste_standard" and CompressedBlock not in kinds:
-        raise ValueError("ste_standard mode needs a network of compressed blocks")
-
-
 def _resolve_schedule(spec: OptimizerSpec, total_steps: int) -> OptimizerSpec:
     sch = spec.schedule
     if isinstance(sch, Cosine) and sch.total_steps is None:
@@ -407,35 +389,34 @@ def _resolve_schedule(spec: OptimizerSpec, total_steps: int) -> OptimizerSpec:
 def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, RunLog]:
     """Run the full loop; the network is trained in place.
 
+    The network is the run's phase: dense blocks train as they are,
+    compressed blocks through the straight-through estimator, wrapped blocks
+    blend under their shared scheduler. With ``post_shot_spec`` an all-dense
+    network is compressed in place once ``q_steps`` steps are done.
+
     Per step: refresh derived compression state, forward, mean-batch
-    cross-entropy, backward, optimizer update, then (vcon) one scheduler
-    tick, so the very first forward sees beta = 1. The logged beta column
-    is the weight of the original branch: 1 for dense and the post-shot
-    dense phase, 0 for pure-STE training, the scheduler's value for vcon.
+    cross-entropy, backward, optimizer update, then one tick of each
+    scheduler, so the very first forward sees beta = 1. The logged beta
+    column is the weight of the original branch: the scheduler's value for a
+    blended network, 1 for an all-dense one, 0 for a compressed one.
     """
-    _check_mode(net, cfg)
+    if cfg.post_shot_spec is not None and not _all_dense(net):
+        raise ValueError("post_shot_spec needs an all-dense network")
     x_train, y_train = dataset.split("train")
     x_val, y_val = dataset.split("val")
     n_train = len(y_train)
     spe = steps_per_epoch(n_train, cfg.batch_size)
     opt = Optimizer(_resolve_schedule(cfg.optimizer, cfg.epochs * spe))
-    schedulers = schedulers_of(net) if cfg.mode == "vcon" else []
+    schedulers = schedulers_of(net)
     log = RunLog()
-    switched = cfg.mode != "post_shot"
     gstep = 0
     for epoch in range(1, cfg.epochs + 1):
         order = batch_order(cfg.seed, epoch, n_train)
         for b in range(spe):
-            if not switched and gstep >= cfg.q_steps:
+            if gstep == cfg.q_steps and cfg.post_shot_spec is not None:
                 _post_shot_switch(net, cfg.post_shot_spec)
-                switched = True
             refresh_network(net, refresh_masks=not cfg.freeze_mask)
-            if cfg.mode == "vcon":
-                beta = schedulers[0].beta()
-            elif cfg.mode == "ste_standard":
-                beta = 0.0
-            else:
-                beta = 1.0 if (cfg.mode == "dense" or not switched) else 0.0
+            beta = schedulers[0].beta() if schedulers else (1.0 if _all_dense(net) else 0.0)
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             logits = net.forward(Tensor(x_train[idx]))
             loss = softmax_cross_entropy(logits, y_train[idx])
@@ -455,6 +436,10 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
         acc = evaluate(net, x_val, y_val, compressed_only=cfg.eval_compressed_only)
         log.epochs.append((epoch, acc))
     return net, log
+
+
+def _all_dense(net: Network) -> bool:
+    return all(isinstance(b, DenseBlock) for b in net.blocks)
 
 
 def _post_shot_switch(net: Network, spec: CompressionSpec) -> None:

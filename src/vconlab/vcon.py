@@ -107,28 +107,18 @@ class VconBlock:
         return self.original.param_count() + self.branch.param_count()
 
 
-def wrap_block(
-    block: DenseBlock,
-    spec: CompressionSpec,
-    scheduler: BetaScheduler,
-    train_original: bool = True,
-) -> VconBlock:
-    """Pair a dense block with a freshly compressed copy of itself.
-
-    The branch starts from the block's current parameters (deep copy);
-    the block itself is not modified.
-    """
-    return VconBlock(block, compress_block(block, spec), scheduler, train_original)
-
-
 def wrap_network(
     net: Network,
     spec: CompressionSpec,
     scheduler: BetaScheduler,
     train_original: bool = True,
 ) -> Network:
-    """Wrap every dense block of a network with a shared scheduler."""
-    blocks = [wrap_block(b, spec, scheduler, train_original) for b in net.blocks]
+    """Wrap every dense block of a network with a shared scheduler.
+
+    Each branch starts from its block's current parameters (deep copy); the
+    blocks themselves are not modified.
+    """
+    blocks = [VconBlock(b, compress_block(b, spec), scheduler, train_original) for b in net.blocks]
     refresh_blocks([b.branch for b in blocks])
     return Network(blocks, name=net.name)
 

@@ -9,6 +9,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,10 +128,10 @@ def test_a3_q_zero_degeneracy():
         warnings.simplefilter("ignore")
         for spec in (PruneUnstructuredLayer(0.9), BinaryQuant(), LowRank(4)):
             ste = compress_network(init_params([2, 16, 16, 3], seed=1), spec)
-            _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt, mode="ste_standard"))
+            _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
 
             blended = wrap_network(init_params([2, 16, 16, 3], seed=1), spec, BetaScheduler(q=0))
-            _, vcon_log = train(blended, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt, mode="vcon", q_steps=0))
+            _, vcon_log = train(blended, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
 
             assert ste_log == vcon_log, f"{spec}: trajectories differ"
             branch_params = [(n, p) for n, p in blended.named_parameters() if "branch" in n]
@@ -302,21 +303,14 @@ def test_a6_parameter_accounting():
     _done("A6", t0, 10.0, "finalized == directly-compressed param_count for 12 specs; low-rank layers store exactly r(n+m) weights")
 
 
+SPIRAL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "spiral.json"
+
+
 @pytest.fixture
 def spiral_config(tmp_path):
+    # the shipped A7 config (README), writing under tmp_path
     def make(**extra):
-        cfg = {
-            "model": {"layer_sizes": [2, 64, 64, 3], "activation": "relu"},
-            "dataset": {"kind": "spiral", "classes": 3, "samples_per_class": 500, "noise": 0.2, "seed": 0},
-            "compression": {"kind": "prune_layer", "sparsity": 0.95},
-            "optimizer": {"kind": "adam", "lr": 1e-3},
-            "epochs": 60,
-            "batch_size": 64,
-            "seeds": [0, 1, 2, 3, 4],
-            "q_epochs": 12,
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg.update(extra)
+        cfg = {**json.loads(SPIRAL_CONFIG.read_text()), "output_dir": str(tmp_path / "out"), **extra}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         return path

@@ -120,12 +120,18 @@ CONFIG_ERRORS = [
     pytest.param({"seeds": [True]}, "seeds", id="seeds-true"),
     pytest.param({"freeze_mask": "no"}, "freeze_mask", id="freeze_mask-string"),
     pytest.param({"optimizer": {"schedule": {"kind": "cosine", "total_steps": -5}}},
-                 "optimizer.schedule: total_steps", id="total_steps-negative"),
+                 "optimizer.schedule.total_steps", id="total_steps-negative"),
     pytest.param({"optimizer": {"schedule": {"kind": "cosine", "total_steps": 0}}},
-                 "optimizer.schedule: total_steps", id="total_steps-zero"),
-    pytest.param({"optimizer": {"beta1": 1.0}}, "optimizer: beta1", id="beta1-one"),
-    pytest.param({"optimizer": {"beta2": -0.1}}, "optimizer: beta2", id="beta2-negative"),
-    pytest.param({"optimizer": {"eps": 0.0}}, "optimizer: eps", id="eps-zero"),
+                 "optimizer.schedule.total_steps", id="total_steps-zero"),
+    pytest.param({"optimizer": {"beta1": 1.0}}, "optimizer.beta1", id="beta1-one"),
+    pytest.param({"optimizer": {"beta2": -0.1}}, "optimizer.beta2", id="beta2-negative"),
+    pytest.param({"optimizer": {"eps": 0.0}}, "optimizer.eps", id="eps-zero"),
+    pytest.param({"optimizer": {"kind": "rmsprop"}}, "optimizer.kind", id="optimizer-kind-unknown"),
+    pytest.param({"compression": {"kind": "prune_layer", "sparsity": 1.0}}, "compression.sparsity", id="sparsity-one"),
+    pytest.param({"compression": {"kind": "low_rank", "rank": 0}}, "compression.rank", id="rank-zero"),
+    pytest.param({"seeds": [-1]}, "seeds[0]", id="seed-negative"),
+    pytest.param({"seeds": [0, 10**300]}, "seeds[1]", id="seed-300-digits"),
+    pytest.param({"seeds": [2**63]}, "seeds[0]", id="seed-2-pow-63"),
 ]
 
 

@@ -343,7 +343,7 @@ def test_training_is_bit_deterministic():
     def run():
         ds = _blobs(noise=0.2, per_class=30)
         net = wrap_network(init_params([2, 8, 3], seed=4), PruneUnstructuredLayer(0.5), BetaScheduler(q=10))
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=4, mode="vcon", q_steps=10)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
         return train(net, ds, cfg)
 
     net_a, log_a = run()
@@ -372,12 +372,12 @@ def test_beta_column_conventions():
     assert {s[1] for s in dense_log.steps} == {1.0}
 
     ste = compress_network(init_params([2, 4, 3], seed=6), PruneUnstructuredLayer(0.5))
-    _, ste_log = train(ste, ds, TrainConfig(epochs=2, batch_size=16, seed=6, mode="ste_standard"))
+    _, ste_log = train(ste, ds, TrainConfig(epochs=2, batch_size=16, seed=6))
     assert {s[1] for s in ste_log.steps} == {0.0}
 
     q = spe  # one-epoch transition
     wrapped = wrap_network(init_params([2, 4, 3], seed=6), PruneUnstructuredLayer(0.5), BetaScheduler(q=q))
-    _, vlog = train(wrapped, ds, TrainConfig(epochs=2, batch_size=16, seed=6, mode="vcon", q_steps=q))
+    _, vlog = train(wrapped, ds, TrainConfig(epochs=2, batch_size=16, seed=6))
     betas = [s[1] for s in vlog.steps]
     assert betas[0] == 1.0  # first forward happens before any scheduler tick
     assert all(a >= b for a, b in zip(betas, betas[1:]))
@@ -389,10 +389,10 @@ def test_vcon_q_zero_is_bit_identical_to_ste():
     spec = PruneUnstructuredLayer(0.8)
 
     ste = compress_network(init_params([2, 8, 3], seed=7), spec)
-    _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=7, mode="ste_standard"))
+    _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=7))
 
     wrapped = wrap_network(init_params([2, 8, 3], seed=7), spec, BetaScheduler(q=0))
-    _, vcon_log = train(wrapped, ds, TrainConfig(epochs=3, batch_size=32, seed=7, mode="vcon", q_steps=0))
+    _, vcon_log = train(wrapped, ds, TrainConfig(epochs=3, batch_size=32, seed=7))
 
     assert ste_log == vcon_log  # losses, lrs, betas, accuracies: all bit-equal
     for (_, p_ste), (_, p_v) in zip(
@@ -410,7 +410,7 @@ def test_dead_originals_stay_frozen_after_transition():
 
     def originals_after(epochs):
         net = wrap_network(init_params([2, 8, 3], seed=4), PruneUnstructuredLayer(0.5), BetaScheduler(q=q))
-        train(net, ds, TrainConfig(epochs=epochs, batch_size=16, seed=4, mode="vcon", q_steps=q))
+        train(net, ds, TrainConfig(epochs=epochs, batch_size=16, seed=4))
         return [p.data.tobytes() for n, p in net.named_parameters() if n.split(".")[2] == "original"]
 
     at_q = originals_after(1)  # the first epoch is exactly the transition
@@ -427,7 +427,7 @@ def test_post_shot_sparsity_zero_matches_dense_trajectory():
 
     ps = init_params([2, 8, 3], seed=8)
     cfg = TrainConfig(
-        **cfg_kwargs, mode="post_shot", q_steps=4, post_shot_spec=PruneUnstructuredLayer(0.0)
+        **cfg_kwargs, q_steps=4, post_shot_spec=PruneUnstructuredLayer(0.0)
     )
     _, ps_log = train(ps, ds, cfg)
 
@@ -447,7 +447,7 @@ def test_post_shot_actually_compresses_after_switch():
     ds = _blobs(noise=0.2, per_class=30)
     net = init_params([2, 8, 3], seed=9)
     cfg = TrainConfig(
-        epochs=2, batch_size=16, seed=9, mode="post_shot", q_steps=3,
+        epochs=2, batch_size=16, seed=9, q_steps=3,
         post_shot_spec=PruneUnstructuredLayer(0.5),
     )
     train(net, ds, cfg)
@@ -463,7 +463,7 @@ def test_freeze_mask_keeps_initial_mask_through_training():
     net = compress_network(init_params([2, 8, 3], seed=10), PruneUnstructuredLayer(0.5))
     before = [b.mask.copy() for b in net.blocks]
     cfg = TrainConfig(
-        epochs=2, batch_size=16, seed=10, mode="ste_standard", freeze_mask=True,
+        epochs=2, batch_size=16, seed=10, freeze_mask=True,
         optimizer=OptimizerSpec(kind="sgd", lr=0.5),  # big steps so ranks would move
     )
     train(net, ds, cfg)
@@ -471,16 +471,15 @@ def test_freeze_mask_keeps_initial_mask_through_training():
         assert np.array_equal(b.mask, m)
 
 
-def test_mode_network_mismatch_rejected():
+def test_post_shot_spec_needs_an_all_dense_network():
     ds = _blobs(per_class=20)
-    dense = init_params([2, 4, 3], seed=11)
-    with pytest.raises(ValueError, match="vcon mode"):
-        train(dense, ds, TrainConfig(epochs=1, batch_size=16, seed=0, mode="vcon"))
-    with pytest.raises(ValueError, match="ste_standard mode"):
-        train(dense, ds, TrainConfig(epochs=1, batch_size=16, seed=0, mode="ste_standard"))
-    comp = compress_network(init_params([2, 4, 3], seed=11), BinaryQuant())
-    with pytest.raises(ValueError, match="dense mode"):
-        train(comp, ds, TrainConfig(epochs=1, batch_size=16, seed=0))
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=0, post_shot_spec=BinaryQuant())
+    for net in (
+        compress_network(init_params([2, 4, 3], seed=11), BinaryQuant()),
+        wrap_network(init_params([2, 4, 3], seed=11), BinaryQuant(), BetaScheduler(q=3)),
+    ):
+        with pytest.raises(ValueError, match="post_shot_spec needs an all-dense network"):
+            train(net, ds, cfg)
 
 
 def test_divergence_reports_step_lr_beta():
@@ -520,11 +519,7 @@ def test_evaluate_empty_split_is_nan():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="mode"):
-        TrainConfig(epochs=1, batch_size=1, seed=0, mode="sparse")
     with pytest.raises(ValueError):
         TrainConfig(epochs=0, batch_size=1, seed=0)
-    with pytest.raises(ValueError, match="post_shot_spec"):
-        TrainConfig(epochs=1, batch_size=1, seed=0, mode="post_shot")
     with pytest.raises(ValueError, match="q_steps"):
         TrainConfig(epochs=1, batch_size=1, seed=0, q_steps=-1)

@@ -11,7 +11,7 @@ from vconlab.compression import (
 )
 from vconlab.model import ShapeError, init_params
 from vconlab.tensor import Tensor, backward, sum_all
-from vconlab.vcon import BetaScheduler, VconBlock, beta_at, finalize, schedulers_of, wrap_block, wrap_network
+from vconlab.vcon import BetaScheduler, VconBlock, beta_at, finalize, schedulers_of, wrap_network
 
 from oracles import finite_difference, rel_error
 
@@ -270,12 +270,3 @@ def test_schedulers_of_deduplicates():
     _, blended, sch = _wrapped(BinaryQuant(), q=6, seed=22)
     assert schedulers_of(blended) == [sch]
     assert schedulers_of(init_params([2, 2], seed=0)) == []
-
-
-def test_wrap_block_alias():
-    net = init_params([3, 2], seed=23)
-    sch = BetaScheduler(q=1)
-    vb = wrap_block(net.blocks[0], PruneUnstructuredLayer(0.5), sch)
-    vb.branch.refresh()
-    x = Tensor(np.random.default_rng(24).uniform(-1, 1, size=(2, 3)))
-    assert np.array_equal(vb.forward(x).data, net.blocks[0].forward(x).data)  # beta = 1
