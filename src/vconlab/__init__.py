@@ -14,10 +14,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    add_bias,
     backward,
     gelu,
-    matmul,
+    linear,
     mul,
     relu,
     scale,
@@ -25,7 +24,6 @@ from .tensor import (
     ste_apply,
     sub,
     sum_all,
-    transpose,
 )
 from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, init_params
 from .compression import (

@@ -13,14 +13,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_network, save_network
 from .compression import (
-    FAMILIES,
     CompressedBlock,
     CompressionSpec,
     ConfigError,
@@ -42,6 +41,7 @@ from .training import (
     load_csv,
     make_synthetic,
     q_steps_from_epochs,
+    steps_per_epoch,
     train,
     write_runlog,
 )
@@ -55,7 +55,6 @@ from .vcon import BetaScheduler, VconBlock, beta_at, finalize, wrap_network
 _SCHEMA = {
     "model": {"layer_sizes", "activation"},
     "dataset": {"kind", "classes", "samples_per_class", "noise", "seed", "path"},
-    "compression": {"kind", *(f.name for cls in FAMILIES.values() for f in fields(cls))},
     "optimizer": {"kind", "lr", "beta1", "beta2", "eps", "schedule"},
     "schedule": {"kind", "warmup_ratio", "warmup_start_lr", "total_steps"},
 }
@@ -251,9 +250,10 @@ def build_dataset(exp: ExperimentConfig) -> Dataset:
     return load_csv(ds["path"]) if ds["kind"] == "csv" else make_synthetic(**ds)
 
 
-def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool) -> list[int]:
+def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool, post_shot: bool = False) -> list[int]:
     """The config's transition lengths in optimizer steps: one for train and
-    compare, at least two for sweep-q; q_epochs count whole epochs of steps."""
+    compare, at least two for sweep-q; q_epochs count whole epochs of steps.
+    A post_shot run must switch to its compressed net before its last step."""
     q = exp.q_steps if exp.q_epochs is None else exp.q_epochs
     if sweep:
         _expect(isinstance(q, list) and len(q) >= 2,
@@ -262,10 +262,15 @@ def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool) -> l
         _expect(not isinstance(q, list), "train/compare need a scalar q_epochs or q_steps (lists are for sweep-q)")
         _expect(q is not None or exp.mode not in ("vcon", "post_shot"), f"mode {exp.mode!r} needs q_epochs or q_steps")
         q = [q or 0]
-    if exp.q_epochs is None:
-        return q
     n_train = len(dataset.split("train")[1])
-    return [q_steps_from_epochs(v, n_train, exp.batch_size) for v in q]
+    if exp.q_epochs is not None:
+        q = [q_steps_from_epochs(v, n_train, exp.batch_size) for v in q]
+    if post_shot:
+        run = exp.epochs * steps_per_epoch(n_train, exp.batch_size)
+        key = "q_steps" if exp.q_epochs is None else "q_epochs"
+        _expect(q[0] < run, f"{key} must end post_shot's dense phase before the run ends: it would "
+                f"switch at step {q[0]} of a {run}-step run, so the run would never compress")
+    return q
 
 
 @dataclass
@@ -419,7 +424,7 @@ def read_sweep_csv(path) -> list[tuple[int, int, int, float]]:
 
 def cmd_train(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
-    (q,) = _transition_steps(exp, dataset, sweep=False)
+    (q,) = _transition_steps(exp, dataset, sweep=False, post_shot=exp.mode == "post_shot")
     (arm,) = _run_arms(exp, dataset, [_Arm(exp.output_dir, exp.mode, q)], quiet)
     if not quiet:
         agg = arm.summary["aggregate"]["test_accuracy"]
@@ -432,7 +437,7 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
     if baseline not in ("ste_standard", "post_shot"):
         raise ConfigError(f"baseline must be ste_standard or post_shot, got {baseline!r}")
     dataset = build_dataset(exp)
-    (q,) = _transition_steps(exp, dataset, sweep=False)
+    (q,) = _transition_steps(exp, dataset, sweep=False, post_shot=baseline == "post_shot")
     base, vcon = _run_arms(exp, dataset, [_Arm(exp.output_dir / "baseline", baseline, q),
                                           _Arm(exp.output_dir / "vcon", "vcon", q)], quiet)
     per_seed = [{

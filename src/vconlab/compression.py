@@ -28,7 +28,7 @@ from typing import ClassVar, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .model import DenseBlock, Network, apply_activation
-from .tensor import ShapeError, Tensor, add_bias, matmul, ste_apply, transpose
+from .tensor import ShapeError, Tensor, linear, ste_apply
 
 Array = np.ndarray
 
@@ -42,11 +42,12 @@ class CompressionSpec:
 
     A family derives block state from the weights (``refresh``, called once
     per group of blocks with equal specs), gives the block's effective
-    weight (``effective_weight``; low rank instead overrides ``linear``
-    with its factor product), counts the stored entries and bits of an
-    n x m layer (``stored``, ``bits``), writes and reads its ``.vcnet``
-    payload through checkpoint.py's writer and reader (``floats``, ``bits``,
-    ``fail``), and names its ``inspect`` fields (``describe``).
+    weight (``effective_weight``; low rank instead overrides ``linear``,
+    the block's pre-activation with its bias, with its factor product),
+    counts the stored entries and bits of an n x m layer (``stored``,
+    ``bits``), writes and reads its ``.vcnet`` payload through
+    checkpoint.py's writer and reader (``floats``, ``bits``, ``fail``), and
+    names its ``inspect`` fields (``describe``).
     """
 
     kind: ClassVar[str]
@@ -62,7 +63,7 @@ class CompressionSpec:
         pass
 
     def linear(self, block: CompressedBlock, x: Tensor) -> Tensor:
-        return matmul(x, transpose(self.effective_weight(block)))
+        return linear(x, self.effective_weight(block), block.bias)
 
     def bits(self, n: int, m: int) -> int:
         return 64 * self.stored(n, m)
@@ -249,7 +250,7 @@ class LowRank(CompressionSpec):
         return factorize_layer(block, self.rank)
 
     def linear(self, block, x):
-        return matmul(matmul(x, transpose(block.b)), transpose(block.a))
+        return linear(linear(x, block.b), block.a, block.bias)
 
     def stored(self, n, m):
         return min(self.rank, n, m) * (n + m)
@@ -291,12 +292,18 @@ def spec_to_dict(spec: CompressionSpec | None) -> dict:
 
 
 def spec_from_dict(d: dict) -> CompressionSpec | None:
+    """Read a compression section: ``kind`` plus the chosen family's fields,
+    and no other key."""
+    d = config_value(d, dict, "compression")
     kind = config_value(d.get("kind"), str, "compression.kind")
-    if kind == "none":
-        return None
-    if kind not in FAMILIES:
+    cls = FAMILIES.get(kind)
+    if cls is None and kind != "none":
         raise ConfigError(f"compression.kind must be 'none' or one of {', '.join(FAMILIES)}, got {kind!r}")
-    return config_fields(FAMILIES[kind], d, "compression.")
+    known = {"kind", *(f.name for f in fields(cls))} if cls else {"kind"}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown config key: compression.{key}")
+    return None if cls is None else config_fields(cls, d, "compression.")
 
 
 # --------------------------------------------------------------------------
@@ -580,8 +587,7 @@ class CompressedBlock:
         self.spec.refresh([self])
 
     def forward(self, x: Tensor) -> Tensor:
-        z = add_bias(self.spec.linear(self, x), self.bias)
-        return apply_activation(z, self.activation)
+        return apply_activation(self.spec.linear(self, x), self.activation)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         if self.weight is None:

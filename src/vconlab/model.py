@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add_bias, gelu, matmul, relu, transpose
+from .tensor import ShapeError, Tensor, gelu, linear, relu
 
 ACTIVATIONS = ("relu", "gelu", "none")
 
@@ -47,8 +47,7 @@ class DenseBlock:
         return self.weight.data.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
-        z = add_bias(matmul(x, transpose(self.weight)), self.bias)
-        return apply_activation(z, self.activation)
+        return apply_activation(linear(x, self.weight, self.bias), self.activation)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]

@@ -49,21 +49,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -80,27 +65,22 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: operand shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product a @ b."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply shapes {a.data.shape} and {b.data.shape}")
-    out = _result(a.data @ b.data, (a, b))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map x @ w.T (+ b): a (batch, m) input through an (n, m) weight
+    and an optional length-n bias row. The engine's one product op; the bias
+    gradient sums over the batch axis."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(f"linear: cannot apply weight {w.data.shape} to input {x.data.shape}")
+    if b is not None and b.data.shape != (w.data.shape[0],):
+        raise ShapeError(f"linear: bias {b.data.shape} does not match weight {w.data.shape}")
+    z = x.data @ w.data.T
+    out = _result(z, (x, w)) if b is None else _result(z + b.data, (x, w, b))
 
     def _bw(g: Array) -> None:
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
-
-    out._backward = _bw
-    return out
-
-
-def transpose(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a 2-D tensor, got shape {t.data.shape}")
-    out = _result(t.data.T, (t,))
-
-    def _bw(g: Array) -> None:
-        t.grad += g.T
+        x.grad += g @ w.data
+        w.grad += (x.data.T @ g).T
+        if b is not None:
+            b.grad += g.sum(axis=0)
 
     out._backward = _bw
     return out
@@ -150,24 +130,6 @@ def scale(t: Tensor, c: float) -> Tensor:
 
     def _bw(g: Array) -> None:
         t.grad += g * c
-
-    out._backward = _bw
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-n bias row to every row of a (batch, n) matrix.
-
-    The single broadcast the model layer needs; grad for the bias sums
-    over the batch axis.
-    """
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias: cannot add bias {b.data.shape} to shape {x.data.shape}")
-    out = _result(x.data + b.data, (x, b))
-
-    def _bw(g: Array) -> None:
-        x.grad += g
-        b.grad += g.sum(axis=0)
 
     out._backward = _bw
     return out

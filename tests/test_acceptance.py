@@ -34,10 +34,9 @@ from vconlab.model import DenseBlock, init_params
 from vconlab.tensor import (
     Tensor,
     add,
-    add_bias,
     backward,
     gelu,
-    matmul,
+    linear,
     mul,
     relu,
     scale,
@@ -45,7 +44,6 @@ from vconlab.tensor import (
     ste_apply,
     sub,
     sum_all,
-    transpose,
 )
 from vconlab.training import (
     OptimizerSpec,
@@ -170,13 +168,14 @@ def test_a4_gradient_suite():
         return Tensor(v, requires_grad=True)
 
     cases = {
-        "matmul": lambda r: ((a := t((2, 3)), b := t((3, 2))), lambda: sum_all(matmul(a, b))),
-        "transpose": lambda r: ((a := t((3, 4)), b := t((3, 2))), lambda: sum_all(matmul(transpose(a), b))),
+        "linear": lambda r: (
+            (x := t((4, 3)), w := t((2, 3)), b := t((2,))),
+            lambda: sum_all(mul(z := linear(x, w, b), z)),
+        ),
         "add": lambda r: ((a := t((2, 3)), b := t((2, 3))), lambda: sum_all(add(a, b))),
         "sub": lambda r: ((a := t((2, 3)), b := t((2, 3))), lambda: sum_all(sub(a, b))),
         "mul": lambda r: ((a := t((2, 3)), b := t((2, 3))), lambda: sum_all(mul(a, b))),
         "scale": lambda r: ((a := t((2, 3)),), lambda: sum_all(scale(a, 1.7))),
-        "add_bias": lambda r: ((a := t((4, 3)), b := t((3,))), lambda: sum_all(mul(z := add_bias(a, b), z))),
         "relu": lambda r: ((a := away_from_kink((3, 3)),), lambda: sum_all(relu(a))),
         "gelu": lambda r: ((a := t((3, 3)),), lambda: sum_all(gelu(a))),
         "softmax_ce": lambda r: (

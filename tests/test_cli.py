@@ -64,9 +64,12 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_misspelled_nested_key_named_in_error():
-    cfg = {"compression": {"kind": "prune_layer", "sparsityy": 0.9}}
-    with pytest.raises(ConfigError, match="unknown config key: compression.sparsityy"):
-        validate_config(cfg)
+    # a compression section takes kind and the chosen family's fields only
+    for section, key in (({"kind": "prune_layer", "sparsityy": 0.9}, "sparsityy"),
+                         ({"kind": "binary", "sparsity": 0.9}, "sparsity"),
+                         ({"kind": "none", "rank": 3}, "rank")):
+        with pytest.raises(ConfigError, match=f"^unknown config key: compression.{key}$"):
+            validate_config({"compression": section})
 
 
 def test_field_level_messages():
@@ -98,7 +101,9 @@ def _dataset(key, value):
     return {"dataset": {"kind": "blobs", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0, key: value}}
 
 
-# (config entries replacing the test config's, dotted key the error must name)
+# (config entries replacing the test config's, dotted key the error must name;
+# a key that is not the family's is named as unknown instead)
+UNKNOWN = "unknown config key: "
 CONFIG_ERRORS = [
     pytest.param(_dataset("classes", "three"), "dataset.classes", id="classes-three"),
     pytest.param(_dataset("samples_per_class", [100]), "dataset.samples_per_class", id="samples_per_class-value1"),
@@ -107,6 +112,7 @@ CONFIG_ERRORS = [
     pytest.param(_dataset("classes", 3.7), "dataset.classes", id="classes-float"),
     pytest.param({"dataset": 5}, "dataset", id="dataset-not-object"),
     pytest.param({"model": 3}, "model", id="model-not-object"),
+    pytest.param({"compression": 5}, "compression", id="compression-not-object"),
     pytest.param({"optimizer": {"lr": None}}, "optimizer.lr", id="lr-null"),
     pytest.param({"optimizer": {"lr": float("nan")}}, "optimizer.lr", id="lr-nan"),
     pytest.param({"optimizer": {"schedule": 7}}, "optimizer.schedule", id="schedule-not-object"),
@@ -132,6 +138,9 @@ CONFIG_ERRORS = [
     pytest.param({"seeds": [-1]}, "seeds[0]", id="seed-negative"),
     pytest.param({"seeds": [0, 10**300]}, "seeds[1]", id="seed-300-digits"),
     pytest.param({"seeds": [2**63]}, "seeds[0]", id="seed-2-pow-63"),
+    pytest.param({"compression": {"kind": "binary", "sparsity": 0.9}}, UNKNOWN + "compression.sparsity",
+                 id="binary-sparsity"),
+    pytest.param({"compression": {"kind": "none", "rank": 3}}, UNKNOWN + "compression.rank", id="none-rank"),
 ]
 
 
@@ -141,7 +150,8 @@ def test_dataset_numbers_that_do_not_coerce_are_config_errors(tmp_path, capsys, 
     # an object) is a config error naming the dotted key, never converted;
     # so is a value out of its field's range
     path, cfg = _write_config(tmp_path, **entries)
-    with pytest.raises(ConfigError, match=rf"{re.escape(key)}\S* must be"):
+    message = f"^{re.escape(key)}$" if key.startswith(UNKNOWN) else rf"{re.escape(key)}\S* must be"
+    with pytest.raises(ConfigError, match=message):
         validate_config(cfg)
     assert main(["train", "--config", str(path), "--quiet"]) == 2
     assert key in capsys.readouterr().err
@@ -315,6 +325,20 @@ def test_compare_post_shot_baseline(tmp_path):
     assert comp["baseline_mode"] == "post_shot"
     assert len(comp["per_seed"]) == 1
     assert math.isfinite(comp["per_seed"][0]["delta"])
+
+
+def test_post_shot_that_never_switches_is_config_error(tmp_path, capsys):
+    # 62 training points in batches of 16 for 2 epochs: an 8-step run, so a
+    # switch at step 8 never comes and the run would stay dense throughout
+    for command, q in ((["train"], {"q_epochs": 2}), (["compare", "--baseline", "post_shot"], {"q_steps": 8})):
+        path, _ = _write_config(tmp_path, mode="post_shot", **q)
+        assert main([*command, "--config", str(path), "--quiet"]) == 2
+        assert f"{next(iter(q))} must end post_shot's dense phase" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    path, _ = _write_config(tmp_path, mode="post_shot", q_steps=7)
+    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    (row,) = read_summary(tmp_path / "out" / "summary.json")["per_seed"]
+    assert row["param_count_compressed"] < row["param_count_dense"]
 
 
 def test_compare_shared_seeds_share_data_order(tmp_path):

@@ -9,10 +9,9 @@ from vconlab.tensor import (
     ShapeError,
     Tensor,
     add,
-    add_bias,
     backward,
     gelu,
-    matmul,
+    linear,
     mul,
     relu,
     scale,
@@ -20,7 +19,6 @@ from vconlab.tensor import (
     ste_apply,
     sub,
     sum_all,
-    transpose,
 )
 
 from oracles import FD_STEP, finite_difference, rel_error
@@ -41,19 +39,23 @@ def _fd_check(build_loss, arrays, tol=1e-6, rng=None):
         assert rel_error(t.grad, numeric) <= tol, f"input {k}: analytic vs numeric gradient"
 
 
-def test_matmul_values_and_gradient():
+def test_linear_values_and_gradient():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = rng.uniform(-2, 2, size=(3, 4))
-        b = rng.uniform(-2, 2, size=(4, 2))
-        out = matmul(Tensor(a), Tensor(b))
-        assert np.allclose(out.data, a @ b)
-        _fd_check(lambda ta, tb: sum_all(matmul(ta, tb)), [a, b], tol=1e-6)
+        x = rng.uniform(-2, 2, size=(3, 4))
+        w = rng.uniform(-2, 2, size=(2, 4))
+        b = rng.uniform(-2, 2, size=2)
+        assert np.allclose(linear(Tensor(x), Tensor(w)).data, x @ w.T)
+        assert np.allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w.T + b)
+        _fd_check(lambda tx, tw: sum_all(linear(tx, tw)), [x, w], tol=1e-6)
+        _fd_check(lambda tx, tw, tb: sum_all(mul(z := linear(tx, tw, tb), z)), [x, w, b], tol=1e-6)
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+def test_linear_shape_error_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(2, 3\)"):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
+        linear(Tensor(np.zeros((5, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
 
 def test_elementwise_gradients():
@@ -85,21 +87,25 @@ def test_relu_gelu_scale_gradients():
         _fd_check(lambda t: sum_all(scale(t, -1.7)), [x], tol=1e-6)
 
 
-def test_add_bias_grad_sums_over_batch():
+def test_linear_bias_grad_sums_over_batch():
     rng = np.random.default_rng(17)
     x = rng.uniform(-1, 1, size=(6, 4))
+    w = rng.uniform(-1, 1, size=(4, 4))
     b = rng.uniform(-1, 1, size=4)
-    tx, tb = Tensor(x, requires_grad=True), Tensor(b, requires_grad=True)
-    backward(sum_all(add_bias(tx, tb)))
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    backward(sum_all(linear(tx, tw, tb)))
     assert np.array_equal(tb.grad, np.full(4, 6.0))
-    _fd_check(lambda a, c: sum_all(add_bias(a, c)), [x, b], tol=1e-6)
+    _fd_check(lambda a, v, c: sum_all(linear(a, v, c)), [x, w, b], tol=1e-6)
 
 
-def test_transpose_roundtrip_gradient():
+def test_linear_gradients_keep_operand_layout():
+    # d sum(x @ w.T) / dw has w's (n, m) layout: every row is x's column sums
     x = np.arange(6.0).reshape(2, 3)
-    t = Tensor(x, requires_grad=True)
-    backward(sum_all(transpose(t)))
-    assert np.array_equal(t.grad, np.ones((2, 3)))
+    w = np.arange(12.0).reshape(4, 3)
+    tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    backward(sum_all(linear(tx, tw)))
+    assert np.array_equal(tw.grad, np.tile(x.sum(axis=0), (4, 1)))
+    assert np.array_equal(tx.grad, np.tile(w.sum(axis=0), (2, 1)))
 
 
 def test_fanout_accumulates():
@@ -177,8 +183,9 @@ def test_forward_determinism_bitwise():
     rng = np.random.default_rng(23)
     a = rng.uniform(-1, 1, size=(8, 8))
     b = rng.uniform(-1, 1, size=(8, 8))
-    first = matmul(Tensor(a), Tensor(b)).data
-    second = matmul(Tensor(a.copy()), Tensor(b.copy())).data
+    c = rng.uniform(-1, 1, size=8)
+    first = linear(Tensor(a), Tensor(b), Tensor(c)).data
+    second = linear(Tensor(a.copy()), Tensor(b.copy()), Tensor(c.copy())).data
     assert np.array_equal(first, second)
 
 
