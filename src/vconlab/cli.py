@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -286,8 +287,7 @@ class SeedResult:
     scheduler: BetaScheduler | None
 
 
-def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_steps: int,
-               quiet: bool = True) -> SeedResult:
+def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_steps: int) -> SeedResult:
     start = time.perf_counter()
     net = init_params(exp.layer_sizes, seed, exp.activation)
     dense_count = net.param_count()
@@ -312,8 +312,6 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     test_acc = _evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only)
     compressed_count = _compressed_param_count(net)
     elapsed = time.perf_counter() - start
-    if not quiet:
-        print(f"  mode={mode} seed={seed} test_acc={test_acc:.4f} ({elapsed:.1f}s)")
     best_val = max((acc for _, acc in log.epochs if not math.isnan(acc)), default=float("nan"))
     return SeedResult(seed, test_acc, best_val, dense_count, compressed_count, elapsed, log, net, scheduler)
 
@@ -365,22 +363,91 @@ class _Arm:
     summary: dict = field(default_factory=dict)
 
 
-def _finish_run(arm: _Arm, result: SeedResult) -> dict:
-    """Write one run's files; keep its validation curve and return its summary row."""
-    _write_seed_outputs(arm.out_dir, result)
-    arm.val_accuracy.extend((result.seed, epoch, acc) for epoch, acc in result.log.epochs)
-    return {name: getattr(result, name) for name in _ROW_FIELDS}
+def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str, q: int,
+              seed: int) -> tuple[dict, list[tuple[int, float]]]:
+    """One run, in whichever process it was given to: train, write its files,
+    and return only its summary row and its validation curve."""
+    result = run_single(exp, dataset, seed, mode, q)
+    _write_seed_outputs(out_dir, result)
+    return {name: getattr(result, name) for name in _ROW_FIELDS}, result.log.epochs
+
+
+def _worker_count(tasks: int) -> int:
+    """Processes to run ``tasks`` runs in: one per CPU this process may use, at
+    most one per task, and 1 (the calling process itself) where fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(tasks, cpus)
+
+
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Worker start-up: keep a loaded OpenBLAS to one thread. The workers already
+    fill the CPUs; BLAS threads on top of them outnumber the cores and spin, which
+    made pooled runs slower than one process. Without /proc, nothing changes."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # replaced on disk since it was loaded: leave it be
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
 
 
 def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: bool) -> list[_Arm]:
-    """Run each arm on every seed, one arm after the other. A run's files are
-    written as soon as it ends and only its summary row is kept; an arm's
-    summary.json is written after its last seed."""
-    for arm in arms:
-        rows = [_finish_run(arm, run_single(exp, dataset, seed, arm.mode, arm.q, quiet=quiet)) for seed in exp.seeds]
-        arm.summary = _summary_dict(exp, arm.mode, rows)
-        _write_json(arm.out_dir / "summary.json", arm.summary)
+    """Run each arm on every seed. The runs are independent tasks; with several
+    tasks and CPUs they are spread over forked worker processes. Each run writes
+    its own files as soon as it ends. Results are taken in task order (arm by
+    arm, seed by seed), so progress lines, each arm's summary.json (written after
+    its last seed) and the first failure do not depend on the worker count."""
+    tasks = [(arm, seed) for arm in arms for seed in exp.seeds]
+    jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, seed) for arm, seed in tasks]
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
+        return arms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
+    try:
+        futures = [pool.submit(_run_task, *job) for job in jobs]
+        _collect(exp, tasks, (future.result() for future in futures), quiet)
+    finally:
+        # after a failure, runs not yet started are dropped and running ones finish
+        pool.shutdown(cancel_futures=True)
     return arms
+
+
+def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, int]], results, quiet: bool) -> None:
+    """Take each task's (row, validation curve) in task order; write an arm's
+    summary.json once its last seed is in."""
+    rows = []
+    for (arm, seed), (row, curve) in zip(tasks, results):
+        if not quiet:
+            print(f"  mode={arm.mode} seed={seed} test_acc={row['final_test_accuracy']:.4f} "
+                  f"({row['wall_clock_seconds']:.1f}s)")
+        arm.val_accuracy.extend((seed, epoch, acc) for epoch, acc in curve)
+        rows.append(row)
+        if len(rows) == len(exp.seeds):
+            arm.summary = _summary_dict(exp, arm.mode, rows)
+            _write_json(arm.out_dir / "summary.json", arm.summary)
+            rows = []
 
 
 def _write_json(path: Path, data: dict) -> None:

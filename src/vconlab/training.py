@@ -323,6 +323,10 @@ class TrainingDiverged(RuntimeError):
         self.lr = lr
         self.beta = beta
 
+    def __reduce__(self):
+        # rebuilt from the three numbers, so it crosses a process boundary
+        return type(self), (self.step, self.lr, self.beta)
+
 
 # --------------------------------------------------------------------------
 # The loop

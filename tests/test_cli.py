@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +47,11 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+def _force_workers(monkeypatch, workers):
+    # runs go to `workers` processes whatever this machine's CPU count
+    monkeypatch.setattr(cli, "_worker_count", lambda tasks: min(tasks, workers))
 
 
 # --------------------------------------------------------------------------
@@ -356,15 +363,17 @@ def test_compare_shared_seeds_share_data_order(tmp_path):
     assert base == vcon
 
 
-def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monkeypatch, workers):
     real_run = cli.run_single
 
-    def run_single(exp, dataset, seed, mode, q_steps, quiet=True):
+    def run_single(exp, dataset, seed, mode, q_steps):
         if (mode, seed) == ("vcon", 1):
             raise TrainingDiverged(3, 0.01, 0.5)
-        return real_run(exp, dataset, seed, mode, q_steps, quiet)
+        return real_run(exp, dataset, seed, mode, q_steps)
 
     monkeypatch.setattr(cli, "run_single", run_single)
+    _force_workers(monkeypatch, workers)
     path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
     assert main(["compare", "--config", str(path), "--quiet"]) == 1
     assert "training diverged at step 3 (lr=0.01, beta=0.5)" in capsys.readouterr().err
@@ -377,6 +386,98 @@ def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monk
     assert not any((out / "vcon" / name.format(1)).exists() for name in files)
     assert not (out / "vcon" / "summary.json").exists()
     assert not (out / "compare.json").exists()
+
+
+def test_worker_that_dies_is_a_runtime_error(tmp_path, capfd, monkeypatch):
+    real_run = cli.run_single
+
+    def run_single(exp, dataset, seed, mode, q_steps):
+        if (mode, seed) == ("vcon", 1):
+            os._exit(3)
+        return real_run(exp, dataset, seed, mode, q_steps)
+
+    monkeypatch.setattr(cli, "run_single", run_single)
+    _force_workers(monkeypatch, 2)
+    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
+    assert main(["compare", "--config", str(path), "--quiet"]) == 1
+    err = capfd.readouterr().err  # file-descriptor capture also sees the workers
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "vcon" / "summary.json").exists()
+    assert not (tmp_path / "out" / "compare.json").exists()
+
+
+def test_progress_lines_come_in_task_order(tmp_path, capsys, monkeypatch):
+    real_run = cli.run_single
+
+    def run_single(exp, dataset, seed, mode, q_steps):
+        if (mode, seed) == ("ste_standard", 0):
+            time.sleep(0.5)  # the second task ends first
+        return real_run(exp, dataset, seed, mode, q_steps)
+
+    monkeypatch.setattr(cli, "run_single", run_single)
+    _force_workers(monkeypatch, 2)
+    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
+    assert main(["compare", "--config", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "test_acc=" in line]
+    progress = [re.fullmatch(r"  mode=(\w+) seed=(\d) test_acc=\d\.\d{4} \(\d+\.\ds\)", line) for line in lines]
+    assert [m.groups() for m in progress] == [("ste_standard", "0"), ("ste_standard", "1"),
+                                              ("vcon", "0"), ("vcon", "1")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+def test_worker_start_up_keeps_openblas_to_one_thread():
+    # in a fresh process, so this one's BLAS keeps its threads
+    code = """
+import ctypes
+from vconlab import cli
+libs = [ctypes.CDLL(line.split(None, 5)[5].strip()) for line in open("/proc/self/maps") if "openblas" in line]
+getters = [getattr(lib, n.replace("_set_", "_get_")) for lib in libs for n in cli._OPENBLAS_SET_THREADS
+           if hasattr(lib, n)]
+before = [get() for get in getters]
+cli._one_blas_thread()
+print(before, [get() for get in getters])
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    before, after = map(json.loads, re.fullmatch(r"(\[.*\]) (\[.*\])\n", out).groups())
+    if not before or max(before) == 1:
+        pytest.skip("no multi-threaded OpenBLAS here")
+    assert after == [1] * len(before)
+
+
+def _without_wall_clock(data):
+    if isinstance(data, dict):
+        return {k: _without_wall_clock(v) for k, v in data.items() if k != "wall_clock_seconds"}
+    if isinstance(data, list):
+        return [_without_wall_clock(v) for v in data]
+    return data
+
+
+def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch):
+    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
+    commands = {
+        "train": ["train", "--mode", "vcon"],
+        "ste": ["compare"],
+        "post_shot": ["compare", "--baseline", "post_shot"],
+        "sweep": ["sweep-q", "--set", "q_steps=[0,3,20]"],
+    }
+    trees = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        for name, command in commands.items():
+            argv = [*command, "--config", str(path), "--quiet", "--set", f"output_dir={tmp_path / 'out' / name}"]
+            assert main(argv) == 0
+        trees[workers] = (tmp_path / "out").rename(tmp_path / f"workers{workers}")
+    files = {tree: sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file()) for tree in trees.values()}
+    assert files[trees[1]] == files[trees[2]]
+    assert {p.suffix for p in files[trees[1]]} == {".csv", ".vcnet", ".json"}
+    for rel in files[trees[1]]:
+        one, two = trees[1] / rel, trees[2] / rel
+        if rel.suffix == ".json":
+            assert _without_wall_clock(json.loads(one.read_text())) == _without_wall_clock(json.loads(two.read_text()))
+        else:
+            assert one.read_bytes() == two.read_bytes(), rel
 
 
 # --------------------------------------------------------------------------

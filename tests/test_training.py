@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -490,6 +491,14 @@ def test_divergence_reports_step_lr_beta():
     with pytest.raises(TrainingDiverged, match=r"diverged at step 0 \(lr=0\.01, beta=1\)") as exc:
         train(net, ds, cfg)
     assert (exc.value.step, exc.value.lr, exc.value.beta) == (0, 0.01, 1.0)
+
+
+def test_divergence_survives_pickling():
+    # a diverged run in a worker process reaches the command as this exception
+    err = pickle.loads(pickle.dumps(TrainingDiverged(3, 0.01, 0.5)))
+    assert type(err) is TrainingDiverged
+    assert str(err) == "training diverged at step 3 (lr=0.01, beta=0.5)"
+    assert (err.step, err.lr, err.beta) == (3, 0.01, 0.5)
 
 
 def test_logged_lr_follows_cosine_schedule():
