@@ -369,15 +369,15 @@ def drop_smallest(scores: Array, drop: int) -> Array:
     score is the threshold, everything below it goes, then the entries tied
     at it in index order until ``drop`` are gone.
     """
-    mask = np.ones(scores.size)
-    if drop:
-        thr = np.partition(scores, drop - 1)[drop - 1]
-        if np.isnan(thr):  # NaN compares false with everything: it ties only with NaN
-            below, tied = ~np.isnan(scores), np.isnan(scores)
-        else:
-            below, tied = scores < thr, scores == thr
-        mask[below] = 0.0
-        mask[np.flatnonzero(tied)[: drop - np.count_nonzero(below)]] = 0.0
+    if not drop:
+        return np.ones(scores.size)
+    thr = np.partition(scores, drop - 1)[drop - 1]
+    if np.isnan(thr):  # NaN compares false with everything: it ties only with NaN
+        below, tied = ~np.isnan(scores), np.isnan(scores)
+    else:
+        below, tied = scores < thr, scores == thr
+    mask = np.logical_not(below).astype(np.float64)
+    mask[np.flatnonzero(tied)[: drop - np.count_nonzero(below)]] = 0.0
     return mask
 
 

@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Minimal define-by-run engine: every op computes its result eagerly and
-attaches a closure that routes the result's gradient, passed in by
-``backward``, to its inputs. ``backward`` walks the graph once in reverse
-topological order, accumulating gradients additively (fan-out sums).
+Minimal define-by-run engine: every op computes its result eagerly and,
+when an input needs a gradient, attaches a closure that routes the
+result's gradient, passed in by ``backward``, to the inputs that need
+one. ``backward`` walks the graph once in reverse topological order. A
+gradient is a sum of contributions (fan-out sums): a tensor keeps its
+first contribution as the very array it was handed, and later ones are
+added out of place, so no array handed out is ever written to again.
+Tensors with ``requires_grad=False`` (data, such as the input batch, or a
+fixed mask) take no gradient and no closure computes one for them.
 Each forward pass builds a new graph; no closure holds its own result, so
 a graph has no reference cycles and is freed once its output is dropped.
 
@@ -53,11 +58,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: Array, parents: tuple[Tensor, ...]) -> Tensor:
+def _result(data: Array, parents: tuple[Tensor, ...], bw: Callable[[Array], None]) -> Tensor:
+    # a result of data alone is data itself: no graph links, no closure
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = parents
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = bw
     return out
+
+
+def _give(t: Tensor, g: Array) -> None:
+    """Add one gradient contribution to ``t``; the first is kept as is."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -74,75 +87,70 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ShapeError(f"linear: bias {b.data.shape} does not match weight {w.data.shape}")
     z = x.data @ w.data.T
-    out = _result(z, (x, w)) if b is None else _result(z + b.data, (x, w, b))
 
     def _bw(g: Array) -> None:
-        x.grad += g @ w.data
-        w.grad += (x.data.T @ g).T
-        if b is not None:
-            b.grad += g.sum(axis=0)
+        if x.requires_grad:
+            _give(x, g @ w.data)
+        if w.requires_grad:
+            _give(w, (x.data.T @ g).T)
+        if b is not None and b.requires_grad:
+            _give(b, g.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return _result(z, (x, w), _bw) if b is None else _result(z + b.data, (x, w, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = _result(a.data + b.data, (a, b))
 
     def _bw(g: Array) -> None:
-        a.grad += g
-        b.grad += g
+        if a.requires_grad:
+            _give(a, g)
+        if b.requires_grad:
+            _give(b, g)
 
-    out._backward = _bw
-    return out
+    return _result(a.data + b.data, (a, b), _bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    out = _result(a.data - b.data, (a, b))
 
     def _bw(g: Array) -> None:
-        a.grad += g
-        b.grad -= g
+        if a.requires_grad:
+            _give(a, g)
+        if b.requires_grad:
+            _give(b, -g)
 
-    out._backward = _bw
-    return out
+    return _result(a.data - b.data, (a, b), _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; both operands must share a shape exactly."""
     _same_shape(a, b, "mul")
-    out = _result(a.data * b.data, (a, b))
 
     def _bw(g: Array) -> None:
-        a.grad += g * b.data
-        b.grad += g * a.data
+        if a.requires_grad:
+            _give(a, g * b.data)
+        if b.requires_grad:
+            _give(b, g * a.data)
 
-    out._backward = _bw
-    return out
+    return _result(a.data * b.data, (a, b), _bw)
 
 
 def scale(t: Tensor, c: float) -> Tensor:
     """Multiply by a plain Python float (no gradient flows into c)."""
     c = float(c)
-    out = _result(t.data * c, (t,))
 
     def _bw(g: Array) -> None:
-        t.grad += g * c
+        _give(t, g * c)
 
-    out._backward = _bw
-    return out
+    return _result(t.data * c, (t,), _bw)
 
 
 def relu(t: Tensor) -> Tensor:
-    out = _result(np.maximum(t.data, 0.0), (t,))
-
     def _bw(g: Array) -> None:
-        t.grad += g * (t.data > 0.0)
+        _give(t, g * (t.data > 0.0))
 
-    out._backward = _bw
-    return out
+    return _result(np.maximum(t.data, 0.0), (t,), _bw)
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -150,26 +158,22 @@ def gelu(t: Tensor) -> Tensor:
     x = t.data
     inner = _GELU_K * (x + _GELU_C * x**3)
     th = np.tanh(inner)
-    out = _result(0.5 * x * (1.0 + th), (t,))
 
     def _bw(g: Array) -> None:
         d_inner = _GELU_K * (1.0 + 3.0 * _GELU_C * x**2)
         local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
-        t.grad += g * local
+        _give(t, g * local)
 
-    out._backward = _bw
-    return out
+    return _result(0.5 * x * (1.0 + th), (t,), _bw)
 
 
 def sum_all(t: Tensor) -> Tensor:
     """Sum of all entries, as a 0-d tensor."""
-    out = _result(np.asarray(t.data.sum()), (t,))
 
     def _bw(g: Array) -> None:
-        t.grad += g
+        _give(t, np.full_like(t.data, g))
 
-    out._backward = _bw
-    return out
+    return _result(np.asarray(t.data.sum()), (t,), _bw)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -197,15 +201,13 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     sum_ez = ez.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(sum_ez)
     rows = np.arange(n)
-    out = _result(np.asarray(-log_probs[rows, y].mean()), (logits,))
 
     def _bw(g: Array) -> None:
         probs = ez / sum_ez
         probs[rows, y] -= 1.0
-        logits.grad += g * probs / n
+        _give(logits, g * probs / n)
 
-    out._backward = _bw
-    return out
+    return _result(np.asarray(-log_probs[rows, y].mean()), (logits,), _bw)
 
 
 def ste_apply(x: Tensor, transform: Callable[[Array], Array]) -> Tensor:
@@ -218,25 +220,30 @@ def ste_apply(x: Tensor, transform: Callable[[Array], Array]) -> Tensor:
     data = np.asarray(transform(x.data), dtype=np.float64)
     if data.shape != x.data.shape:
         raise ShapeError(f"ste_apply: transform changed shape {x.data.shape} -> {data.shape}")
-    out = _result(data, (x,))
 
     def _bw(g: Array) -> None:
-        x.grad += g
+        _give(x, g)
 
-    out._backward = _bw
-    return out
+    return _result(data, (x,), _bw)
 
 
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Grads of every tensor reachable from ``loss`` are (re)set to zero and
-    then accumulated; returns a map from tensor to its gradient array.
-    One call per graph: a second call on the same graph starts from
-    zeroed grads again.
+    Every tensor that needs a gradient and is reachable from ``loss`` has
+    its ``grad`` reset to None, then receives the sum of its contributions:
+    the first as the array it was handed (arrays may be shared between
+    tensors, such as both inputs of an ``add``), later ones added out of
+    place. No gradient array is written in place once handed out. Tensors
+    with ``requires_grad=False`` get no gradient. Returns a map from each
+    tensor that received a gradient to its gradient array; a loss that
+    needs no gradient gives an empty map. A second call on the same graph
+    starts again from None and gives the same gradients.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return {}
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -251,10 +258,11 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            stack.append((parent, False))
+            if parent.requires_grad:
+                stack.append((parent, False))
 
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:

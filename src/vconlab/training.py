@@ -100,42 +100,75 @@ def lr_at(step: int, spec: OptimizerSpec) -> float:
 
 
 class Optimizer:
-    """SGD or Adam over named parameters.
+    """SGD or Adam over named parameters, in one flat layout per step.
 
-    State is keyed by parameter name, so blocks can be swapped mid-run
-    (the post-shot switch) without losing or misrouting moments.
-    Parameters whose grad is None (absent from the step's graph) are left
-    untouched.
+    A step updates the live parameters, those whose grad is not None;
+    the others (absent from the step's graph) are left untouched. Their
+    gradients are gathered into one flat buffer and the update runs as a
+    handful of whole-buffer ops, whose per-element arithmetic is the same
+    as one tensor at a time; each parameter then subtracts its slice from
+    its own array in place. The gather adds 0.0, so a -0.0 gradient counts
+    as +0.0.
+
+    Adam moments are keyed by parameter name, so blocks can be swapped
+    mid-run (the post-shot switch) without losing or misrouting moments.
+    A parameter that leaves the live set keeps its moments for when it
+    returns; one that comes back with another shape starts from zero. The
+    layout is rebuilt only when the live names or shapes change.
     """
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.step_count = 0
-        self._state: dict[str, dict[str, Array]] = {}
+        self._state: dict[str, tuple[Array, Array]] = {}  # name -> (m, v)
+        self._layout: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+        self._flat: list[Array] = []  # gradient, scratch, and for Adam m, v
+        self._slots: list[tuple[Array, Array]] = []  # per live parameter: (gradient, update) views
+
+    def _relayout(self, live: Sequence[tuple[str, Tensor]]) -> None:
+        bounds = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
+        self._flat = [np.zeros(bounds[-1]) for _ in range(4 if self.spec.kind == "adam" else 2)]
+        self._slots = []
+        for (name, p), lo, hi in zip(live, bounds, bounds[1:]):
+            g, u, *moments = (buf[lo:hi].reshape(p.data.shape) for buf in self._flat)
+            self._slots.append((g, u))
+            if moments:
+                old = self._state.get(name)
+                if old is not None and old[0].shape == p.data.shape:
+                    moments[0][...], moments[1][...] = old
+                self._state[name] = (moments[0], moments[1])
 
     def step(self, named_params: Sequence[tuple[str, Tensor]]) -> float:
         spec = self.spec
         lr = lr_at(self.step_count, spec)
         t = self.step_count + 1
-        for name, p in named_params:
-            g = p.grad
-            if g is None:
-                continue
-            if spec.kind == "sgd":
-                p.data -= lr * g
-            else:
-                st = self._state.get(name)
-                if st is None:
-                    st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-                    self._state[name] = st
-                m, v = st["m"], st["v"]
-                m *= spec.beta1
-                m += (1.0 - spec.beta1) * g
-                v *= spec.beta2
-                v += (1.0 - spec.beta2) * (g * g)
-                m_hat = m / (1.0 - spec.beta1**t)
-                v_hat = v / (1.0 - spec.beta2**t)
-                p.data -= lr * m_hat / (np.sqrt(v_hat) + spec.eps)
+        live = [(name, p) for name, p in named_params if p.grad is not None]
+        layout = tuple((name, p.data.shape) for name, p in live)
+        if layout != self._layout:
+            self._relayout(live)
+            self._layout = layout
+        for (_, p), (g_slot, _) in zip(live, self._slots):
+            np.add(p.grad, 0.0, out=g_slot)
+        g, u = self._flat[:2]
+        if spec.kind == "sgd":
+            np.multiply(g, lr, out=u)
+        else:
+            m, v = self._flat[2:]
+            m *= spec.beta1
+            np.multiply(g, 1.0 - spec.beta1, out=u)
+            m += u
+            v *= spec.beta2
+            np.multiply(g, g, out=g)
+            g *= 1.0 - spec.beta2
+            v += g
+            np.divide(m, 1.0 - spec.beta1**t, out=u)  # m_hat
+            u *= lr
+            np.divide(v, 1.0 - spec.beta2**t, out=g)  # v_hat
+            np.sqrt(g, out=g)
+            g += spec.eps
+            u /= g
+        for (_, p), (_, u_slot) in zip(live, self._slots):
+            p.data -= u_slot
         self.step_count += 1
         return lr
 

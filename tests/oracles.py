@@ -171,3 +171,43 @@ def stable_sort_masks_oracle(layers, sparsity: float, rule: str) -> list[np.ndar
         masks.append(mask_flat[offset : offset + a.size].reshape(a.shape))
         offset += a.size
     return masks
+
+
+class PerTensorOptimizer:
+    """SGD or Adam one parameter at a time, with moments keyed by name: the
+    loop the package's flat optimizer must reproduce bit for bit.
+
+    ``step`` takes ``(name, data, grad)`` triples and updates each ``data``
+    in place; a None grad leaves its parameter and moments alone. Each
+    gradient is first added to a zero-filled array, as it was when backward
+    accumulated into zero buffers, so -0.0 arrives as +0.0. A name whose
+    shape changed restarts from zero moments (the loop this mirrors raised
+    a numpy broadcasting error there instead).
+    """
+
+    def __init__(self, kind: str, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.kind, self.beta1, self.beta2, self.eps = kind, beta1, beta2, eps
+        self.state: dict[str, dict[str, np.ndarray]] = {}
+        self.t = 0
+
+    def step(self, triples, lr: float) -> None:
+        self.t += 1
+        for name, data, grad in triples:
+            if grad is None:
+                continue
+            g = np.zeros_like(data) + grad
+            if self.kind == "sgd":
+                data -= lr * g
+                continue
+            st = self.state.get(name)
+            if st is None or st["m"].shape != data.shape:
+                st = {"m": np.zeros_like(data), "v": np.zeros_like(data)}
+                self.state[name] = st
+            m, v = st["m"], st["v"]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)

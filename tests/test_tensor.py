@@ -179,6 +179,80 @@ def test_backward_returns_gradient_map_and_resets():
     assert np.array_equal(x.grad, np.array([[2.0, 4.0]]))
 
 
+def test_data_gets_no_gradient():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, size=(4, 3)))  # the input batch
+    mask = Tensor((rng.uniform(size=(2, 3)) > 0.5).astype(np.float64))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    grads = backward(sum_all(relu(linear(x, mul(w, mask), b))))
+    assert x.grad is None and mask.grad is None
+    assert x not in grads and mask not in grads
+    assert w in grads and b in grads
+    assert all(g is not None for g in grads.values())
+    # a result computed from data alone is data: no graph, no gradient
+    assert backward(sum_all(mul(x, x))) == {}
+    assert x.grad is None
+
+
+def _record_handoffs(loss):
+    """Wrap every closure under ``loss`` to keep each gradient it is handed
+    together with a copy taken at hand-off time."""
+    handed, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward is not None:
+            def spy(g, inner=node._backward):
+                handed.append((g, g.copy()))
+                inner(g)
+
+            node._backward = spy
+    return handed
+
+
+def _assert_contract(loss):
+    # no gradient array changes after it was handed to a node, and a second
+    # backward on the same graph gives the same gradients, bit for bit
+    handed = _record_handoffs(loss)
+    first = backward(loss)
+    kept = {t: g.copy() for t, g in first.items()}
+    assert handed and all(g.tobytes() == copy.tobytes() for g, copy in handed)
+    second = backward(loss)
+    assert second.keys() == first.keys()
+    for t, g in first.items():
+        assert g.tobytes() == kept[t].tobytes() == second[t].tobytes()
+    return first
+
+
+def test_shared_gradient_is_never_written_in_place():
+    # add hands one array to both inputs; a's second contribution must not
+    # write into it, or b (and the inner add) would see it change
+    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0, 0.5]]), requires_grad=True)
+    inner = add(a, b)
+    grads = _assert_contract(sum_all(add(inner, a)))
+    assert np.array_equal(grads[a], np.full((1, 2), 2.0))
+    assert np.array_equal(grads[b], np.ones((1, 2)))
+    assert np.array_equal(grads[inner], np.ones((1, 2)))
+
+
+def test_blended_block_input_feeding_both_branches_keeps_its_gradients():
+    from vconlab.compression import PruneUnstructuredLayer
+    from vconlab.model import init_params
+    from vconlab.vcon import BetaScheduler, wrap_network
+
+    # block 1's input is block 0's output, and it feeds both of block 1's branches
+    net = wrap_network(init_params([3, 5, 4, 2], seed=4), PruneUnstructuredLayer(0.5), BetaScheduler(q=4, t=1))
+    x = Tensor(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
+    grads = _assert_contract(softmax_cross_entropy(net.forward(x), [0, 1, 1, 0, 1, 0]))
+    assert x not in grads
+    assert all(p in grads for _, p in net.trainable_parameters())
+
+
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(23)
     a = rng.uniform(-1, 1, size=(8, 8))

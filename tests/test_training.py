@@ -30,6 +30,8 @@ from vconlab.training import (
 )
 from vconlab.vcon import BetaScheduler, wrap_network
 
+from oracles import PerTensorOptimizer
+
 
 def _param(value, grad=None):
     p = Tensor(np.array(value, dtype=float), requires_grad=True)
@@ -93,6 +95,68 @@ def test_adam_state_keyed_by_name_survives_tensor_swap():
         v = b2 * v + (1 - b2) * g * g
         ref -= 0.1 * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
     assert abs(q.data[0] - ref) <= 1e-15
+
+
+def _draw(rng, shape):
+    # values with exact and negative zeros mixed in, so signed zeros reach the update
+    out = rng.standard_normal(shape)
+    out[rng.uniform(size=shape) < 0.2] = 0.0
+    out[rng.uniform(size=shape) < 0.2] = -0.0
+    return out
+
+
+# the live set per step: name -> shape, with None for a parameter whose grad is
+# None; "a*" re-binds "a" to a new tensor (the post-shot move), and "c" changes
+# shape under one name
+_LIVE_SETS = [
+    {"a": (3, 4), "b": (5,), "c": (2, 2)},
+    {"a": (3, 4), "b": None, "c": (2, 2)},
+    {"a": (3, 4), "b": None, "c": (2, 2)},
+    {"a": (3, 4), "b": (5,), "c": (2, 2)},
+    {"a*": (3, 4), "b": (5,), "c": (2, 2)},
+    {"a": (3, 4), "b": (5,), "c": (4,)},
+    {"a": None, "b": (5,), "c": (4,), "d": (1,)},
+    {"a": (3, 4), "b": (5,), "c": (2, 2), "d": (1,)},
+    {"a": (3, 4), "b": (5,), "c": (2, 2), "d": (1,)},
+]
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("schedule", [Constant(), Cosine(total_steps=len(_LIVE_SETS), warmup_ratio=0.25)],
+                         ids=["constant", "cosine"])
+def test_flat_optimizer_matches_per_tensor_loop_bit_for_bit(kind, schedule):
+    rng = np.random.default_rng(0)
+    spec = OptimizerSpec(kind=kind, lr=0.05, schedule=schedule)
+    opt, ref = Optimizer(spec), PerTensorOptimizer(kind, spec.beta1, spec.beta2, spec.eps)
+    params: dict[str, Tensor] = {}
+    for step, live in enumerate(_LIVE_SETS):
+        named = []
+        for key, shape in live.items():
+            name = key.rstrip("*")
+            p = params.get(name)
+            if p is None or key.endswith("*") or (shape is not None and p.data.shape != shape):
+                p = params[name] = _param(_draw(rng, shape))
+            p.grad = None if shape is None else _draw(rng, shape)
+            named.append((name, p))
+        twins = [(name, p.data.copy(), p.grad) for name, p in named]
+        lr = lr_at(step, spec)
+        assert opt.step(named) == lr
+        ref.step(twins, lr)
+        for (name, p), (_, data, _) in zip(named, twins):
+            assert p.data.tobytes() == data.tobytes(), (step, name)
+        if kind == "adam":
+            assert opt._state.keys() == ref.state.keys()
+            for name, (m, v) in opt._state.items():
+                assert m.tobytes() == ref.state[name]["m"].tobytes(), (step, name)
+                assert v.tobytes() == ref.state[name]["v"].tobytes(), (step, name)
+
+
+def test_optimizer_counts_a_negative_zero_gradient_as_positive_zero():
+    # an SGD step of -0.0 would turn a -0.0 parameter into +0.0; counted as
+    # +0.0 the gradient leaves it -0.0, as the zero-filled gradients did
+    p = _param([-0.0], grad=[-0.0])
+    Optimizer(OptimizerSpec(kind="sgd", lr=0.3)).step([("p", p)])
+    assert math.copysign(1.0, p.data[0]) == -1.0
 
 
 def test_optimizer_spec_validation():
