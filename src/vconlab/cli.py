@@ -286,6 +286,11 @@ class SeedResult:
     net: Network
     scheduler: BetaScheduler | None
 
+    @property
+    def transition_finished(self) -> bool:
+        """A vcon run whose beta reached 0: its blocks can be finalized."""
+        return self.scheduler is not None and self.scheduler.t >= self.scheduler.q
+
 
 def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_steps: int) -> SeedResult:
     start = time.perf_counter()
@@ -327,7 +332,7 @@ def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
                  out_dir / f"runlog_steps_seed{result.seed}.csv",
                  out_dir / f"runlog_epochs_seed{result.seed}.csv")
     save_network(result.net, out_dir / f"checkpoint_seed{result.seed}.vcnet", result.scheduler)
-    if result.scheduler is not None and result.scheduler.t >= result.scheduler.q:
+    if result.transition_finished:
         save_network(finalize(result.net), out_dir / f"finalized_seed{result.seed}.vcnet")
 
 
@@ -369,7 +374,10 @@ def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str,
     and return only its summary row and its validation curve."""
     result = run_single(exp, dataset, seed, mode, q)
     _write_seed_outputs(out_dir, result)
-    return {name: getattr(result, name) for name in _ROW_FIELDS}, result.log.epochs
+    row = {name: getattr(result, name) for name in _ROW_FIELDS}
+    if mode == "vcon":  # finalized_seed{S}.vcnet was written exactly when this is true
+        row["transition_finished"] = result.transition_finished
+    return row, result.log.epochs
 
 
 def _worker_count(tasks: int) -> int:

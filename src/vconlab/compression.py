@@ -476,34 +476,63 @@ class SvdResult:
 
 
 def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
-    # Hestenes rotations on column pairs until all pairs are orthogonal.
-    # Caller guarantees rows >= cols.
-    u = a.astype(np.float64).copy()
-    cols = u.shape[1]
-    v = np.eye(cols)
+    """Hestenes rotations on column pairs until all pairs are orthogonal.
+
+    Caller guarantees rows >= cols. Pairs (i, j), i < j, are visited in
+    cyclic row order each sweep; a pair rotates when |x.y| exceeds SVD_TOL
+    times sqrt(|x|^2 |y|^2), and the sweeps stop after one with no rotation
+    (at most SVD_MAX_SWEEPS).
+
+    The result is fixed bit for bit, not only to rounding: every dot is a
+    BLAS ddot over a strided column of a C-order (rows, cols) array, whose
+    stride picks the kernel and so the summation order, and each rotation
+    is ``c*x - s*y``, ``s*x + c*y`` per element. Each column's squared norm
+    is cached and recomputed, with that same dot, only after the column
+    rotates, so it equals the value a fresh dot would give. ``u`` sits on
+    top of ``v`` in one work array, so one set of in-place ops turns both.
+    ``tests/oracles.py`` keeps the plain per-pair loop that this must match.
+    """
+    rows, cols = a.shape
+    work = np.empty((rows + cols, cols))  # u over v, C-order
+    work[:rows] = a
+    work[rows:] = np.eye(cols)
+    u = work[:rows]
+    whole = [work[:, k] for k in range(cols)]
+    col = [u[:, k] for k in range(cols)]
+    dot = [x.dot for x in col]
+    sq = [float(dot[k](col[k])) for k in range(cols)]
+    tmp_y = np.empty(rows + cols)
+    tmp_x = np.empty(rows + cols)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for _ in range(SVD_MAX_SWEEPS):
         rotated = False
         for i in range(cols - 1):
+            dot_i = dot[i]
             for j in range(i + 1, cols):
-                x = u[:, i]
-                y = u[:, j]
-                pp = float(x @ x)
-                qq = float(y @ y)
-                pq = float(x @ y)
-                if abs(pq) <= SVD_TOL * math.sqrt(pp * qq):
+                pp = sq[i]
+                qq = sq[j]
+                pq = float(dot_i(col[j]))
+                if abs(pq) <= SVD_TOL * sqrt(pp * qq):
                     continue
                 rotated = True
                 zeta = (qq - pp) / (2.0 * pq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
+                t = copysign(1.0, zeta) / (abs(zeta) + hypot(1.0, zeta))
+                c = 1.0 / hypot(1.0, t)
                 s = c * t
-                u[:, i], u[:, j] = c * x - s * y, s * x + c * y
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
+                x = whole[i]
+                y = whole[j]
+                multiply(y, s, out=tmp_y)
+                multiply(x, s, out=tmp_x)
+                multiply(x, c, out=x)
+                subtract(x, tmp_y, out=x)  # c*x - s*y
+                multiply(y, c, out=y)
+                add(tmp_x, y, out=y)  # s*x + c*y
+                sq[i] = float(dot_i(col[i]))
+                sq[j] = float(dot[j](col[j]))
         if not rotated:
             break
+    v = work[rows:]
     sig = np.sqrt((u * u).sum(axis=0))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
@@ -518,7 +547,11 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
     """Best rank-r approximation factors of a 2-D matrix.
 
     Computed with one-sided Jacobi rotations (threshold 1e-12, at most 100
-    sweeps); singular values come back sorted non-increasing.
+    sweeps) on ``w``, or on ``w.T`` when ``w`` is wider than tall; singular
+    values come back sorted non-increasing. The factors are bit-for-bit
+    those of the plain per-pair Jacobi loop in ``tests/oracles.py`` (same
+    pair order, same strided dots, same rotation arithmetic), which the
+    tests check. A matrix with a NaN or infinite entry is a ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -526,6 +559,8 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
     n, m = w.shape
     if not (1 <= rank <= min(n, m)):
         raise ValueError(f"rank must be in [1, {min(n, m)}] for a {n}x{m} matrix, got {rank}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"truncated_svd needs finite entries; the {n}x{m} matrix has NaN or inf")
     if n >= m:
         u, sig, v = _one_sided_jacobi(w)
     else:

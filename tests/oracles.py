@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the
 package: finite-difference gradients, a two-sided Jacobi
-eigendecomposition of W^T W for singular values, and a loop-based MLP
-forward. Slow is fine; these only run on tiny inputs.
+eigendecomposition of W^T W for singular values, a loop-based MLP
+forward, and the per-pair one-sided Jacobi loop the SVD must match bit
+for bit. Slow is fine; these run on small inputs.
 """
 
 from __future__ import annotations
@@ -86,6 +87,56 @@ def singular_values_oracle(w: np.ndarray) -> np.ndarray:
     eig = jacobi_eigh(gram)
     return np.sqrt(np.clip(eig, 0.0, None))
 
+
+
+def per_pair_jacobi_svd(w: np.ndarray, rank: int, tol: float = 1e-12, max_sweeps: int = 100):
+    """Truncated SVD ``(u, singular_values, v)`` by the plain per-pair
+    one-sided Jacobi loop: three fresh strided dots per pair, a rotation built
+    from temporaries. The package's ``truncated_svd`` caches norms and rotates
+    in place, and must return these exact bytes."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[0] >= w.shape[1]:
+        u, sig, v = _per_pair_jacobi(w, tol, max_sweeps)
+    else:
+        v, sig, u = _per_pair_jacobi(w.T, tol, max_sweeps)
+    return u[:, :rank].copy(), sig[:rank].copy(), v[:, :rank].copy()
+
+
+def _per_pair_jacobi(a, tol, max_sweeps):
+    u = a.astype(np.float64).copy()
+    cols = u.shape[1]
+    v = np.eye(cols)
+    for _ in range(max_sweeps):
+        rotated = False
+        for i in range(cols - 1):
+            for j in range(i + 1, cols):
+                x = u[:, i]
+                y = u[:, j]
+                pp = float(x @ x)
+                qq = float(y @ y)
+                pq = float(x @ y)
+                if abs(pq) <= tol * math.sqrt(pp * qq):
+                    continue
+                rotated = True
+                zeta = (qq - pp) / (2.0 * pq)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                u[:, i], u[:, j] = c * x - s * y, s * x + c * y
+                vi = v[:, i].copy()
+                vj = v[:, j].copy()
+                v[:, i] = c * vi - s * vj
+                v[:, j] = s * vi + c * vj
+        if not rotated:
+            break
+    sig = np.sqrt((u * u).sum(axis=0))
+    order = np.argsort(-sig, kind="stable")
+    sig = sig[order]
+    u = u[:, order]
+    v = v[:, order]
+    nonzero = sig > 0.0
+    u[:, nonzero] = u[:, nonzero] / sig[nonzero]
+    return u, sig, v
 
 def mlp_forward(x, layers, activation="relu"):
     """Loop-based MLP forward: layers = [(W, b), ...], last layer linear."""

@@ -286,6 +286,8 @@ def test_train_vcon_writes_finalized_checkpoint_when_converged(tmp_path):
     report = inspect_data(tmp_path / "out" / "finalized_seed0.vcnet")
     assert report["scheduler"] is None
     assert all(b["kind"] == "compressed" for b in report["blocks"])
+    (row,) = read_summary(tmp_path / "out" / "summary.json")["per_seed"]
+    assert row["transition_finished"] is True
 
 
 def test_train_vcon_mid_transition_keeps_blend(tmp_path):
@@ -293,12 +295,27 @@ def test_train_vcon_mid_transition_keeps_blend(tmp_path):
     assert main(["train", "--config", str(path), "--quiet"]) == 0
     out = tmp_path / "out"
     assert not (out / "finalized_seed0.vcnet").exists()
+    (row,) = read_summary(out / "summary.json")["per_seed"]
+    assert row["transition_finished"] is False
     report = inspect_data(out / "checkpoint_seed0.vcnet")
     sched = report["scheduler"]
     assert sched["q"] == 1000
     assert sched["t"] == 8  # 2 epochs x 4 steps
     assert sched["phase"] == "transition"
     assert abs(sched["beta"] - (1.0 - 8 / 1000)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_low_rank_of_non_finite_weights_is_an_error(tmp_path, capsys, monkeypatch, bad):
+    def poisoned(sizes, seed, activation="relu"):
+        net = init_params(sizes, seed, activation)
+        net.blocks[1].weight.data[0, 0] = bad
+        return net
+
+    monkeypatch.setattr(cli, "init_params", poisoned)
+    path, _ = _write_config(tmp_path, compression={"kind": "low_rank", "rank": 1})
+    assert main(["train", "--config", str(path), "--quiet"]) == 1
+    assert "error: truncated_svd needs finite entries; the 3x8 matrix has NaN or inf" in capsys.readouterr().err
 
 
 def test_vcon_without_q_is_config_error(tmp_path, capsys):
@@ -332,6 +349,9 @@ def test_compare_post_shot_baseline(tmp_path):
     assert comp["baseline_mode"] == "post_shot"
     assert len(comp["per_seed"]) == 1
     assert math.isfinite(comp["per_seed"][0]["delta"])
+    # only the blended arm reports whether its transition finished
+    assert "transition_finished" not in read_summary(tmp_path / "out" / "baseline" / "summary.json")["per_seed"][0]
+    assert read_summary(tmp_path / "out" / "vcon" / "summary.json")["per_seed"][0]["transition_finished"] is True
 
 
 def test_post_shot_that_never_switches_is_config_error(tmp_path, capsys):
@@ -628,3 +648,15 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    p = tmp_path / "net.vcnet"
+    save_network(init_params([2, 4, 3], seed=0), p)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vconlab", "inspect", str(p)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "net.vcnet" in proc.stdout

@@ -33,9 +33,11 @@ from vconlab.compression import (
 )
 from vconlab.model import DenseBlock, init_params
 from vconlab.tensor import Tensor, backward, sum_all
+from vconlab.training import TrainConfig, make_synthetic, train
 
 from oracles import (
     finite_difference,
+    per_pair_jacobi_svd,
     rel_error,
     rerank_mask_oracle,
     singular_values_oracle,
@@ -388,6 +390,58 @@ def test_truncated_svd_error_nonincreasing_in_rank():
 def test_truncated_svd_rejects_bad_rank():
     with pytest.raises(ValueError, match="rank"):
         truncated_svd(np.ones((3, 4)), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncated_svd_rejects_non_finite_entries(bad):
+    w = np.ones((5, 4))
+    w[2, 1] = bad
+    with pytest.raises(ValueError, match="the 5x4 matrix has NaN or inf"):
+        truncated_svd(w, 2)
+
+
+def _assert_svd_matches_per_pair_loop(w, rank):
+    res = truncated_svd(w, rank)
+    u, sig, v = per_pair_jacobi_svd(w, rank)
+    assert res.u.tobytes() == u.tobytes() and res.u.shape == u.shape
+    assert res.singular_values.tobytes() == sig.tobytes()
+    assert res.v.tobytes() == v.tobytes() and res.v.shape == v.shape
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_truncated_svd_bit_identical_to_per_pair_loop_on_init_layers(seed):
+    # the low-rank benchmark's layers: 128x2, 128x128 and the wide 3x128
+    for block in init_params([2, 128, 128, 3], seed).blocks:
+        w = block.weight.data
+        _assert_svd_matches_per_pair_loop(w, min(16, *w.shape))
+
+
+def test_truncated_svd_bit_identical_to_per_pair_loop_after_adam():
+    ds = make_synthetic("spiral", classes=3, samples_per_class=100, seed=0)
+    net, log = train(init_params([2, 32, 32, 3], 0), ds, TrainConfig(epochs=22, batch_size=16, seed=0))
+    assert len(log.steps) >= 300
+    for block in net.blocks:
+        w = block.weight.data
+        _assert_svd_matches_per_pair_loop(w, min(w.shape))
+
+
+def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
+    rng = np.random.default_rng(53)
+    zero_and_twin = rng.normal(size=(12, 6))
+    zero_and_twin[:, 2] = 0.0
+    zero_and_twin[:, 4] = zero_and_twin[:, 1]
+    cases = [
+        zero_and_twin,
+        zero_and_twin.T,  # a zero row and two identical rows on the transposed path
+        rng.normal(size=(5, 9)),  # n < m
+        rng.normal(size=(1, 7)),
+        rng.normal(size=(7, 1)),
+        rng.normal(size=(1, 1)),
+        rng.normal(size=(9, 9)) * 1e-3,
+    ]
+    for w in cases:
+        for rank in sorted({1, min(w.shape)}):
+            _assert_svd_matches_per_pair_loop(w, rank)
 
 
 # --------------------------------------------------------------------------
