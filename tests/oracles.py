@@ -88,7 +88,6 @@ def singular_values_oracle(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-
 def per_pair_jacobi_svd(w: np.ndarray, rank: int, tol: float = 1e-12, max_sweeps: int = 100):
     """Truncated SVD ``(u, singular_values, v)`` by the plain per-pair
     one-sided Jacobi loop: three fresh strided dots per pair, a rotation built
@@ -137,6 +136,7 @@ def _per_pair_jacobi(a, tol, max_sweeps):
     nonzero = sig > 0.0
     u[:, nonzero] = u[:, nonzero] / sig[nonzero]
     return u, sig, v
+
 
 def mlp_forward(x, layers, activation="relu"):
     """Loop-based MLP forward: layers = [(W, b), ...], last layer linear."""

@@ -33,7 +33,7 @@ from vconlab.compression import (
 )
 from vconlab.model import DenseBlock, init_params
 from vconlab.tensor import Tensor, backward, sum_all
-from vconlab.training import TrainConfig, make_synthetic, train
+from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 
 from oracles import (
     finite_difference,
@@ -418,7 +418,8 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_on_init_layers(seed):
 
 def test_truncated_svd_bit_identical_to_per_pair_loop_after_adam():
     ds = make_synthetic("spiral", classes=3, samples_per_class=100, seed=0)
-    net, log = train(init_params([2, 32, 32, 3], 0), ds, TrainConfig(epochs=22, batch_size=16, seed=0))
+    cfg = TrainConfig(epochs=22, batch_size=16, seed=0, optimizer=OptimizerSpec(kind="adam", lr=1e-2))
+    net, log = train(init_params([2, 32, 32, 3], 0), ds, cfg)
     assert len(log.steps) >= 300
     for block in net.blocks:
         w = block.weight.data
