@@ -14,6 +14,8 @@ import math
 import numpy as np
 
 FD_STEP = 1e-5
+SVD_TOL = 1e-12  # the package's one-sided Jacobi threshold and sweep cap
+SVD_MAX_SWEEPS = 100
 
 
 def finite_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -88,24 +90,24 @@ def singular_values_oracle(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def per_pair_jacobi_svd(w: np.ndarray, rank: int, tol: float = 1e-12, max_sweeps: int = 100):
+def per_pair_jacobi_svd(w: np.ndarray, rank: int):
     """Truncated SVD ``(u, singular_values, v)`` by the plain per-pair
     one-sided Jacobi loop: three fresh strided dots per pair, a rotation built
     from temporaries. The package's ``truncated_svd`` caches norms and rotates
     in place, and must return these exact bytes."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] >= w.shape[1]:
-        u, sig, v = _per_pair_jacobi(w, tol, max_sweeps)
+        u, sig, v = _per_pair_jacobi(w)
     else:
-        v, sig, u = _per_pair_jacobi(w.T, tol, max_sweeps)
+        v, sig, u = _per_pair_jacobi(w.T)
     return u[:, :rank].copy(), sig[:rank].copy(), v[:, :rank].copy()
 
 
-def _per_pair_jacobi(a, tol, max_sweeps):
+def _per_pair_jacobi(a):
     u = a.astype(np.float64).copy()
     cols = u.shape[1]
     v = np.eye(cols)
-    for _ in range(max_sweeps):
+    for _ in range(SVD_MAX_SWEEPS):
         rotated = False
         for i in range(cols - 1):
             for j in range(i + 1, cols):
@@ -114,7 +116,7 @@ def _per_pair_jacobi(a, tol, max_sweeps):
                 pp = float(x @ x)
                 qq = float(y @ y)
                 pq = float(x @ y)
-                if abs(pq) <= tol * math.sqrt(pp * qq):
+                if abs(pq) <= SVD_TOL * math.sqrt(pp * qq):
                     continue
                 rotated = True
                 zeta = (qq - pp) / (2.0 * pq)
