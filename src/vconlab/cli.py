@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .compression import (
     CompressedBlock,
     CompressionSpec,
     ConfigError,
+    LowRankWarning,
     bit_footprint,
     compress_network,
     config_fields,
@@ -422,23 +424,33 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
     tasks and CPUs they are spread over forked worker processes. Each run writes
     its own files as soon as it ends. Results are taken in task order (arm by
     arm, seed by seed), so progress lines, each arm's summary.json (written after
-    its last seed) and the first failure do not depend on the worker count."""
+    its last seed) and the first failure do not depend on the worker count.
+
+    What compressing each layer warns about is printed once, here, before any
+    run starts; the runs, and the workers forked from this process, ignore
+    ``LowRankWarning`` so that no run repeats it."""
+    if any(arm.mode != "dense" for arm in arms):
+        for n, m in zip(exp.layer_sizes[1:], exp.layer_sizes):
+            for message in exp.compression.shape_warnings(n, m):
+                print(f"warning: {message}", file=sys.stderr)
     tasks = [(arm, seed) for arm in arms for seed in exp.seeds]
     jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, seed) for arm, seed in tasks]
     workers = _worker_count(len(tasks))
-    if workers == 1:
-        _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
-        return arms
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowRankWarning)
+        if workers == 1:
+            _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
+            return arms
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
-    try:
-        futures = [pool.submit(_run_task, *job) for job in jobs]
-        _collect(exp, tasks, (future.result() for future in futures), quiet)
-    finally:
-        # after a failure, runs not yet started are dropped and running ones finish
-        pool.shutdown(cancel_futures=True)
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
+        try:
+            futures = [pool.submit(_run_task, *job) for job in jobs]
+            _collect(exp, tasks, (future.result() for future in futures), quiet)
+        finally:
+            # after a failure, runs not yet started are dropped and running ones finish
+            pool.shutdown(cancel_futures=True)
     return arms
 
 
@@ -666,3 +678,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -83,6 +83,10 @@ class CompressionSpec:
     def describe(self, block: CompressedBlock) -> dict:
         return {}
 
+    def shape_warnings(self, n: int, m: int) -> list[str]:
+        """What compressing an n x m layer warns about (``LowRankWarning``)."""
+        return []
+
 
 class _MaskSpec(CompressionSpec):
     """Pruning: a 0/1 mask applied through the STE. Subclasses give the
@@ -273,6 +277,18 @@ class LowRank(CompressionSpec):
     def describe(self, block):
         return {"rank": block.a.data.shape[1]}
 
+    def shape_warnings(self, n, m):
+        r = min(self.rank, n, m)
+        out = [f"rank {self.rank} clamped to {r} for a {n}x{m} layer"] if r < self.rank else []
+        if r * (n + m) >= n * m:
+            out.append(f"rank {r} on a {n}x{m} layer stores {r * (n + m)} values vs {n * m} dense; no size benefit")
+        return out
+
+
+class LowRankWarning(UserWarning):
+    """A low-rank split whose rank was clamped, or whose factors are no smaller
+    than the weight."""
+
 
 FAMILIES: dict[str, type[CompressionSpec]] = {
     cls.kind: cls
@@ -365,9 +381,13 @@ def drop_smallest(scores: Array, drop: int) -> Array:
     """0/1 mask over the 1-D ``scores`` zeroing the ``drop`` smallest.
 
     The mask a stable sort would give (ties go by the smaller index, NaN
-    ranks above every number), found in linear time: the drop-th smallest
-    score is the threshold, everything below it goes, then the entries tied
-    at it in index order until ``drop`` are gone.
+    ranks above every number), found in linear time: ``np.partition``
+    gives the drop-th smallest score as the threshold. When it is a number
+    and exactly ``drop`` scores are <= it, those are the ones to go, and
+    one comparison builds the mask. Otherwise everything below the
+    threshold goes, then the entries tied at it in index order until
+    ``drop`` are gone. ``tests/oracles.py`` keeps the stable-sort masks
+    this must match.
     """
     if not drop:
         return np.ones(scores.size)
@@ -375,6 +395,9 @@ def drop_smallest(scores: Array, drop: int) -> Array:
     if np.isnan(thr):  # NaN compares false with everything: it ties only with NaN
         below, tied = ~np.isnan(scores), np.isnan(scores)
     else:
+        dropped = scores <= thr
+        if np.count_nonzero(dropped) == drop:
+            return 1.0 - dropped
         below, tied = scores < thr, scores == thr
     mask = np.logical_not(below).astype(np.float64)
     mask[np.flatnonzero(tied)[: drop - np.count_nonzero(below)]] = 0.0
@@ -383,7 +406,9 @@ def drop_smallest(scores: Array, drop: int) -> Array:
 
 def prune_layerwise(w: Array, sparsity: float) -> Array:
     """0/1 mask zeroing the floor(sparsity * size) smallest |w| entries."""
-    return prune_global([w], sparsity)[0]
+    _check_sparsity(sparsity)
+    w = np.asarray(w, dtype=np.float64)
+    return drop_smallest(magnitude_scores(w).ravel(), int(math.floor(sparsity * w.size))).reshape(w.shape)
 
 
 def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
@@ -407,11 +432,26 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     return masks
 
 
+_RANK_GROUP_MAX = 8  # widest group ranked pairwise; the passes grow with width**2, so wider ones sort
+_NAN_KEY = int(np.array(np.inf).view(np.int64)) + 1
+
+
 def prune_nm(w: Array, keep: int, group: int) -> Array:
     """N:M mask: ``keep`` largest-|w| entries survive per ``group`` columns.
 
     Groups run along the input (column) axis. A trailing group of width
     l < group keeps ceil(keep * l / group) entries.
+
+    Each entry's key is its magnitude's float64 bit pattern as an int64:
+    non-negative floats order like their bits, and every NaN gets one key
+    above +inf's. In a group (or trailing group) of at most
+    ``_RANK_GROUP_MAX`` columns an entry's rank is counted from pairwise
+    comparisons (entry i sorts before a later entry j exactly when
+    key_i <= key_j), all groups at once, and the ``keep`` highest ranks
+    survive; wider groups take the last ``keep`` of a stable argsort along
+    each group. The bool mask is built whole and converted to float once.
+    Both give the mask of the per-group stable-argsort loop kept in
+    ``tests/oracles.py``, bit for bit.
     """
     if not (1 <= keep <= group):
         raise ValueError(f"N:M pruning needs 1 <= N <= M, got {keep}:{group}")
@@ -419,16 +459,45 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     if w.ndim != 2:
         raise ShapeError(f"prune_nm expects a 2-D weight, got shape {w.shape}")
     n, m = w.shape
-    scores = magnitude_scores(w)
-    mask = np.zeros_like(w)
-    rows = np.arange(n)[:, None]
-    for start in range(0, m, group):
-        stop = min(start + group, m)
-        width = stop - start
-        kept = keep if width == group else -(-keep * width // group)
-        order = np.argsort(scores[:, start:stop], axis=1, kind="stable")
-        mask[rows, start + order[:, width - kept :]] = 1.0
-    return mask
+    kept = np.empty((n, m), dtype=bool)
+    full = m - m % group
+    if full:
+        kept[:, :full] = _top_ranked(w[:, :full].reshape(n, full // group, group), keep).reshape(n, full)
+    if full < m:  # a trailing group of width l keeps ceil(keep * l / group)
+        kept[:, full:] = _top_ranked(w[:, full:].reshape(n, 1, m - full), -(-keep * (m - full) // group))[:, 0]
+    return kept.astype(np.float64)
+
+
+def _magnitude_keys(w: Array) -> Array:
+    """int64 keys of |w|, C-contiguous in ``w``'s index order: the float64
+    bit patterns, which order like the non-negative floats, with every NaN
+    on one key just above +inf's."""
+    keys = np.abs(w, out=np.empty(w.shape)).view(np.int64)
+    return np.minimum(keys, _NAN_KEY, out=keys)
+
+
+def _top_ranked(w: Array, kept: int) -> Array:
+    """Bool mask over ``w`` (rows, groups, width) marking in each group the
+    ``kept`` entries a stable ascending sort of the magnitudes puts last.
+
+    Up to ``_RANK_GROUP_MAX`` wide, entry i's rank is the number of entries
+    sorted before it: it starts at i, as if every earlier entry came first,
+    and moves by one for each later entry j with key_j < key_i, which comes
+    first instead. Wider groups are sorted.
+    """
+    width = w.shape[-1]
+    if width > _RANK_GROUP_MAX:
+        top = np.zeros(w.shape, dtype=bool)
+        order = np.argsort(_magnitude_keys(w), axis=-1, kind="stable")
+        np.put_along_axis(top, order[..., width - kept :], True, axis=-1)
+        return top
+    keys = _magnitude_keys(w.transpose(2, 0, 1))  # one contiguous slice per position in the group
+    rank = np.repeat(np.arange(width, dtype=np.uint8), keys[0].size).reshape(keys.shape)  # stays below width
+    for i in range(width - 1):
+        later_first = (keys[i + 1 :] < keys[i]).view(np.uint8)
+        rank[i] += later_first.sum(axis=0, dtype=np.uint8)
+        rank[i + 1 :] -= later_first
+    return (rank >= width - kept).transpose(1, 2, 0)
 
 
 def prune_structured(w: Array, sparsity: float) -> Array:
@@ -484,25 +553,51 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     (at most SVD_MAX_SWEEPS).
 
     The result is fixed bit for bit, not only to rounding: every dot is a
-    BLAS ddot over a strided column of a C-order (rows, cols) array, whose
-    stride picks the kernel and so the summation order, and each rotation
-    is ``c*x - s*y``, ``s*x + c*y`` per element. Each column's squared norm
-    is cached and recomputed, with that same dot, only after the column
-    rotates, so it equals the value a fresh dot would give. ``u`` sits on
-    top of ``v`` in one work array, so one set of in-place ops turns both.
-    ``tests/oracles.py`` keeps the plain per-pair loop that this must match.
+    BLAS ddot over a non-unit stride, whose kernel adds in the same order
+    for any such stride, and each rotation is ``c*x - s*y``, ``s*x + c*y``
+    per element. Each column's squared norm is cached and recomputed, with
+    that same dot, only after the column rotates, so it equals the value a
+    fresh dot would give.
+
+    Column k of ``u`` over ``v`` lives in lane ``k % 2`` of row ``k // 2``
+    of one ``((cols + 1) // 2, 2 * (rows + cols))`` work array: two columns
+    interleaved at stride 2, so a rotation touches a few cache lines where
+    a column of a C-order matrix touches one per element, and one set of
+    in-place ops turns both ``u`` and ``v``. The columns go back into a
+    C-order ``(rows + cols, cols)`` array before the column sums, whose
+    bits depend on that layout. ``tests/oracles.py`` keeps the plain
+    per-pair loop that this must match.
     """
     rows, cols = a.shape
-    work = np.empty((rows + cols, cols))  # u over v, C-order
-    work[:rows] = a
-    work[rows:] = np.eye(cols)
+    work = _rotated_columns(a)
     u = work[:rows]
-    whole = [work[:, k] for k in range(cols)]
-    col = [u[:, k] for k in range(cols)]
+    v = work[rows:]
+    sig = np.sqrt((u * u).sum(axis=0))
+    order = np.argsort(-sig, kind="stable")
+    sig = sig[order]
+    u = u[:, order]
+    v = v[:, order]
+    nonzero = sig > 0.0
+    u[:, nonzero] = u[:, nonzero] / sig[nonzero]
+    return u, sig, v
+
+
+def _rotated_columns(a: Array) -> Array:
+    """The Jacobi loop of ``_one_sided_jacobi``: ``a`` (rows >= cols) over the
+    identity, with every column pair rotated until orthogonal, returned as a
+    C-order ``(rows + cols, cols)`` array."""
+    rows, cols = a.shape
+    height = rows + cols
+    lanes = np.zeros(((cols + 1) // 2, 2 * height))  # column k is lanes[k // 2, k % 2::2]
+    whole = [lanes[k // 2, k % 2 :: 2] for k in range(cols)]
+    for k, x in enumerate(whole):
+        x[:rows] = a[:, k]
+        x[rows + k] = 1.0
+    col = [x[:rows] for x in whole]
     dot = [x.dot for x in col]
     sq = [float(dot[k](col[k])) for k in range(cols)]
-    tmp_y = np.empty(rows + cols)
-    tmp_x = np.empty(rows + cols)
+    tmp_y = np.empty(height)
+    tmp_x = np.empty(height)
     multiply, subtract, add = np.multiply, np.subtract, np.add
     sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for _ in range(SVD_MAX_SWEEPS):
@@ -532,15 +627,10 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
                 sq[j] = float(dot[j](col[j]))
         if not rotated:
             break
-    v = work[rows:]
-    sig = np.sqrt((u * u).sum(axis=0))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    u = u[:, order]
-    v = v[:, order]
-    nonzero = sig > 0.0
-    u[:, nonzero] = u[:, nonzero] / sig[nonzero]
-    return u, sig, v
+    work = np.empty((height, cols))
+    for k, x in enumerate(whole):
+        work[:, k] = x
+    return work
 
 
 def truncated_svd(w: Array, rank: int) -> SvdResult:
@@ -550,8 +640,9 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
     sweeps) on ``w``, or on ``w.T`` when ``w`` is wider than tall; singular
     values come back sorted non-increasing. The factors are bit-for-bit
     those of the plain per-pair Jacobi loop in ``tests/oracles.py`` (same
-    pair order, same strided dots, same rotation arithmetic), which the
-    tests check. A matrix with a NaN or infinite entry is a ValueError.
+    pair order, same strided dots, same rotation arithmetic; only the
+    columns' layout in memory differs, see ``_one_sided_jacobi``), which
+    the tests check. A matrix with a NaN or infinite entry is a ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -650,21 +741,15 @@ def factorize_layer(block: DenseBlock, rank: int) -> CompressedBlock:
     """Split a dense layer into factors A = U, B = diag(s) V^T.
 
     The rank is clamped to min(n, m) when the layer is too skinny; a
-    warning also fires when r(n+m) >= nm, where the factors store no
-    fewer values than the dense weight.
+    ``LowRankWarning`` says so, and another fires when r(n+m) >= nm, where
+    the factors store no fewer values than the dense weight.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     n, m = block.weight.data.shape
     r = min(rank, n, m)
-    if r < rank:
-        warnings.warn(f"rank {rank} clamped to {r} for a {n}x{m} layer", stacklevel=2)
-    if r * (n + m) >= n * m:
-        warnings.warn(
-            f"rank {r} on a {n}x{m} layer stores {r * (n + m)} values vs {n * m} dense;"
-            " no size benefit",
-            stacklevel=2,
-        )
+    for message in LowRank(rank).shape_warnings(n, m):
+        warnings.warn(message, LowRankWarning, stacklevel=2)
     res = truncated_svd(block.weight.data, r)
     a = res.u
     b = res.singular_values[:, None] * res.v.T

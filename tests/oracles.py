@@ -226,6 +226,24 @@ def stable_sort_masks_oracle(layers, sparsity: float, rule: str) -> list[np.ndar
     return masks
 
 
+def per_group_nm_mask_oracle(w: np.ndarray, keep: int, group: int) -> np.ndarray:
+    """N:M mask by one stable argsort per group of columns: the loop the
+    package's ``prune_nm`` (ranks from int64 keys, one pass for all groups)
+    must reproduce bit for bit, NaN and ties included."""
+    w = np.asarray(w, dtype=np.float64)
+    n, m = w.shape
+    scores = np.abs(w)
+    mask = np.zeros_like(w)
+    rows = np.arange(n)[:, None]
+    for start in range(0, m, group):
+        stop = min(start + group, m)
+        width = stop - start
+        kept = keep if width == group else -(-keep * width // group)
+        order = np.argsort(scores[:, start:stop], axis=1, kind="stable")
+        mask[rows, start + order[:, width - kept :]] = 1.0
+    return mask
+
+
 class PerTensorOptimizer:
     """SGD or Adam one parameter at a time, with moments keyed by name: the
     loop the package's flat optimizer must reproduce bit for bit.

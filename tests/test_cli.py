@@ -427,6 +427,21 @@ def test_worker_that_dies_is_a_runtime_error(tmp_path, capfd, monkeypatch):
     assert not (tmp_path / "out" / "compare.json").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_low_rank_warnings_print_once_per_command(tmp_path, capfd, monkeypatch, workers):
+    # the 16x2 and 3x16 layers clamp rank 4 and gain nothing; the 16x16 one warns of nothing
+    _force_workers(monkeypatch, workers)
+    path, _ = _write_config(tmp_path, model={"layer_sizes": [2, 16, 16, 3]}, seeds=[0, 1], q_steps=4,
+                            compression={"kind": "low_rank", "rank": 4})
+    assert main(["compare", "--config", str(path), "--quiet", "--baseline", "post_shot"]) == 0
+    err = capfd.readouterr().err  # file-descriptor capture also sees the workers
+    messages = ["rank 4 clamped to 2 for a 16x2 layer",
+                "rank 2 on a 16x2 layer stores 36 values vs 32 dense; no size benefit",
+                "rank 4 clamped to 3 for a 3x16 layer",
+                "rank 3 on a 3x16 layer stores 57 values vs 48 dense; no size benefit"]
+    assert err.splitlines() == [f"warning: {message}" for message in messages]
+
+
 def test_progress_lines_come_in_task_order(tmp_path, capsys, monkeypatch):
     real_run = cli.run_single
 
@@ -648,6 +663,16 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_python_dash_m_on_the_cli_module_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vconlab.cli", "inspect", str(tmp_path / "missing.vcnet")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

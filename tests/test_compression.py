@@ -37,6 +37,7 @@ from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 
 from oracles import (
     finite_difference,
+    per_group_nm_mask_oracle,
     per_pair_jacobi_svd,
     rel_error,
     rerank_mask_oracle,
@@ -259,6 +260,25 @@ def test_masks_equal_the_stable_sort_bit_for_bit(data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# a NaN whose payload is not the default one's must still tie with every NaN
+_PAYLOAD_NAN = np.array(0x7FF8000000000123, dtype=np.int64).view(np.float64).item()
+_INF_PALETTE = st.sampled_from([math.inf, -math.inf, 1.0, -1.0, 0.0, -0.0, math.nan, _PAYLOAD_NAN, -_PAYLOAD_NAN])
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_nm_masks_equal_the_per_group_argsort_bit_for_bit(data):
+    # groups of 1-12 columns, on both sides of the pairwise-rank cutoff, with
+    # trailing groups, groups wider than the layer and keep == group
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 30))
+    palette = data.draw(st.sampled_from([*_PALETTES, _INF_PALETTE]))
+    w = np.array(data.draw(st.lists(palette, min_size=n * m, max_size=n * m)), dtype=np.float64).reshape(n, m)
+    group = data.draw(st.integers(1, 12))
+    keep = data.draw(st.sampled_from([1, group, data.draw(st.integers(1, group))]))
+    got, want = prune_nm(w, keep, group), per_group_nm_mask_oracle(w, keep, group)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_nan_scores_are_pruned_last_in_index_order():
     # threshold at NaN: every number goes first, then NaNs by flat index
     w = np.array([[math.nan, 1.0], [math.nan, 0.0]])
@@ -269,15 +289,24 @@ def test_nan_scores_are_pruned_last_in_index_order():
     assert np.array_equal(rows[:, 0], np.array([0.0, 0.0, 1.0]))
 
 
-@pytest.mark.parametrize("kind", ["prune_layer", "prune_global", "prune_structured"])
+_RUN_COMPRESSION = {
+    "prune_layer": {"kind": "prune_layer", "sparsity": 0.6},
+    "prune_global": {"kind": "prune_global", "sparsity": 0.6},
+    "prune_structured": {"kind": "prune_structured", "sparsity": 0.6},
+    "prune_nm_2_4": {"kind": "prune_nm", "keep": 2, "group": 4},
+    "prune_nm_3_8": {"kind": "prune_nm", "keep": 3, "group": 8},
+}
+
+
+@pytest.mark.parametrize("kind", list(_RUN_COMPRESSION))
 @pytest.mark.parametrize("mode", ["ste_standard", "vcon"])
 def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
-    # the same run with the masks built by the stable-sort oracle writes the
+    # the same run with the masks built by the stable-sort oracles writes the
     # same step logs and the same checkpoint bytes
     cfg = {
         "model": {"layer_sizes": [2, 8, 6, 3]},
         "dataset": {"kind": "spiral", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0},
-        "compression": {"kind": kind, "sparsity": 0.6},
+        "compression": _RUN_COMPRESSION[kind],
         "optimizer": {"kind": "adam", "lr": 0.05},
         "mode": mode, "q_steps": 5, "epochs": 3, "batch_size": 16, "seeds": [0, 1],
     }
@@ -292,6 +321,7 @@ def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
     monkeypatch.setattr(compression, "prune_global", lambda ws, s: stable_sort_masks_oracle(ws, s, "global"))
     monkeypatch.setattr(compression, "prune_layerwise", lambda w, s: stable_sort_masks_oracle([w], s, "layer")[0])
     monkeypatch.setattr(compression, "prune_structured", lambda w, s: stable_sort_masks_oracle([w], s, "rows")[0])
+    monkeypatch.setattr(compression, "prune_nm", per_group_nm_mask_oracle)
     assert run(tmp_path / "oracle") == shipped
     assert any(name.startswith("checkpoint_seed") for name in shipped)
     assert any(name.startswith("runlog_steps_seed") for name in shipped)
@@ -439,6 +469,8 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
         rng.normal(size=(7, 1)),
         rng.normal(size=(1, 1)),
         rng.normal(size=(9, 9)) * 1e-3,
+        rng.normal(size=(9, 7)),  # odd column count: the last column has no lane partner
+        rng.normal(size=(64, 64)),
     ]
     for w in cases:
         for rank in sorted({1, min(w.shape)}):
