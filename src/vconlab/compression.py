@@ -432,7 +432,7 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     return masks
 
 
-_RANK_GROUP_MAX = 8  # widest group ranked pairwise; the passes grow with width**2, so wider ones sort
+_RANK_GROUP_MAX = 8  # widest group ranked pairwise; from 9 columns up the per-group loop was faster on some layers
 _NAN_KEY = int(np.array(np.inf).view(np.int64)) + 1
 
 
@@ -442,15 +442,16 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     Groups run along the input (column) axis. A trailing group of width
     l < group keeps ceil(keep * l / group) entries.
 
-    Each entry's key is its magnitude's float64 bit pattern as an int64:
-    non-negative floats order like their bits, and every NaN gets one key
-    above +inf's. In a group (or trailing group) of at most
-    ``_RANK_GROUP_MAX`` columns an entry's rank is counted from pairwise
-    comparisons (entry i sorts before a later entry j exactly when
-    key_i <= key_j), all groups at once, and the ``keep`` highest ranks
-    survive; wider groups take the last ``keep`` of a stable argsort along
-    each group. The bool mask is built whole and converted to float once.
-    Both give the mask of the per-group stable-argsort loop kept in
+    Groups of at most ``_RANK_GROUP_MAX`` columns (trailing group included)
+    are ranked all at once. Each entry's key is its magnitude's float64 bit
+    pattern as an int64: non-negative floats order like their bits, and
+    every NaN gets one key above +inf's. An entry's rank is counted from
+    pairwise comparisons (entry i sorts before a later entry j exactly when
+    key_i <= key_j), the ``keep`` highest ranks survive, and the bool mask
+    is built whole and converted to float once. The passes grow with the
+    width squared: from 9 columns up they ran slower than one stable
+    argsort per group on the 3-row output layers, so wider groups keep
+    that loop. Both give the mask of the per-group loop kept in
     ``tests/oracles.py``, bit for bit.
     """
     if not (1 <= keep <= group):
@@ -459,13 +460,24 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     if w.ndim != 2:
         raise ShapeError(f"prune_nm expects a 2-D weight, got shape {w.shape}")
     n, m = w.shape
-    kept = np.empty((n, m), dtype=bool)
+    if group > _RANK_GROUP_MAX:
+        scores = magnitude_scores(w)
+        mask = np.zeros_like(w)
+        rows = np.arange(n)[:, None]
+        for start in range(0, m, group):
+            stop = min(start + group, m)
+            width = stop - start
+            kept = keep if width == group else -(-keep * width // group)
+            order = np.argsort(scores[:, start:stop], axis=1, kind="stable")
+            mask[rows, start + order[:, width - kept :]] = 1.0
+        return mask
+    top = np.empty((n, m), dtype=bool)
     full = m - m % group
     if full:
-        kept[:, :full] = _top_ranked(w[:, :full].reshape(n, full // group, group), keep).reshape(n, full)
+        top[:, :full] = _top_ranked(w[:, :full].reshape(n, full // group, group), keep).reshape(n, full)
     if full < m:  # a trailing group of width l keeps ceil(keep * l / group)
-        kept[:, full:] = _top_ranked(w[:, full:].reshape(n, 1, m - full), -(-keep * (m - full) // group))[:, 0]
-    return kept.astype(np.float64)
+        top[:, full:] = _top_ranked(w[:, full:].reshape(n, 1, m - full), -(-keep * (m - full) // group))[:, 0]
+    return top.astype(np.float64)
 
 
 def _magnitude_keys(w: Array) -> Array:
@@ -477,20 +489,15 @@ def _magnitude_keys(w: Array) -> Array:
 
 
 def _top_ranked(w: Array, kept: int) -> Array:
-    """Bool mask over ``w`` (rows, groups, width) marking in each group the
-    ``kept`` entries a stable ascending sort of the magnitudes puts last.
+    """Bool mask over ``w`` (rows, groups, width <= ``_RANK_GROUP_MAX``)
+    marking in each group the ``kept`` entries a stable ascending sort of
+    the magnitudes puts last.
 
-    Up to ``_RANK_GROUP_MAX`` wide, entry i's rank is the number of entries
-    sorted before it: it starts at i, as if every earlier entry came first,
-    and moves by one for each later entry j with key_j < key_i, which comes
-    first instead. Wider groups are sorted.
+    Entry i's rank is the number of entries sorted before it: it starts at
+    i, as if every earlier entry came first, and moves by one for each
+    later entry j with key_j < key_i, which comes first instead.
     """
     width = w.shape[-1]
-    if width > _RANK_GROUP_MAX:
-        top = np.zeros(w.shape, dtype=bool)
-        order = np.argsort(_magnitude_keys(w), axis=-1, kind="stable")
-        np.put_along_axis(top, order[..., width - kept :], True, axis=-1)
-        return top
     keys = _magnitude_keys(w.transpose(2, 0, 1))  # one contiguous slice per position in the group
     rank = np.repeat(np.arange(width, dtype=np.uint8), keys[0].size).reshape(keys.shape)  # stays below width
     for i in range(width - 1):

@@ -430,12 +430,21 @@ def test_truncated_svd_rejects_non_finite_entries(bad):
         truncated_svd(w, 2)
 
 
+# the package's dots run over stride 2 (its column lanes), the oracle's over
+# stride cols; the bytes agree only where the BLAS strided ddot adds in the
+# same order for every stride, as OpenBLAS's does
+_STRIDE_NOTE = (
+    "Jacobi factors differ from the per-pair loop's; if this BLAS is not OpenBLAS, "
+    "its strided ddot may add in a different order for stride 2 than for stride cols"
+)
+
+
 def _assert_svd_matches_per_pair_loop(w, rank):
     res = truncated_svd(w, rank)
     u, sig, v = per_pair_jacobi_svd(w, rank)
-    assert res.u.tobytes() == u.tobytes() and res.u.shape == u.shape
-    assert res.singular_values.tobytes() == sig.tobytes()
-    assert res.v.tobytes() == v.tobytes() and res.v.shape == v.shape
+    assert res.u.tobytes() == u.tobytes() and res.u.shape == u.shape, _STRIDE_NOTE
+    assert res.singular_values.tobytes() == sig.tobytes(), _STRIDE_NOTE
+    assert res.v.tobytes() == v.tobytes() and res.v.shape == v.shape, _STRIDE_NOTE
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
