@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,11 +24,12 @@ from .compression import (
     CompressedBlock,
     CompressionSpec,
     ConfigError,
-    LowRankWarning,
     bit_footprint,
     compress_network,
     config_fields,
+    config_kind,
     config_value,
+    reject_unknown,
     spec_from_dict,
     spec_to_dict,
 )
@@ -55,12 +55,6 @@ from .vcon import BetaScheduler, VconBlock, beta_at, finalize, wrap_network
 # --------------------------------------------------------------------------
 # Config schema
 
-_SCHEMA = {
-    "model": {"layer_sizes", "activation"},
-    "dataset": {"kind", "classes", "samples_per_class", "noise", "seed", "path"},
-    "optimizer": {"kind", "lr", "beta1", "beta2", "eps", "schedule"},
-    "schedule": {"kind", "warmup_ratio", "warmup_start_lr", "total_steps"},
-}
 DEFAULT_CONFIG = {
     "model": {"layer_sizes": [2, 16, 3], "activation": "relu"},
     "dataset": {"kind": "blobs", "classes": 3, "samples_per_class": 100, "noise": 0.1, "seed": 0},
@@ -78,17 +72,9 @@ DEFAULT_CONFIG = {
 }
 _TOP_KEYS = {*DEFAULT_CONFIG, "q_epochs", "q_steps"}
 _SYNTHETIC_NUMBERS = {"classes": int, "samples_per_class": int, "noise": float, "seed": int}
-_SCHEDULES = {"constant": Constant, "cosine": Cosine}
+_DATASET_FIELDS = {"blobs": _SYNTHETIC_NUMBERS, "spiral": _SYNTHETIC_NUMBERS, "csv": {"path": str}}
 _FLAGS = ("freeze_original", "freeze_mask", "eval_compressed_only")
 MODES = ("dense", "ste_standard", "post_shot", "vcon")
-
-
-def _reject_unknown(section: dict, allowed: set, prefix: str) -> None:
-    for key, value in section.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {prefix}{key}")
-        if key in _SCHEMA:
-            _reject_unknown(config_value(value, dict, prefix + key), _SCHEMA[key], f"{prefix}{key}.")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -168,42 +154,53 @@ def _int_list(value, key: str) -> list[int]:
     return [config_value(v, int, f"{key}[{i}]") for i, v in enumerate(config_value(value, list, key))]
 
 
+def _expect_distinct(values: list[int], key: str) -> None:
+    for i, value in enumerate(values):
+        _expect(value not in values[:i], f"{key}[{i}] must be distinct from {key}[{values.index(value)}], "
+                f"both are {value}")
+
+
 def _read_q(merged: dict, key: str) -> int | list[int] | None:
     q = merged.get(key)
     if q is not None:
         values = _int_list(q, key) if isinstance(q, list) else [config_value(q, int, key)]
         _expect(all(v >= 0 for v in values), f"{key} must be an integer >= 0 or a list of them")
+        _expect_distinct(values, key)
     return q
 
 
-def _read_dataset(ds: dict) -> dict:
-    kind = config_value(ds["kind"], str, "dataset.kind")
-    _expect(kind in ("blobs", "spiral", "csv"), f"dataset.kind must be blobs, spiral, or csv, got {kind!r}")
-    if kind == "csv":
+def _read_dataset(given: dict, ds) -> dict:
+    """The dataset section ``ds``, merged over the defaults. Its keys are
+    checked in ``given``, the user's own section, since the defaults add
+    synthetic numbers to a csv section too."""
+    ds = config_value(ds, dict, "dataset")
+    reject_unknown(given, {"kind", *config_kind(ds, _DATASET_FIELDS, "dataset.")}, "dataset.")
+    if ds["kind"] == "csv":
         _expect("path" in ds, "dataset.path is required for csv datasets")
-        return {"kind": kind, "path": config_value(ds["path"], str, "dataset.path")}
-    out = {"kind": kind, **{key: config_value(ds[key], t, f"dataset.{key}") for key, t in _SYNTHETIC_NUMBERS.items()}}
+        return {"kind": "csv", "path": config_value(ds["path"], str, "dataset.path")}
+    out = {"kind": ds["kind"], **{key: config_value(ds[key], t, f"dataset.{key}") for key, t in _SYNTHETIC_NUMBERS.items()}}
     _expect(out["classes"] >= 2, "dataset.classes must be >= 2")
     _expect(out["samples_per_class"] >= 1, "dataset.samples_per_class must be >= 1")
     _expect(out["noise"] >= 0.0, "dataset.noise must be >= 0")
     return out
 
 
-def _read_optimizer(section: dict) -> OptimizerSpec:
-    sched = section["schedule"]
-    kind = config_value(sched["kind"], str, "optimizer.schedule.kind")
-    _expect(kind in _SCHEDULES, f"optimizer.schedule.kind must be 'constant' or 'cosine', got {kind!r}")
-    schedule = config_fields(_SCHEDULES[kind], sched, "optimizer.schedule.")
+def _read_optimizer(section) -> OptimizerSpec:
+    section = config_value(section, dict, "optimizer")
+    sched = config_value(section["schedule"], dict, "optimizer.schedule")
+    cls = config_kind(sched, {"constant": Constant, "cosine": Cosine}, "optimizer.schedule.")
+    schedule = config_fields(cls, sched, "optimizer.schedule.")
     return config_fields(OptimizerSpec, section, "optimizer.", schedule=schedule)
 
 
 def validate_config(cfg: dict) -> ExperimentConfig:
     """Check ``cfg`` merged over ``DEFAULT_CONFIG``: every section must be an
     object and every value must already have its JSON type (``config_value``)."""
-    _reject_unknown(cfg, _TOP_KEYS, "")
+    reject_unknown(cfg, _TOP_KEYS, "")
     merged = _merge(DEFAULT_CONFIG, cfg)
 
-    model = merged["model"]
+    model = config_value(merged["model"], dict, "model")
+    reject_unknown(model, DEFAULT_CONFIG["model"], "model.")
     sizes = _int_list(model["layer_sizes"], "model.layer_sizes")
     _expect(len(sizes) >= 2 and min(sizes) >= 1, "model.layer_sizes must be a list of >= 2 positive integers")
     activation = config_value(model["activation"], str, "model.activation")
@@ -225,11 +222,12 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     _expect(bool(seeds), "seeds must be a non-empty list of integers")
     for i, seed in enumerate(seeds):
         _expect(0 <= seed < 2**63, f"seeds[{i}] must be an integer in [0, 2**63), got {seed}")
+    _expect_distinct(seeds, "seeds")
 
     return ExperimentConfig(
         layer_sizes=sizes,
         activation=activation,
-        dataset=_read_dataset(merged["dataset"]),
+        dataset=_read_dataset(cfg.get("dataset", {}), merged["dataset"]),
         compression=spec,
         optimizer=_read_optimizer(merged["optimizer"]),
         mode=mode,
@@ -427,8 +425,7 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
     its last seed) and the first failure do not depend on the worker count.
 
     What compressing each layer warns about is printed once, here, before any
-    run starts; the runs, and the workers forked from this process, ignore
-    ``LowRankWarning`` so that no run repeats it."""
+    run starts."""
     if any(arm.mode != "dense" for arm in arms):
         for n, m in zip(exp.layer_sizes[1:], exp.layer_sizes):
             for message in exp.compression.shape_warnings(n, m):
@@ -436,21 +433,19 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
     tasks = [(arm, seed) for arm in arms for seed in exp.seeds]
     jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, seed) for arm, seed in tasks]
     workers = _worker_count(len(tasks))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowRankWarning)
-        if workers == 1:
-            _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
-            return arms
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+    if workers == 1:
+        _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
+        return arms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
-        try:
-            futures = [pool.submit(_run_task, *job) for job in jobs]
-            _collect(exp, tasks, (future.result() for future in futures), quiet)
-        finally:
-            # after a failure, runs not yet started are dropped and running ones finish
-            pool.shutdown(cancel_futures=True)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
+    try:
+        futures = [pool.submit(_run_task, *job) for job in jobs]
+        _collect(exp, tasks, (future.result() for future in futures), quiet)
+    finally:
+        # after a failure, runs not yet started are dropped and running ones finish
+        pool.shutdown(cancel_futures=True)
     return arms
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Sequence, get_args, get_type_hints
 
@@ -56,7 +55,7 @@ class CompressionSpec:
     def compress(self, block: DenseBlock) -> CompressedBlock:
         weight = Tensor(block.weight.data.copy(), requires_grad=True)
         out = CompressedBlock(self, Tensor(block.bias.data.copy(), requires_grad=True), block.activation, weight)
-        out.refresh()
+        self.refresh([out])
         return out
 
     def refresh(self, blocks: Sequence[CompressedBlock], refresh_masks: bool = True) -> None:
@@ -84,7 +83,7 @@ class CompressionSpec:
         return {}
 
     def shape_warnings(self, n: int, m: int) -> list[str]:
-        """What compressing an n x m layer warns about (``LowRankWarning``)."""
+        """What compressing an n x m layer warns about; the CLI prints it once per command."""
         return []
 
 
@@ -101,7 +100,7 @@ class _MaskSpec(CompressionSpec):
 
     def effective_weight(self, block):
         if block.mask is None:
-            raise RuntimeError("pruned block used before refresh()")
+            raise RuntimeError("pruned block used before refresh_blocks()")
         mask = block.mask
         return ste_apply(block.weight, lambda w: w * mask)
 
@@ -110,7 +109,7 @@ class _MaskSpec(CompressionSpec):
 
     def write(self, block, w):
         if block.mask is None:
-            w.fail("pruned block has no mask; call refresh() first")
+            w.fail("pruned block has no mask; call refresh_blocks() first")
         super().write(block, w)
         w.bits(block.mask)
 
@@ -210,10 +209,10 @@ class BinaryQuant(CompressionSpec):
             blk.signs = ss.signs
 
     def effective_weight(self, block):
-        if block.alpha is None:
-            raise RuntimeError("binary block used before refresh()")
-        alpha = block.alpha
-        return ste_apply(block.weight, lambda w: alpha * np.where(w >= 0.0, 1.0, -1.0))
+        if block.signs is None:
+            raise RuntimeError("binary block used before refresh_blocks()")
+        weight = block.alpha * block.signs
+        return ste_apply(block.weight, lambda w: weight)
 
     def stored(self, n, m):
         return n * m  # every entry stays, shrunk to one bit
@@ -223,7 +222,7 @@ class BinaryQuant(CompressionSpec):
 
     def write(self, block, w):
         if block.alpha is None or block.signs is None:
-            w.fail("binary block has no derived state; call refresh() first")
+            w.fail("binary block has no derived state; call refresh_blocks() first")
         super().write(block, w)
         w.floats(np.float64(block.alpha))
         w.bits(block.signs > 0.0)
@@ -285,11 +284,6 @@ class LowRank(CompressionSpec):
         return out
 
 
-class LowRankWarning(UserWarning):
-    """A low-rank split whose rank was clamped, or whose factors are no smaller
-    than the weight."""
-
-
 FAMILIES: dict[str, type[CompressionSpec]] = {
     cls.kind: cls
     for cls in (PruneUnstructuredLayer, PruneUnstructuredGlobal, PruneNM, PruneStructured, BinaryQuant, LowRank)
@@ -311,15 +305,11 @@ def spec_from_dict(d: dict) -> CompressionSpec | None:
     """Read a compression section: ``kind`` plus the chosen family's fields,
     and no other key."""
     d = config_value(d, dict, "compression")
-    kind = config_value(d.get("kind"), str, "compression.kind")
-    cls = FAMILIES.get(kind)
-    if cls is None and kind != "none":
-        raise ConfigError(f"compression.kind must be 'none' or one of {', '.join(FAMILIES)}, got {kind!r}")
-    known = {"kind", *(f.name for f in fields(cls))} if cls else {"kind"}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"unknown config key: compression.{key}")
-    return None if cls is None else config_fields(cls, d, "compression.")
+    cls = config_kind(d, {"none": None, **FAMILIES}, "compression.")
+    if cls is None:
+        reject_unknown(d, {"kind"}, "compression.")
+        return None
+    return config_fields(cls, d, "compression.")
 
 
 # --------------------------------------------------------------------------
@@ -350,12 +340,30 @@ def config_value(value, kind, key: str):
     raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
+def reject_unknown(section: dict, allowed, prefix: str) -> None:
+    """Raise a ``ConfigError`` naming the first key of ``section`` not in ``allowed``."""
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+
+
+def config_kind(section: dict, kinds: dict, prefix: str):
+    """The value ``kinds`` maps the section's ``kind`` to; any other kind is
+    a ``ConfigError`` listing the ones there are."""
+    kind = config_value(section.get("kind"), str, prefix + "kind")
+    if kind not in kinds:
+        raise ConfigError(f"{prefix}kind must be one of {', '.join(kinds)}, got {kind!r}")
+    return kinds[kind]
+
+
 def config_fields(cls, section: dict, prefix: str, **given):
     """Build the dataclass ``cls`` from a JSON object: each field present in
     ``section`` goes through ``config_value`` with its declared type, an absent
-    one takes its default, and ``given`` fields are passed as they are. A
-    ``ValueError`` from the class is a ``ConfigError`` under the prefix, so each
-    class's message starts with the name of the field it rejects."""
+    one takes its default, and ``given`` fields are passed as they are. A key
+    that is neither a field nor ``kind`` is a ``ConfigError``, and so is a
+    ``ValueError`` from the class, under the prefix, so each class's message
+    starts with the name of the field it rejects."""
+    reject_unknown(section, {"kind", *(f.name for f in fields(cls))}, prefix)
     types = get_type_hints(cls)
     values = dict(given)
     for f in fields(cls):
@@ -711,14 +719,6 @@ class CompressedBlock:
     def out_dim(self) -> int:
         return self.a.data.shape[0] if self.weight is None else self.weight.data.shape[0]
 
-    def refresh(self) -> None:
-        """Recompute derived state (mask / scale) from the current weight.
-
-        Global pruning refreshed through this method sees only this block;
-        use ``refresh_blocks`` to share the threshold across layers.
-        """
-        self.spec.refresh([self])
-
     def forward(self, x: Tensor) -> Tensor:
         return apply_activation(self.spec.linear(self, x), self.activation)
 
@@ -747,16 +747,13 @@ def compress_block(block: DenseBlock, spec: CompressionSpec) -> CompressedBlock:
 def factorize_layer(block: DenseBlock, rank: int) -> CompressedBlock:
     """Split a dense layer into factors A = U, B = diag(s) V^T.
 
-    The rank is clamped to min(n, m) when the layer is too skinny; a
-    ``LowRankWarning`` says so, and another fires when r(n+m) >= nm, where
-    the factors store no fewer values than the dense weight.
+    The rank is clamped to min(n, m) when the layer is too skinny
+    (``LowRank.shape_warnings`` names that case, and the one where the
+    factors store no fewer values than the dense weight).
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    n, m = block.weight.data.shape
-    r = min(rank, n, m)
-    for message in LowRank(rank).shape_warnings(n, m):
-        warnings.warn(message, LowRankWarning, stacklevel=2)
+    r = min(rank, *block.weight.data.shape)
     res = truncated_svd(block.weight.data, r)
     a = res.u
     b = res.singular_values[:, None] * res.v.T

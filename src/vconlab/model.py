@@ -76,10 +76,6 @@ class Network:
     def input_dim(self) -> int:
         return self.blocks[0].in_dim
 
-    @property
-    def output_dim(self) -> int:
-        return self.blocks[-1].out_dim
-
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ShapeError(

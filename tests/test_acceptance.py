@@ -8,7 +8,6 @@ is the corresponding FAIL line. Budgets are wall-clock ceilings, asserted.
 import json
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,25 +95,23 @@ def test_a2_blend_endpoint_exactness():
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(-2.0, 2.0, size=(50, 2)))
     dense = init_params([2, 16, 16, 3], seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for spec in ALL_VARIANTS:
-            sch = BetaScheduler(q=10)
-            blended = wrap_network(dense, spec, sch)
+    for spec in ALL_VARIANTS:
+        sch = BetaScheduler(q=10)
+        blended = wrap_network(dense, spec, sch)
 
-            assert np.array_equal(blended.forward(x).data, dense.forward(x).data)  # beta = 1
+        assert np.array_equal(blended.forward(x).data, dense.forward(x).data)  # beta = 1
+        sch.t = sch.q
+        assert np.array_equal(blended.forward(x).data, blended.forward_compressed(x).data)  # beta = 0
+
+        for vb in blended.blocks:  # affinity, block by block
+            xb = Tensor(rng.uniform(-2.0, 2.0, size=(50, vb.in_dim)))
+            sch.t = 0
+            hi = vb.forward(xb).data
             sch.t = sch.q
-            assert np.array_equal(blended.forward(x).data, blended.forward_compressed(x).data)  # beta = 0
-
-            for vb in blended.blocks:  # affinity, block by block
-                xb = Tensor(rng.uniform(-2.0, 2.0, size=(50, vb.in_dim)))
-                sch.t = 0
-                hi = vb.forward(xb).data
-                sch.t = sch.q
-                lo = vb.forward(xb).data
-                sch.t = 5  # beta = 0.5
-                mid = vb.forward(xb).data
-                assert np.max(np.abs(mid - 0.5 * (hi + lo))) <= 1e-12
+            lo = vb.forward(xb).data
+            sch.t = 5  # beta = 0.5
+            mid = vb.forward(xb).data
+            assert np.max(np.abs(mid - 0.5 * (hi + lo))) <= 1e-12
     _done("A2", t0, 5.0, f"{len(ALL_VARIANTS)} variants on 2-16-16-3 nets, 50 inputs: endpoints bit-equal, midpoint affine <= 1e-12")
 
 
@@ -122,19 +119,17 @@ def test_a3_q_zero_degeneracy():
     t0 = time.perf_counter()
     ds = make_synthetic("blobs", classes=3, samples_per_class=300, seed=0)
     opt = OptimizerSpec(kind="adam", lr=1e-3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for spec in (PruneUnstructuredLayer(0.9), BinaryQuant(), LowRank(4)):
-            ste = compress_network(init_params([2, 16, 16, 3], seed=1), spec)
-            _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
+    for spec in (PruneUnstructuredLayer(0.9), BinaryQuant(), LowRank(4)):
+        ste = compress_network(init_params([2, 16, 16, 3], seed=1), spec)
+        _, ste_log = train(ste, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
 
-            blended = wrap_network(init_params([2, 16, 16, 3], seed=1), spec, BetaScheduler(q=0))
-            _, vcon_log = train(blended, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
+        blended = wrap_network(init_params([2, 16, 16, 3], seed=1), spec, BetaScheduler(q=0))
+        _, vcon_log = train(blended, ds, TrainConfig(epochs=3, batch_size=32, seed=1, optimizer=opt))
 
-            assert ste_log == vcon_log, f"{spec}: trajectories differ"
-            branch_params = [(n, p) for n, p in blended.named_parameters() if "branch" in n]
-            for (_, p_ste), (_, p_v) in zip(ste.named_parameters(), branch_params):
-                assert np.array_equal(p_ste.data, p_v.data)
+        assert ste_log == vcon_log, f"{spec}: trajectories differ"
+        branch_params = [(n, p) for n, p in blended.named_parameters() if "branch" in n]
+        for (_, p_ste), (_, p_v) in zip(ste.named_parameters(), branch_params):
+            assert np.array_equal(p_ste.data, p_v.data)
     _done("A3", t0, 60.0, "vcon(Q=0) bit-identical to ste_standard over 3 epochs on 3x300 blobs for pruning-0.9, binary, low-rank-4")
 
 
@@ -189,24 +184,22 @@ def test_a4_gradient_suite():
             _fd_trial(rng, build)
 
     # low-rank forward: gradients flow through both factors and the bias
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(100):
-            block = compress_block(
-                DenseBlock(t((3, 4)), t((3,)), "gelu"), LowRank(2)
-            )
-            x = Tensor(rng.uniform(-2, 2, size=(4, 4)))
-            backward(sum_all(block.forward(x)))
-            for name, p in block.named_parameters():
-                saved = p.data.copy()
+    for _ in range(100):
+        block = compress_block(
+            DenseBlock(t((3, 4)), t((3,)), "gelu"), LowRank(2)
+        )
+        x = Tensor(rng.uniform(-2, 2, size=(4, 4)))
+        backward(sum_all(block.forward(x)))
+        for name, p in block.named_parameters():
+            saved = p.data.copy()
 
-                def f(values, p=p):
-                    p.data[...] = values
-                    out = float(sum_all(block.forward(x)).data)
-                    p.data[...] = saved
-                    return out
+            def f(values, p=p):
+                p.data[...] = values
+                out = float(sum_all(block.forward(x)).data)
+                p.data[...] = saved
+                return out
 
-                assert rel_error(p.grad, finite_difference(f, saved.copy())) <= 1e-4, name
+            assert rel_error(p.grad, finite_difference(f, saved.copy())) <= 1e-4, name
 
     # STE: gradient wrt the full-precision weights is the identity-Jacobian
     # pullback, exactly equal to the dense gradient at the transformed point

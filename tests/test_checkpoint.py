@@ -1,7 +1,6 @@
 import functools
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +19,11 @@ from vconlab.compression import (
     PruneUnstructuredGlobal,
     PruneUnstructuredLayer,
     compress_network,
+    refresh_blocks,
 )
 from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
 from vconlab.vcon import BetaScheduler, wrap_network
-
-pytestmark = pytest.mark.filterwarnings("ignore:.*no size benefit.*")
 
 SPECS = [
     PruneUnstructuredLayer(0.5),
@@ -118,7 +116,7 @@ def test_signs_of_exact_zero_weights_roundtrip(tmp_path):
     # sign(0) = +1 must survive the bit packing
     net = compress_network(init_params([2, 3], seed=6), BinaryQuant())
     net.blocks[0].weight.data[0, 0] = 0.0
-    net.blocks[0].refresh()
+    refresh_blocks(net.blocks)
     assert net.blocks[0].signs[0, 0] == 1.0
     p = tmp_path / "net.vcnet"
     save_network(net, p)
@@ -332,8 +330,7 @@ def test_fuzz_specs_cover_every_family():
 def _fuzz_file(kind: str) -> bytes:
     """A mid-transition blended network under the family's sample spec."""
     spec = next(spec for spec in SPECS if spec.kind == kind)
-    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # low rank on tiny layers has no size benefit
+    with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "net.vcnet"
         save_network(wrap_network(init_params([3, 4, 2], seed=11), spec, BetaScheduler(q=7, t=3)), p)
         return p.read_bytes()

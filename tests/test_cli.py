@@ -148,6 +148,14 @@ CONFIG_ERRORS = [
     pytest.param({"compression": {"kind": "binary", "sparsity": 0.9}}, UNKNOWN + "compression.sparsity",
                  id="binary-sparsity"),
     pytest.param({"compression": {"kind": "none", "rank": 3}}, UNKNOWN + "compression.rank", id="none-rank"),
+    pytest.param({"optimizer": {"schedule": {"kind": "constant", "warmup_ratio": 0.5}}},
+                 UNKNOWN + "optimizer.schedule.warmup_ratio", id="constant-warmup_ratio"),
+    pytest.param({"dataset": {"kind": "blobs", "path": "x.csv"}}, UNKNOWN + "dataset.path", id="blobs-path"),
+    pytest.param({"dataset": {"kind": "csv", "path": "x.csv", "noise": 5.0}}, UNKNOWN + "dataset.noise",
+                 id="csv-noise"),
+    pytest.param({"seeds": [0, 1, 0]}, "seeds[2]", id="seeds-repeated"),
+    pytest.param({"mode": "vcon", "q_steps": [2, 2]}, "q_steps[1]", id="q_steps-repeated"),
+    pytest.param({"mode": "vcon", "q_epochs": [1, 3, 1]}, "q_epochs[2]", id="q_epochs-repeated"),
 ]
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -501,9 +500,7 @@ def _dense(n, m, seed=0, activation="none"):
 
 def test_factorize_identity_recovers_exactly():
     block = DenseBlock(Tensor(np.eye(3)), Tensor(np.zeros(3)), "none")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fac = factorize_layer(block, 3)
+    fac = factorize_layer(block, 3)
     assert np.linalg.norm(fac.a.data @ fac.b.data - np.eye(3)) <= 1e-8
 
 
@@ -514,26 +511,26 @@ def test_factorize_diag_rank_one():
 
 
 def test_factorize_param_count_100x100_r16():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        block = _dense(100, 100, seed=1)
-        fac = factorize_layer(block, 16)
+    block = _dense(100, 100, seed=1)
+    fac = factorize_layer(block, 16)
     assert fac.a.data.size + fac.b.data.size == 3200
     assert fac.param_count() == 3200 + 100
 
 
-@pytest.mark.filterwarnings("ignore:.*no size benefit.*")
 def test_factorize_clamps_oversized_rank():
-    with pytest.warns(UserWarning, match="clamped"):
-        fac = factorize_layer(_dense(16, 2, seed=2), 4)
+    fac = factorize_layer(_dense(16, 2, seed=2), 4)
     assert fac.a.data.shape == (16, 2)
     assert fac.b.data.shape == (2, 2)
+    assert LowRank(4).shape_warnings(16, 2) == [
+        "rank 4 clamped to 2 for a 16x2 layer",
+        "rank 2 on a 16x2 layer stores 36 values vs 32 dense; no size benefit",
+    ]
 
 
-def test_factorize_warns_when_no_size_benefit():
+def test_low_rank_shape_warnings_name_no_size_benefit():
     # r(n+m) >= nm: rank 3 on a 4x4 layer stores 24 >= 16 values
-    with pytest.warns(UserWarning, match="no size benefit"):
-        factorize_layer(_dense(4, 4, seed=3), 3)
+    assert LowRank(3).shape_warnings(4, 4) == ["rank 3 on a 4x4 layer stores 24 values vs 16 dense; no size benefit"]
+    assert LowRank(16).shape_warnings(100, 100) == []
 
 
 # --------------------------------------------------------------------------
@@ -558,9 +555,7 @@ def test_binary_on_constant_magnitude_matrix_is_exact():
 
 def test_low_rank_full_rank_forward_close_to_dense():
     block = _dense(4, 4, seed=8, activation="relu")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        comp = compress_block(block, LowRank(4))
+    comp = compress_block(block, LowRank(4))
     x = np.random.default_rng(9).uniform(-2, 2, size=(6, 4))
     assert np.max(np.abs(comp.forward(Tensor(x)).data - block.forward(Tensor(x)).data)) <= 1e-6
 
@@ -584,9 +579,7 @@ def test_ste_gradient_equals_dense_gradient_at_transformed_point():
 
 def test_low_rank_gradients_match_finite_differences():
     block = _dense(4, 3, seed=12, activation="relu")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        comp = compress_block(block, LowRank(2))
+    comp = compress_block(block, LowRank(2))
     x = np.random.default_rng(13).uniform(-2, 2, size=(5, 3))
     backward(sum_all(comp.forward(Tensor(x))))
     for name, p in comp.named_parameters():
@@ -609,7 +602,7 @@ def test_refresh_swaps_mask_after_rerank():
     # boost the pruned weight, kill a kept one, re-rank
     comp.weight.data[0, 1] = 5.0
     comp.weight.data[0, 0] = 0.0
-    comp.refresh()
+    refresh_blocks([comp])
     assert comp.mask[0, 1] == 1.0
     assert comp.mask[0, 0] == 0.0
 
@@ -637,6 +630,18 @@ def test_freeze_mask_blocks_mask_refresh_but_not_alpha():
     refresh_blocks([pruned, binary], refresh_masks=False)
     assert np.array_equal(pruned.mask, old_mask)
     assert binary.alpha == 2.0 * old_alpha
+
+
+def test_binary_forward_uses_the_signs_of_the_last_refresh():
+    # like a pruning mask, the signs change only when the block is refreshed
+    block = compress_block(_dense(3, 4, seed=20), BinaryQuant())
+    x = Tensor(np.random.default_rng(21).uniform(-2, 2, size=(5, 4)))
+    alpha, signs = block.alpha, block.signs.copy()
+    block.weight.data[...] = -block.weight.data
+    assert np.array_equal(block.forward(x).data, x.data @ (alpha * signs).T + block.bias.data)
+    refresh_blocks([block])
+    assert np.array_equal(block.signs, -signs)
+    assert np.array_equal(block.forward(x).data, x.data @ (alpha * -signs).T + block.bias.data)
 
 
 def test_compressed_forward_requires_refresh():

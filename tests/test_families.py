@@ -26,8 +26,6 @@ from vconlab.compression import (
 from vconlab.model import init_params
 from vconlab.vcon import BetaScheduler, wrap_network
 
-pytestmark = pytest.mark.filterwarnings("ignore:.*no size benefit.*")
-
 SIZES = [2, 16, 16, 3]
 SAMPLES = {
     "prune_layer": PruneUnstructuredLayer(0.5),

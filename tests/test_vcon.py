@@ -15,9 +15,6 @@ from vconlab.vcon import BetaScheduler, VconBlock, beta_at, finalize, schedulers
 
 from oracles import finite_difference, rel_error
 
-# tiny layers used here legitimately trip the low-rank size warning
-pytestmark = pytest.mark.filterwarnings("ignore:.*no size benefit.*")
-
 VARIANTS = [PruneUnstructuredLayer(0.5), BinaryQuant(), LowRank(2)]
 
 
@@ -216,12 +213,8 @@ def test_graph_has_one_node_per_affine_layer():
 
 
 def test_blended_lowrank_gradients_match_finite_differences():
-    import warnings
-
     net = init_params([3, 3], seed=14)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        blended = wrap_network(net, LowRank(2), BetaScheduler(q=4, t=1))
+    blended = wrap_network(net, LowRank(2), BetaScheduler(q=4, t=1))
     x = Tensor(np.random.default_rng(15).uniform(-2, 2, size=(5, 3)))
     backward(sum_all(blended.forward(x)))
     for name, p in blended.named_parameters():
@@ -261,13 +254,9 @@ def test_finalize_mid_transition_raises():
 
 @pytest.mark.parametrize("spec", VARIANTS, ids=["prune", "binary", "lowrank"])
 def test_finalize_matches_direct_compression_counts(spec):
-    import warnings
-
     net = init_params([4, 8, 8, 3], seed=18)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        blended = wrap_network(net, spec, BetaScheduler(q=3, t=3))
-        direct = compress_network(net, spec)
+    blended = wrap_network(net, spec, BetaScheduler(q=3, t=3))
+    direct = compress_network(net, spec)
     done = finalize(blended)
     assert done.param_count() == direct.param_count()
     # and the finalized net really dropped the originals
