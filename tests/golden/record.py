@@ -4,7 +4,9 @@ The matrix runs every compression family on a tiny spiral config
 (``[2, 16, 16, 3]``, 60 points per class, 3 epochs, seeds 0 and 1): a
 ``compare`` against ``ste_standard``, a ``compare`` against ``post_shot``,
 and a ``sweep-q`` over Q = 0, 1 and 100 steps (past the run's 12, so one
-vcon run stays mid-transition). Each command runs in the working directory
+vcon run stays mid-transition). On ``prune_layer`` it also runs one
+``compare`` with each run flag of ``FLAGS`` on, and one ``sweep-q`` with all
+three on. Each command runs in the working directory
 with a relative ``output_dir``, so no written file names a temporary path.
 Keys are the written files' relative paths, plus ``<output_dir>/(stderr)``
 for what the command printed there and ``<file>.vcnet (inspect)`` for
@@ -56,6 +58,7 @@ FAMILIES = {
     "binary": {"kind": "binary"},
     "low_rank": {"kind": "low_rank", "rank": 4},
 }
+FLAGS = ("freeze_original", "freeze_mask", "eval_compressed_only")
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -66,6 +69,11 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"{name}/ste", ["compare", *compression, "--set", "q_epochs=1"]))
         out.append((f"{name}/post_shot", ["compare", "--baseline", "post_shot", *compression, "--set", "q_epochs=1"]))
         out.append((f"{name}/sweep", ["sweep-q", *compression, "--set", "q_steps=[0,1,100]"]))
+    compression = ["--set", "compression=" + json.dumps(FAMILIES["prune_layer"])]
+    flags = [arg for flag in FLAGS for arg in ("--set", f"{flag}=true")]
+    for flag in FLAGS:
+        out.append((f"flags/{flag}", ["compare", *compression, "--set", "q_epochs=1", "--set", f"{flag}=true"]))
+    out.append(("flags/sweep", ["sweep-q", *compression, "--set", "q_steps=[0,1,100]", *flags]))
     return out
 
 
