@@ -57,6 +57,7 @@ from .vcon import (
     BetaScheduler,
     VconBlock,
     beta_at,
+    compressed_view,
     finalize,
     schedulers_of,
     wrap_network,

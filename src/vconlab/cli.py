@@ -49,7 +49,7 @@ from .training import (
     write_runlog,
 )
 from .training import evaluate as _evaluate
-from .vcon import BetaScheduler, VconBlock, beta_at, finalize, wrap_network
+from .vcon import BetaScheduler, VconBlock, beta_at, compressed_view, finalize, wrap_network
 
 
 # --------------------------------------------------------------------------
@@ -315,15 +315,10 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     net, log = train(net, dataset, cfg)
     x_test, y_test = dataset.split("test")
     test_acc = _evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only)
-    compressed_count = _compressed_param_count(net)
+    compressed_count = compressed_view(net).param_count()  # what remains once originals are dropped
     elapsed = time.perf_counter() - start
     best_val = max((acc for _, acc in log.epochs if not math.isnan(acc)), default=float("nan"))
     return SeedResult(seed, test_acc, best_val, dense_count, compressed_count, elapsed, log, net, scheduler)
-
-
-def _compressed_param_count(net: Network) -> int:
-    # count the structure that remains once originals are dropped
-    return sum(getattr(block, "branch", block).param_count() for block in net.blocks)
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
@@ -573,8 +568,7 @@ def inspect_data(path) -> dict:
     report["scheduler"] = None if scheduler is None else {
         "q": scheduler.q, "t": scheduler.t, "beta": beta_at(scheduler.t, scheduler.q), "phase": scheduler.phase,
     }
-    for i, block in enumerate(net.blocks):
-        comp = getattr(block, "branch", block)
+    for i, (block, comp) in enumerate(zip(net.blocks, compressed_view(net).blocks)):
         entry = {"kind": "dense", "compression": "none", "out_dim": block.out_dim, "in_dim": block.in_dim,
                  "activation": comp.activation}
         if isinstance(comp, CompressedBlock):

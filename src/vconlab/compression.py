@@ -727,8 +727,6 @@ class CompressedBlock:
             return [("a", self.a), ("b", self.b), ("bias", self.bias)]
         return [("weight", self.weight), ("bias", self.bias)]
 
-    trainable_parameters = named_parameters
-
     def param_count(self) -> int:
         """Stored parameters after discarding what the transform drops.
 

@@ -52,8 +52,6 @@ class DenseBlock:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
 
-    trainable_parameters = named_parameters
-
     def param_count(self) -> int:
         return self.weight.data.size + self.bias.data.size
 
@@ -76,32 +74,17 @@ class Network:
     def input_dim(self) -> int:
         return self.blocks[0].in_dim
 
-    def _check_input(self, x: Tensor) -> None:
+    def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
             raise ShapeError(
                 f"forward: expected input shape (batch, {self.input_dim}), got {x.data.shape}"
             )
-
-    def forward(self, x: Tensor) -> Tensor:
-        self._check_input(x)
         for block in self.blocks:
             x = block.forward(x)
         return x
 
-    def forward_compressed(self, x: Tensor) -> Tensor:
-        """Forward ignoring any blend: blocks that carry a compressed branch
-        evaluate it alone; plain blocks run as usual."""
-        self._check_input(x)
-        for block in self.blocks:
-            fwd = getattr(block, "forward_compressed", block.forward)
-            x = fwd(x)
-        return x
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"blocks.{i}.{n}", p) for i, b in enumerate(self.blocks) for n, p in b.named_parameters()]
-
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f"blocks.{i}.{n}", p) for i, b in enumerate(self.blocks) for n, p in b.trainable_parameters()]
 
     def param_count(self) -> int:
         return sum(block.param_count() for block in self.blocks)

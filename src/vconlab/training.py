@@ -20,7 +20,7 @@ import numpy as np
 from .compression import CompressedBlock, CompressionSpec, compress_block, refresh_blocks
 from .model import DenseBlock, Network
 from .tensor import Tensor, backward, softmax_cross_entropy
-from .vcon import schedulers_of
+from .vcon import compressed_view, schedulers_of
 
 Array = np.ndarray
 
@@ -402,8 +402,8 @@ def batch_order(seed: int, epoch: int, n_train: int) -> Array:
 
 def refresh_network(net: Network, refresh_masks: bool = True) -> None:
     """Re-derive masks/scales for every compressed block (or branch)."""
-    targets = [getattr(block, "branch", block) for block in net.blocks]
-    refresh_blocks([t for t in targets if isinstance(t, CompressedBlock)], refresh_masks=refresh_masks)
+    blocks = compressed_view(net).blocks
+    refresh_blocks([b for b in blocks if isinstance(b, CompressedBlock)], refresh_masks=refresh_masks)
 
 
 def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float:
@@ -411,7 +411,7 @@ def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool
     if len(labels) == 0:
         return float("nan")
     x = Tensor(features)
-    out = net.forward_compressed(x) if compressed_only else net.forward(x)
+    out = (compressed_view(net) if compressed_only else net).forward(x)
     pred = out.data.argmax(axis=1)
     return float((pred == labels).mean())
 
@@ -460,7 +460,7 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(gstep, lr_at(opt.step_count, opt.spec), beta)
-            params = net.trainable_parameters()
+            params = net.named_parameters()
             for _, p in params:
                 p.grad = None  # a branch that left the graph must not replay its last gradient
             backward(loss)

@@ -55,13 +55,7 @@ class VconBlock:
     At beta == 0 only the branch runs, so the original costs nothing.
     """
 
-    def __init__(
-        self,
-        original: DenseBlock,
-        branch: CompressedBlock,
-        scheduler: BetaScheduler,
-        train_original: bool = True,
-    ):
+    def __init__(self, original: DenseBlock, branch: CompressedBlock, scheduler: BetaScheduler):
         if (original.in_dim, original.out_dim) != (branch.in_dim, branch.out_dim):
             raise ShapeError(
                 f"branch dims ({branch.out_dim}, {branch.in_dim}) do not match "
@@ -70,7 +64,6 @@ class VconBlock:
         self.original = original
         self.branch = branch
         self.scheduler = scheduler
-        self.train_original = train_original
 
     @property
     def in_dim(self) -> int:
@@ -86,20 +79,9 @@ class VconBlock:
             return self.branch.forward(x)
         return add(scale(self.original.forward(x), beta), scale(self.branch.forward(x), 1.0 - beta))
 
-    def forward_compressed(self, x: Tensor) -> Tensor:
-        """Branch-only evaluation regardless of the current beta."""
-        return self.branch.forward(x)
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [(f"original.{n}", p) for n, p in self.original.named_parameters()]
         out.extend((f"branch.{n}", p) for n, p in self.branch.named_parameters())
-        return out
-
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        if self.train_original:
-            out.extend((f"original.{n}", p) for n, p in self.original.trainable_parameters())
-        out.extend((f"branch.{n}", p) for n, p in self.branch.trainable_parameters())
         return out
 
     def param_count(self) -> int:
@@ -115,11 +97,17 @@ def wrap_network(
 ) -> Network:
     """Wrap every dense block of a network with a shared scheduler.
 
-    Each branch starts from its block's current parameters (deep copy); the
-    blocks themselves are not modified.
+    Each branch starts from its block's current parameters (deep copy). With
+    ``train_original=False`` the caller's blocks become the frozen originals:
+    their weight and bias tensors are set to ``requires_grad = False``, so
+    ``backward`` gives them no gradient and the optimizer leaves them as they
+    are. Otherwise the blocks are not modified.
     """
-    blocks = [VconBlock(b, compress_block(b, spec), scheduler, train_original) for b in net.blocks]
+    blocks = [VconBlock(b, compress_block(b, spec), scheduler) for b in net.blocks]
     refresh_blocks([b.branch for b in blocks])
+    if not train_original:
+        for block in net.blocks:
+            block.weight.requires_grad = block.bias.requires_grad = False
     return Network(blocks, name=net.name)
 
 
@@ -130,6 +118,13 @@ def schedulers_of(net: Network) -> list[BetaScheduler]:
         if isinstance(block, VconBlock) and not any(block.scheduler is s for s in out):
             out.append(block.scheduler)
     return out
+
+
+def compressed_view(net: Network) -> Network:
+    """The network without its originals, whatever the current beta: each
+    wrapped block is replaced by its branch, other blocks stay. The blocks
+    are shared with ``net``, not copied."""
+    return Network([b.branch if isinstance(b, VconBlock) else b for b in net.blocks], name=net.name)
 
 
 def finalize(net: Network) -> Network:
@@ -144,5 +139,4 @@ def finalize(net: Network) -> Network:
                 f"cannot finalize: block {i} is mid-transition "
                 f"(t={block.scheduler.t} < q={block.scheduler.q})"
             )
-    blocks = [b.branch if isinstance(b, VconBlock) else b for b in net.blocks]
-    return Network(blocks, name=net.name)
+    return compressed_view(net)

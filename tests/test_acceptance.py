@@ -18,7 +18,6 @@ from vconlab.compression import (
     BinaryQuant,
     LowRank,
     PruneNM,
-    PruneStructured,
     PruneUnstructuredGlobal,
     PruneUnstructuredLayer,
     compress_block,
@@ -53,18 +52,12 @@ from vconlab.training import (
     steps_per_epoch,
     train,
 )
-from vconlab.vcon import BetaScheduler, beta_at, finalize, wrap_network
+from vconlab.vcon import BetaScheduler, beta_at, compressed_view, finalize, wrap_network
 
 from oracles import finite_difference, rel_error, singular_values_oracle
+from test_families import SAMPLES
 
-ALL_VARIANTS = [
-    PruneUnstructuredLayer(0.5),
-    PruneUnstructuredGlobal(0.5),
-    PruneNM(1, 4),
-    PruneStructured(0.25),
-    BinaryQuant(),
-    LowRank(2),
-]
+ALL_VARIANTS = list(SAMPLES.values())
 
 
 def _done(name: str, t0: float, budget: float, detail: str) -> None:
@@ -101,7 +94,7 @@ def test_a2_blend_endpoint_exactness():
 
         assert np.array_equal(blended.forward(x).data, dense.forward(x).data)  # beta = 1
         sch.t = sch.q
-        assert np.array_equal(blended.forward(x).data, blended.forward_compressed(x).data)  # beta = 0
+        assert np.array_equal(blended.forward(x).data, compressed_view(blended).forward(x).data)  # beta = 0
 
         for vb in blended.blocks:  # affinity, block by block
             xb = Tensor(rng.uniform(-2.0, 2.0, size=(50, vb.in_dim)))

@@ -25,14 +25,9 @@ from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
 from vconlab.vcon import BetaScheduler, wrap_network
 
-SPECS = [
-    PruneUnstructuredLayer(0.5),
-    PruneUnstructuredGlobal(0.3),
-    PruneNM(2, 4),
-    PruneStructured(0.25),
-    BinaryQuant(),
-    LowRank(2),
-]
+from test_families import SAMPLES
+
+SPECS = list(SAMPLES.values())
 
 
 def _assert_params_equal(a, b):
@@ -322,14 +317,10 @@ def test_rank_above_layer_dims_rejected(tmp_path):
         load_network(p)
 
 
-def test_fuzz_specs_cover_every_family():
-    assert {spec.kind for spec in SPECS} == set(FAMILIES)
-
-
 @functools.cache
 def _fuzz_file(kind: str) -> bytes:
     """A mid-transition blended network under the family's sample spec."""
-    spec = next(spec for spec in SPECS if spec.kind == kind)
+    spec = SAMPLES[kind]
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "net.vcnet"
         save_network(wrap_network(init_params([3, 4, 2], seed=11), spec, BetaScheduler(q=7, t=3)), p)

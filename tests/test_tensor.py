@@ -250,7 +250,7 @@ def test_blended_block_input_feeding_both_branches_keeps_its_gradients():
     x = Tensor(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
     grads = _assert_contract(softmax_cross_entropy(net.forward(x), [0, 1, 1, 0, 1, 0]))
     assert x not in grads
-    assert all(p in grads for _, p in net.trainable_parameters())
+    assert all(p in grads for _, p in net.named_parameters())
 
 
 def test_forward_determinism_bitwise():

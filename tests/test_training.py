@@ -28,7 +28,7 @@ from vconlab.training import (
     train,
     write_runlog,
 )
-from vconlab.vcon import BetaScheduler, wrap_network
+from vconlab.vcon import BetaScheduler, compressed_view, wrap_network
 
 from oracles import PerTensorOptimizer
 
@@ -581,7 +581,9 @@ def test_evaluate_compressed_only_uses_branch():
     x_val, y_val = ds.split("val")
     wrapped = wrap_network(init_params([2, 8, 3], seed=14), BinaryQuant(), BetaScheduler(q=10, t=5))
     acc_branch = evaluate(wrapped, x_val, y_val, compressed_only=True)
-    logits = wrapped.forward_compressed(Tensor(x_val)).data
+    view = compressed_view(wrapped)
+    assert all(v is b.branch for v, b in zip(view.blocks, wrapped.blocks))
+    logits = view.forward(Tensor(x_val)).data
     assert acc_branch == float((logits.argmax(axis=1) == y_val).mean())
 
 

@@ -11,7 +11,15 @@ from vconlab.compression import (
 )
 from vconlab.model import ShapeError, init_params
 from vconlab.tensor import Tensor, backward, softmax_cross_entropy, sum_all
-from vconlab.vcon import BetaScheduler, VconBlock, beta_at, finalize, schedulers_of, wrap_network
+from vconlab.vcon import (
+    BetaScheduler,
+    VconBlock,
+    beta_at,
+    compressed_view,
+    finalize,
+    schedulers_of,
+    wrap_network,
+)
 
 from oracles import finite_difference, rel_error
 
@@ -92,7 +100,15 @@ def test_endpoints_bit_equal(spec):
 
     # beta == 0: bit-equal to evaluating the branches alone
     sch.t = sch.q
-    assert np.array_equal(blended.forward(x).data, blended.forward_compressed(x).data)
+    assert np.array_equal(blended.forward(x).data, compressed_view(blended).forward(x).data)
+
+
+def test_compressed_view_swaps_wrapped_blocks_for_their_branches():
+    net = init_params([3, 4, 2], seed=3)
+    blended = wrap_network(net, BinaryQuant(), BetaScheduler(q=4, t=1))
+    view = compressed_view(blended)
+    assert all(v is b.branch for v, b in zip(view.blocks, blended.blocks))
+    assert compressed_view(net).blocks == net.blocks  # plain blocks stay
 
 
 @pytest.mark.parametrize("spec", VARIANTS, ids=["prune", "binary", "lowrank"])
@@ -230,15 +246,17 @@ def test_blended_lowrank_gradients_match_finite_differences():
         assert rel_error(p.grad, fd) <= 1e-4, name
 
 
-def test_freeze_original_drops_it_from_trainables():
+def test_frozen_originals_get_no_gradient():
     net = init_params([3, 4, 2], seed=16)
-    blended = wrap_network(net, BinaryQuant(), BetaScheduler(q=3), train_original=False)
-    names = [n for n, _ in blended.trainable_parameters()]
-    assert names and all("original" not in n for n in names)
-    assert any("branch.weight" in n for n in names)
-
-    full = [n for n, _ in blended.named_parameters()]
-    assert any("original.weight" in n for n in full)  # still stored, just frozen
+    blended = wrap_network(net, BinaryQuant(), BetaScheduler(q=3, t=1), train_original=False)
+    x = Tensor(np.random.default_rng(16).uniform(-1, 1, size=(5, 3)))
+    grads = backward(softmax_cross_entropy(blended.forward(x), [0, 1, 1, 0, 1]))
+    params = blended.named_parameters()
+    originals = [p for n, p in params if ".original." in n]
+    branches = [p for n, p in params if ".branch." in n]
+    assert len(originals) == 4 and len(branches) == 4  # still stored, just frozen
+    assert all(p not in grads and p.grad is None for p in originals)
+    assert all(p in grads for p in branches)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +281,7 @@ def test_finalize_matches_direct_compression_counts(spec):
     assert blended.param_count() > done.param_count()
 
     x = Tensor(np.random.default_rng(19).uniform(-1, 1, size=(6, 4)))
-    assert np.array_equal(done.forward(x).data, blended.forward_compressed(x).data)
+    assert np.array_equal(done.forward(x).data, compressed_view(blended).forward(x).data)
 
 
 def test_finalize_q_zero_immediately_allowed():
