@@ -169,12 +169,10 @@ def _read_q(merged: dict, key: str) -> int | list[int] | None:
     return q
 
 
-def _read_dataset(given: dict, ds) -> dict:
-    """The dataset section ``ds``, merged over the defaults. Its keys are
-    checked in ``given``, the user's own section, since the defaults add
-    synthetic numbers to a csv section too."""
+def _read_dataset(ds) -> dict:
+    """The merged dataset section: synthetic numbers, or a csv kind and path."""
     ds = config_value(ds, dict, "dataset")
-    reject_unknown(given, {"kind", *config_kind(ds, _DATASET_FIELDS, "dataset.")}, "dataset.")
+    reject_unknown(ds, {"kind", *config_kind(ds, _DATASET_FIELDS, "dataset.")}, "dataset.")
     if ds["kind"] == "csv":
         _expect("path" in ds, "dataset.path is required for csv datasets")
         return {"kind": "csv", "path": config_value(ds["path"], str, "dataset.path")}
@@ -198,6 +196,8 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     object and every value must already have its JSON type (``config_value``)."""
     reject_unknown(cfg, _TOP_KEYS, "")
     merged = _merge(DEFAULT_CONFIG, cfg)
+    if isinstance(cfg.get("dataset"), dict) and cfg["dataset"].get("kind") == "csv":
+        merged["dataset"] = dict(cfg["dataset"])  # the synthetic defaults are no csv keys
 
     model = config_value(merged["model"], dict, "model")
     reject_unknown(model, DEFAULT_CONFIG["model"], "model.")
@@ -227,7 +227,7 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         layer_sizes=sizes,
         activation=activation,
-        dataset=_read_dataset(cfg.get("dataset", {}), merged["dataset"]),
+        dataset=_read_dataset(merged["dataset"]),
         compression=spec,
         optimizer=_read_optimizer(merged["optimizer"]),
         mode=mode,

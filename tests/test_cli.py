@@ -239,6 +239,18 @@ def test_exit_1_on_missing_csv_dataset(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_csv_run_records_a_config_that_validates(tmp_path):
+    data = tmp_path / "d.csv"
+    rows = ["f0,f1,label"] + [f"{i % 7}.5,{-(i % 5)}.25,{i % 3}" for i in range(60)]
+    data.write_text("\n".join(rows) + "\n")
+    dataset = {"kind": "csv", "path": str(data)}
+    path, _ = _write_config(tmp_path, dataset=dataset, mode="dense", compression={"kind": "none"})
+    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    recorded = read_summary(tmp_path / "out" / "summary.json")["config"]
+    assert recorded["dataset"] == dataset
+    assert validate_config(recorded).dataset == dataset
+
+
 def test_exit_1_on_corrupt_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.vcnet"
     bad.write_bytes(b"not a network file")
