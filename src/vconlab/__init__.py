@@ -57,7 +57,7 @@ from .vcon import (
     BetaScheduler,
     VconBlock,
     beta_at,
-    compressed_view,
+    compressed_blocks,
     finalize,
     schedulers_of,
     wrap_network,

@@ -49,7 +49,7 @@ from .training import (
     write_runlog,
 )
 from .training import evaluate as _evaluate
-from .vcon import BetaScheduler, VconBlock, beta_at, compressed_view, finalize, wrap_network
+from .vcon import BetaScheduler, VconBlock, beta_at, compressed_blocks, finalize, wrap_network
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     net, log = train(net, dataset, cfg)
     x_test, y_test = dataset.split("test")
     test_acc = _evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only)
-    compressed_count = compressed_view(net).param_count()  # what remains once originals are dropped
+    compressed_count = sum(b.param_count() for b in compressed_blocks(net))  # once originals are dropped
     elapsed = time.perf_counter() - start
     best_val = max((acc for _, acc in log.epochs if not math.isnan(acc)), default=float("nan"))
     return SeedResult(seed, test_acc, best_val, dense_count, compressed_count, elapsed, log, net, scheduler)
@@ -568,7 +568,7 @@ def inspect_data(path) -> dict:
     report["scheduler"] = None if scheduler is None else {
         "q": scheduler.q, "t": scheduler.t, "beta": beta_at(scheduler.t, scheduler.q), "phase": scheduler.phase,
     }
-    for i, (block, comp) in enumerate(zip(net.blocks, compressed_view(net).blocks)):
+    for i, (block, comp) in enumerate(zip(net.blocks, compressed_blocks(net))):
         entry = {"kind": "dense", "compression": "none", "out_dim": block.out_dim, "in_dim": block.in_dim,
                  "activation": comp.activation}
         if isinstance(comp, CompressedBlock):

@@ -20,7 +20,7 @@ import numpy as np
 from .compression import CompressedBlock, CompressionSpec, compress_block, refresh_blocks
 from .model import DenseBlock, Network
 from .tensor import Tensor, backward, softmax_cross_entropy
-from .vcon import compressed_view, schedulers_of
+from .vcon import compressed_blocks, schedulers_of
 
 Array = np.ndarray
 
@@ -402,8 +402,8 @@ def batch_order(seed: int, epoch: int, n_train: int) -> Array:
 
 def refresh_network(net: Network, refresh_masks: bool = True) -> None:
     """Re-derive masks/scales for every compressed block (or branch)."""
-    blocks = compressed_view(net).blocks
-    refresh_blocks([b for b in blocks if isinstance(b, CompressedBlock)], refresh_masks=refresh_masks)
+    blocks = [b for b in compressed_blocks(net) if isinstance(b, CompressedBlock)]
+    refresh_blocks(blocks, refresh_masks=refresh_masks)
 
 
 def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float:
@@ -411,7 +411,7 @@ def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool
     if len(labels) == 0:
         return float("nan")
     x = Tensor(features)
-    out = (compressed_view(net) if compressed_only else net).forward(x)
+    out = (Network(compressed_blocks(net)) if compressed_only else net).forward(x)
     pred = out.data.argmax(axis=1)
     return float((pred == labels).mean())
 

@@ -120,11 +120,10 @@ def schedulers_of(net: Network) -> list[BetaScheduler]:
     return out
 
 
-def compressed_view(net: Network) -> Network:
-    """The network without its originals, whatever the current beta: each
-    wrapped block is replaced by its branch, other blocks stay. The blocks
-    are shared with ``net``, not copied."""
-    return Network([b.branch if isinstance(b, VconBlock) else b for b in net.blocks], name=net.name)
+def compressed_blocks(net: Network) -> list:
+    """The network's blocks without their originals, whatever the current
+    beta: each wrapped block's branch, and every other block as it is."""
+    return [b.branch if isinstance(b, VconBlock) else b for b in net.blocks]
 
 
 def finalize(net: Network) -> Network:
@@ -139,4 +138,4 @@ def finalize(net: Network) -> Network:
                 f"cannot finalize: block {i} is mid-transition "
                 f"(t={block.scheduler.t} < q={block.scheduler.q})"
             )
-    return compressed_view(net)
+    return Network(compressed_blocks(net), name=net.name)

@@ -9,13 +9,13 @@ from vconlab.compression import (
     PruneUnstructuredLayer,
     compress_network,
 )
-from vconlab.model import ShapeError, init_params
+from vconlab.model import Network, ShapeError, init_params
 from vconlab.tensor import Tensor, backward, softmax_cross_entropy, sum_all
 from vconlab.vcon import (
     BetaScheduler,
     VconBlock,
     beta_at,
-    compressed_view,
+    compressed_blocks,
     finalize,
     schedulers_of,
     wrap_network,
@@ -100,15 +100,14 @@ def test_endpoints_bit_equal(spec):
 
     # beta == 0: bit-equal to evaluating the branches alone
     sch.t = sch.q
-    assert np.array_equal(blended.forward(x).data, compressed_view(blended).forward(x).data)
+    assert np.array_equal(blended.forward(x).data, Network(compressed_blocks(blended)).forward(x).data)
 
 
-def test_compressed_view_swaps_wrapped_blocks_for_their_branches():
+def test_compressed_blocks_are_the_branches_and_the_plain_blocks():
     net = init_params([3, 4, 2], seed=3)
     blended = wrap_network(net, BinaryQuant(), BetaScheduler(q=4, t=1))
-    view = compressed_view(blended)
-    assert all(v is b.branch for v, b in zip(view.blocks, blended.blocks))
-    assert compressed_view(net).blocks == net.blocks  # plain blocks stay
+    assert all(c is b.branch for c, b in zip(compressed_blocks(blended), blended.blocks))
+    assert compressed_blocks(net) == net.blocks
 
 
 @pytest.mark.parametrize("spec", VARIANTS, ids=["prune", "binary", "lowrank"])
@@ -281,7 +280,7 @@ def test_finalize_matches_direct_compression_counts(spec):
     assert blended.param_count() > done.param_count()
 
     x = Tensor(np.random.default_rng(19).uniform(-1, 1, size=(6, 4)))
-    assert np.array_equal(done.forward(x).data, compressed_view(blended).forward(x).data)
+    assert np.array_equal(done.forward(x).data, Network(compressed_blocks(blended)).forward(x).data)
 
 
 def test_finalize_q_zero_immediately_allowed():
