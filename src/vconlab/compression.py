@@ -562,10 +562,16 @@ class SvdResult:
 def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     """Hestenes rotations on column pairs until all pairs are orthogonal.
 
-    Caller guarantees rows >= cols. Pairs (i, j), i < j, are visited in
-    cyclic row order each sweep; a pair rotates when |x.y| exceeds SVD_TOL
-    times sqrt(|x|^2 |y|^2), and the sweeps stop after one with no rotation
-    (at most SVD_MAX_SWEEPS).
+    Caller guarantees rows >= cols and that ``truncated_svd``'s bound holds,
+    so |x|^2 |y|^2 is finite for any two columns. A pair (i, j), i < j,
+    rotates when |x.y| exceeds SVD_TOL times sqrt(|x|^2 |y|^2), and the
+    sweeps stop after one with no rotation (at most SVD_MAX_SWEEPS).
+
+    Each sweep runs the pairs in waves (``_jacobi_waves``): the pairs of a
+    wave share no column, each is tested on its own, and those that rotate
+    turn together, with c and s per pair. Pairs that share a column keep
+    the cyclic row order, so every pair sees the same columns, makes the
+    same decision and gets the same c and s as in the row-by-row sweep.
 
     The result is fixed bit for bit, not only to rounding: every dot is a
     BLAS ddot over a non-unit stride, whose kernel adds in the same order
@@ -574,14 +580,13 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     that same dot, only after the column rotates, so it equals the value a
     fresh dot would give.
 
-    Column k of ``u`` over ``v`` lives in lane ``k % 2`` of row ``k // 2``
-    of one ``((cols + 1) // 2, 2 * (rows + cols))`` work array: two columns
-    interleaved at stride 2, so a rotation touches a few cache lines where
-    a column of a C-order matrix touches one per element, and one set of
-    in-place ops turns both ``u`` and ``v``. The columns go back into a
-    C-order ``(rows + cols, cols)`` array before the column sums, whose
-    bits depend on that layout. ``tests/oracles.py`` keeps the plain
-    per-pair loop that this must match.
+    Column k of ``u`` over ``v`` is row k of one ``(cols, 2 * (rows +
+    cols))`` work array, in its even lanes, so each column is a stride-2
+    view and a wave's gather, rotation and scatter turn ``u`` and ``v``
+    of all its rotating pairs at once. The columns go back into a C-order
+    ``(rows + cols, cols)`` array before the column sums, whose bits
+    depend on that layout. ``tests/oracles.py`` keeps the plain per-pair
+    loop that this must match.
     """
     rows, cols = a.shape
     work = _rotated_columns(a)
@@ -597,55 +602,64 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     return u, sig, v
 
 
+def _jacobi_waves(cols: int) -> list[list[tuple[int, int]]]:
+    """The pairs (i, j), i < j, of one cyclic sweep, as waves: wave ``w``
+    holds the pairs with ``i + j == w``, ``i`` ascending, for ``w`` in
+    1 .. 2 * cols - 3.
+
+    No two pairs of a wave share a column, and two pairs that share a
+    column come in the order the row-by-row sweep visits them, so running
+    the waves in order shows every pair the columns it sees in that sweep."""
+    return [
+        [(i, w - i) for i in range(max(0, w - cols + 1), (w + 1) // 2)]
+        for w in range(1, 2 * cols - 2)
+    ]
+
+
 def _rotated_columns(a: Array) -> Array:
     """The Jacobi loop of ``_one_sided_jacobi``: ``a`` (rows >= cols) over the
     identity, with every column pair rotated until orthogonal, returned as a
     C-order ``(rows + cols, cols)`` array."""
     rows, cols = a.shape
-    height = rows + cols
-    lanes = np.zeros(((cols + 1) // 2, 2 * height))  # column k is lanes[k // 2, k % 2::2]
-    whole = [lanes[k // 2, k % 2 :: 2] for k in range(cols)]
-    for k, x in enumerate(whole):
-        x[:rows] = a[:, k]
-        x[rows + k] = 1.0
-    col = [x[:rows] for x in whole]
+    lanes = np.zeros((cols, 2 * (rows + cols)))
+    whole = lanes[:, ::2]  # column k is lanes[k, ::2]
+    whole[:, :rows] = a.T
+    whole[:, rows:] = np.eye(cols)
+    col = list(whole[:, :rows])
     dot = [x.dot for x in col]
     sq = [float(dot[k](col[k])) for k in range(cols)]
-    tmp_y = np.empty(height)
-    tmp_x = np.empty(height)
-    multiply, subtract, add = np.multiply, np.subtract, np.add
+    waves = _jacobi_waves(cols)
     sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for _ in range(SVD_MAX_SWEEPS):
         rotated = False
-        for i in range(cols - 1):
-            dot_i = dot[i]
-            for j in range(i + 1, cols):
+        for wave in waves:
+            turned_i, turned_j, cs, ss = [], [], [], []
+            for i, j in wave:
                 pp = sq[i]
                 qq = sq[j]
-                pq = float(dot_i(col[j]))
+                pq = float(dot[i](col[j]))
                 if abs(pq) <= SVD_TOL * sqrt(pp * qq):
                     continue
-                rotated = True
                 zeta = (qq - pp) / (2.0 * pq)
                 t = copysign(1.0, zeta) / (abs(zeta) + hypot(1.0, zeta))
                 c = 1.0 / hypot(1.0, t)
-                s = c * t
-                x = whole[i]
-                y = whole[j]
-                multiply(y, s, out=tmp_y)
-                multiply(x, s, out=tmp_x)
-                multiply(x, c, out=x)
-                subtract(x, tmp_y, out=x)  # c*x - s*y
-                multiply(y, c, out=y)
-                add(tmp_x, y, out=y)  # s*x + c*y
-                sq[i] = float(dot_i(col[i]))
-                sq[j] = float(dot[j](col[j]))
+                turned_i.append(i)
+                turned_j.append(j)
+                cs.append(c)
+                ss.append(c * t)
+            if not cs:
+                continue
+            rotated = True
+            c, s = np.array([cs, ss])[:, :, None]
+            x = whole[turned_i]
+            y = whole[turned_j]
+            whole[turned_i] = c * x - s * y
+            whole[turned_j] = s * x + c * y
+            for k in turned_i + turned_j:
+                sq[k] = float(dot[k](col[k]))
         if not rotated:
             break
-    work = np.empty((height, cols))
-    for k, x in enumerate(whole):
-        work[:, k] = x
-    return work
+    return np.ascontiguousarray(whole.T)
 
 
 def truncated_svd(w: Array, rank: int) -> SvdResult:
@@ -657,7 +671,12 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
     those of the plain per-pair Jacobi loop in ``tests/oracles.py`` (same
     pair order, same strided dots, same rotation arithmetic; only the
     columns' layout in memory differs, see ``_one_sided_jacobi``), which
-    the tests check. A matrix with a NaN or infinite entry is a ValueError.
+    the tests check.
+
+    A matrix with a NaN or infinite entry is a ValueError, and so is one
+    whose ``(w*w).sum()**2`` is not finite (a sum of squares above about
+    1.34e154, the square root of the largest float): that bounds every
+    product of two columns' squared norms, which the rotation test takes.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -667,6 +686,13 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
         raise ValueError(f"rank must be in [1, {min(n, m)}] for a {n}x{m} matrix, got {rank}")
     if not np.isfinite(w).all():
         raise ValueError(f"truncated_svd needs finite entries; the {n}x{m} matrix has NaN or inf")
+    with np.errstate(over="ignore"):
+        energy = float((w * w).sum())
+    if not math.isfinite(energy * energy):
+        raise ValueError(
+            f"truncated_svd needs (w*w).sum()**2 finite (a sum of squares below about 1.34e154); "
+            f"the {n}x{m} matrix's sum of squares is {energy:.4g}"
+        )
     if n >= m:
         u, sig, v = _one_sided_jacobi(w)
     else:

@@ -338,6 +338,18 @@ def test_low_rank_of_non_finite_weights_is_an_error(tmp_path, capsys, monkeypatc
     assert "error: truncated_svd needs finite entries; the 3x8 matrix has NaN or inf" in capsys.readouterr().err
 
 
+def test_low_rank_of_weights_past_the_squares_bound_is_an_error(tmp_path, capsys, monkeypatch):
+    def huge(sizes, seed, activation="relu"):
+        net = init_params(sizes, seed, activation)
+        net.blocks[1].weight.data[:, 0] = 1e200
+        return net
+
+    monkeypatch.setattr(cli, "init_params", huge)
+    path, _ = _write_config(tmp_path, compression={"kind": "low_rank", "rank": 1})
+    assert main(["train", "--config", str(path), "--quiet"]) == 1
+    assert "error: truncated_svd needs (w*w).sum()**2 finite" in capsys.readouterr().err
+
+
 def test_vcon_without_q_is_config_error(tmp_path, capsys):
     path, _ = _write_config(tmp_path, mode="vcon")
     assert main(["train", "--config", str(path), "--quiet"]) == 2

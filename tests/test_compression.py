@@ -429,9 +429,56 @@ def test_truncated_svd_rejects_non_finite_entries(bad):
         truncated_svd(w, 2)
 
 
-# the package's dots run over stride 2 (its column lanes), the oracle's over
-# stride cols; the bytes agree only where the BLAS strided ddot adds in the
-# same order for every stride, as OpenBLAS's does
+@pytest.mark.parametrize(
+    "w, shape",
+    [
+        # pp*qq overflows, the threshold is inf and no pair ever rotated: wrong singular values
+        (np.array([[1e100, 2e100], [3e100, 1e100], [1.0, 5e99]]), "3x2"),
+        # |x|^2 is inf, inf*0 is NaN and the rotation divided by a zero dot
+        (np.array([[1e200, 0.0]] * 4), "4x2"),
+    ],
+)
+def test_truncated_svd_rejects_sums_of_squares_past_the_bound(w, shape):
+    for rank in (1, 2):
+        with pytest.raises(ValueError, match=rf"the {shape} matrix's sum of squares is"):
+            truncated_svd(w, rank)
+        with pytest.raises(ValueError, match=rf"the {shape[::-1]} matrix's sum of squares is"):
+            truncated_svd(w.T, rank)
+
+
+# sqrt of the largest float: (w*w).sum() must stay below it for its square to be finite
+_SQUARES_BOUND = math.sqrt(np.finfo(np.float64).max)
+
+
+def test_truncated_svd_just_inside_the_bound_matches_the_per_pair_loop():
+    w = np.random.default_rng(59).normal(size=(9, 6))
+    w *= math.sqrt(_SQUARES_BOUND / float((w * w).sum())) * (1.0 - 1e-12)
+    energy = float((w * w).sum())
+    assert _SQUARES_BOUND * 0.999 < energy and math.isfinite(energy * energy)
+    for m in (w, w.T):
+        _assert_svd_matches_per_pair_loop(m, min(m.shape))
+    with pytest.raises(ValueError, match="sum of squares"):
+        truncated_svd(w * 1.001, 2)
+
+
+def test_jacobi_waves_hold_each_pair_once_in_cyclic_order():
+    for cols in range(1, 41):
+        waves = compression._jacobi_waves(cols)
+        cyclic = [(i, j) for i in range(cols - 1) for j in range(i + 1, cols)]
+        assert sorted(pair for wave in waves for pair in wave) == cyclic
+        for wave in waves:
+            touched = [k for pair in wave for k in pair]
+            assert len(set(touched)) == len(touched)
+        wave_of = {pair: n for n, wave in enumerate(waves) for pair in wave}
+        for k in range(cols):  # the pairs holding column k, in cyclic order, run in later and later waves
+            holding = [wave_of[pair] for pair in cyclic if k in pair]
+            assert holding == sorted(set(holding))
+
+
+# the package's dots run over stride 2 (each column in the even lanes of
+# its row of the work array), the oracle's over stride cols; the bytes
+# agree only where the BLAS strided ddot adds in the same order for every
+# stride, as OpenBLAS's does
 _STRIDE_NOTE = (
     "Jacobi factors differ from the per-pair loop's; if this BLAS is not OpenBLAS, "
     "its strided ddot may add in a different order for stride 2 than for stride cols"
@@ -462,6 +509,33 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_after_adam():
     for block in net.blocks:
         w = block.weight.data
         _assert_svd_matches_per_pair_loop(w, min(w.shape))
+
+
+@settings(max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.integers(-160, 74),
+    spread=st.integers(0, 20),
+    sources=st.lists(st.integers(-1, 23), max_size=24),
+    at_bound=st.booleans(),
+)
+def test_truncated_svd_bytes_equal_the_per_pair_loop(shape, seed, lowest, spread, sources, at_bound):
+    rng = np.random.default_rng(seed)
+    # entries of magnitude 1e-160 (their squares and dots subnormal) up to 1e75
+    exponent = rng.integers(lowest, min(lowest + spread, 74), size=shape, endpoint=True)
+    w = rng.uniform(1.0, 10.0, size=shape) * rng.choice([-1.0, 1.0], size=shape) * 10.0**exponent
+    for k, src in enumerate(sources[: shape[1]]):  # -1: a zero column; an earlier index: a duplicate
+        if src < 0:
+            w[:, k] = 0.0
+        elif src < k:
+            w[:, k] = w[:, src]
+    if at_bound and w.any():  # scale by powers of two to a sum of squares within 8x of the bound
+        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        w = np.ldexp(w, math.floor(math.log2(_SQUARES_BOUND / float((w * w).sum())) / 2 - 0.5))
+    energy = float((w * w).sum())
+    assert math.isfinite(energy * energy)
+    _assert_svd_matches_per_pair_loop(w, min(shape))
 
 
 def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
