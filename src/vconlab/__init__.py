@@ -35,21 +35,15 @@ from .compression import (
     PruneStructured,
     PruneUnstructuredGlobal,
     PruneUnstructuredLayer,
-    ScaledSign,
     SvdResult,
-    binarize_scaled,
-    bit_footprint,
     compress_block,
     compress_network,
-    factorize_layer,
-    magnitude_scores,
     prune_global,
     prune_layerwise,
     prune_nm,
     prune_structured,
     refresh_blocks,
     spec_from_dict,
-    spec_param_count,
     spec_to_dict,
     truncated_svd,
 )

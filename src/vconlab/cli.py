@@ -24,7 +24,6 @@ from .compression import (
     CompressedBlock,
     CompressionSpec,
     ConfigError,
-    bit_footprint,
     compress_network,
     config_fields,
     config_kind,
@@ -573,7 +572,7 @@ def inspect_data(path) -> dict:
                  "activation": comp.activation}
         if isinstance(comp, CompressedBlock):
             entry.update(kind="compressed", compression=spec_to_dict(comp.spec),
-                         bit_footprint=bit_footprint(comp.spec, comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
+                         bit_footprint=comp.spec.bits(comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
         if isinstance(block, VconBlock):
             entry.update(kind="vcon", original_params=block.original.param_count())
         entry.update(index=i, param_count=block.param_count())
@@ -621,10 +620,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="assignments", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (dotted path, JSON value)")
         p.add_argument("--seed", type=int, default=None, help="replace the config seed list")
-        p.add_argument("--mode", default=None, help="replace the config mode")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    add_common(sub.add_parser("train", help="train one mode over the config's seeds"))
+    train_cmd = sub.add_parser("train", help="train one mode over the config's seeds")
+    add_common(train_cmd)
+    train_cmd.add_argument("--mode", default=None, help="replace the config mode")
     compare = sub.add_parser("compare", help="run a baseline and vcon with shared seeds")
     add_common(compare)
     compare.add_argument("--baseline", default="ste_standard",
@@ -645,18 +645,16 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, args.assignments)
         if args.seed is not None:
             cfg["seeds"] = [args.seed]
-        if args.mode is not None:
+        if args.command != "train":
+            cfg["mode"] = "vcon"  # compare and sweep-q always run the blended arm
+        elif args.mode is not None:
             cfg["mode"] = args.mode
-        if args.command in ("compare", "sweep-q"):
-            cfg["mode"] = "vcon"  # these commands always run the blended arm
         exp = validate_config(cfg)
         if args.command == "train":
             return cmd_train(exp, quiet=args.quiet)
         if args.command == "compare":
             return cmd_compare(exp, baseline=args.baseline, quiet=args.quiet)
-        if args.command == "sweep-q":
-            return cmd_sweep_q(exp, quiet=args.quiet)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep_q(exp, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

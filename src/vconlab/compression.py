@@ -8,8 +8,9 @@ straight-through estimator; low-rank blocks train the two factors
 directly.
 
 Each family is one spec class (see ``CompressionSpec``), the single home
-of its rule, size accounting, file payload and report; ``FAMILIES`` maps
-each config/header ``kind`` to its class.
+of its rule, its tensors, its derived state, size accounting, file payload
+and report; ``FAMILIES`` maps each config/header ``kind`` to its class.
+``CompressedBlock`` holds whatever the family names and knows no family.
 
 Tie rule used everywhere: when magnitudes tie at the pruning threshold,
 the smaller flat index is pruned first (global pruning orders by layer
@@ -39,24 +40,29 @@ Array = np.ndarray
 class CompressionSpec:
     """One compression family; each subclass is a frozen dataclass.
 
-    A family derives block state from the weights (``refresh``, called once
-    per group of blocks with equal specs), gives the block's effective
-    weight (``effective_weight``; low rank instead overrides ``linear``,
-    the block's pre-activation with its bias, with its factor product),
-    counts the stored entries and bits of an n x m layer (``stored``,
-    ``bits``), writes and reads its ``.vcnet`` payload through
-    checkpoint.py's writer and reader (``floats``, ``bits``, ``fail``), and
-    names its ``inspect`` fields (``describe``).
+    A family names the trainable tensors of an n x m layer and their shapes
+    (``shapes``, in payload order; the base has one ``weight``), builds a
+    block from a dense one (``compress``), and derives the block's
+    ``state`` from those tensors (``refresh``, called once per group of
+    blocks with equal specs; the base derives nothing). It gives the
+    block's effective weight (``effective_weight``; low rank instead
+    overrides ``linear``, the block's pre-activation with its bias, with
+    its factor product), counts the stored entries and bits of an n x m
+    layer (``stored``, ``bits``), writes and reads its ``.vcnet`` payload
+    through checkpoint.py's writer and reader (``floats``, ``bits``,
+    ``fail``; the base stores the named tensors, then the bias), and names
+    its ``inspect`` fields (``describe``).
     """
 
     kind: ClassVar[str]
-    factored: ClassVar[bool] = False  # blocks train factors a, b instead of a weight
+
+    def shapes(self, n: int, m: int) -> dict[str, tuple[int, ...]]:
+        return {"weight": (n, m)}
 
     def compress(self, block: DenseBlock) -> CompressedBlock:
         weight = Tensor(block.weight.data.copy(), requires_grad=True)
-        out = CompressedBlock(self, Tensor(block.bias.data.copy(), requires_grad=True), block.activation, weight)
-        self.refresh([out])
-        return out
+        return CompressedBlock(self, {"weight": weight}, Tensor(block.bias.data.copy(), requires_grad=True),
+                               block.activation)
 
     def refresh(self, blocks: Sequence[CompressedBlock], refresh_masks: bool = True) -> None:
         pass
@@ -71,13 +77,14 @@ class CompressionSpec:
         return self.stored(block.out_dim, block.in_dim)
 
     def write(self, block: CompressedBlock, w) -> None:
-        w.floats(block.weight.data)
-        w.floats(block.bias.data)
+        for _, t in block.named_parameters():
+            w.floats(t.data)
 
     def read(self, r, n: int, m: int, activation: str, label: str) -> CompressedBlock:
-        weight = Tensor(r.floats((n, m), f"{label} weight"), requires_grad=True)
+        params = {name: Tensor(r.floats(shape, f"{label} {name}"), requires_grad=True)
+                  for name, shape in self.shapes(n, m).items()}
         bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-        return CompressedBlock(self, bias, activation, weight)
+        return CompressedBlock(self, params, bias, activation)
 
     def describe(self, block: CompressedBlock) -> dict:
         return {}
@@ -88,42 +95,37 @@ class CompressionSpec:
 
 
 class _MaskSpec(CompressionSpec):
-    """Pruning: a 0/1 mask applied through the STE. Subclasses give the
-    rule ``masks``, which maps a list of weights to their masks."""
+    """Pruning: a 0/1 mask, the block's state, applied through the STE.
+    Subclasses give the rule ``masks``, which maps a list of weights to
+    their masks."""
 
     network_wide: ClassVar[bool] = False  # the kept count holds per network, not per layer
 
     def refresh(self, blocks, refresh_masks=True):
         if refresh_masks:
-            for blk, mask in zip(blocks, self.masks([blk.weight.data for blk in blocks])):
-                blk.mask = mask
+            for blk, mask in zip(blocks, self.masks([blk.params["weight"].data for blk in blocks])):
+                blk.state = mask
 
     def effective_weight(self, block):
-        if block.mask is None:
-            raise RuntimeError("pruned block used before refresh_blocks()")
-        mask = block.mask
-        return ste_apply(block.weight, lambda w: w * mask)
+        mask = block.state
+        return ste_apply(block.params["weight"], lambda w: w * mask)
 
     def count(self, block):
-        return super().count(block) if block.mask is None else int(block.mask.sum())
+        return int(block.state.sum())
 
     def write(self, block, w):
-        if block.mask is None:
-            w.fail("pruned block has no mask; call refresh_blocks() first")
         super().write(block, w)
-        w.bits(block.mask)
+        w.bits(block.state)
 
     def read(self, r, n, m, activation, label):
         block = super().read(r, n, m, activation, label)
-        block.mask = r.bits(n, m, f"{label} mask")
+        block.state = r.bits(n, m, f"{label} mask")
         if not self.network_wide and self.count(block) != self.stored(n, m):
             r.fail(f"{label} mask keeps {self.count(block)} weights, {self.kind} keeps {self.stored(n, m)}")
         return block
 
     def describe(self, block):
-        if block.mask is None:
-            return {}
-        return {"kept_weights": self.count(block), "density": float(block.mask.sum() / block.mask.size)}
+        return {"kept_weights": self.count(block), "density": float(block.state.sum() / block.state.size)}
 
 
 @dataclass(frozen=True)
@@ -198,21 +200,22 @@ class PruneStructured(_SparsityMask):
 
 @dataclass(frozen=True)
 class BinaryQuant(CompressionSpec):
-    """Replace the weight by alpha * sign(w), alpha = ||W||_F / sqrt(n*m)."""
+    """Replace the weight by alpha * sign(w), alpha = ||W||_F / sqrt(n*m).
+
+    The block's state is ``(alpha, signs)``, signs in {-1.0, +1.0} with
+    sign(0) = +1."""
 
     kind = "binary"
 
     def refresh(self, blocks, refresh_masks=True):
         for blk in blocks:
-            ss = binarize_scaled(blk.weight.data)
-            blk.alpha = ss.alpha
-            blk.signs = ss.signs
+            w = blk.params["weight"].data
+            blk.state = (float(np.linalg.norm(w) / math.sqrt(w.size)), np.where(w >= 0.0, 1.0, -1.0))
 
     def effective_weight(self, block):
-        if block.signs is None:
-            raise RuntimeError("binary block used before refresh_blocks()")
-        weight = block.alpha * block.signs
-        return ste_apply(block.weight, lambda w: weight)
+        alpha, signs = block.state
+        weight = alpha * signs
+        return ste_apply(block.params["weight"], lambda w: weight)
 
     def stored(self, n, m):
         return n * m  # every entry stays, shrunk to one bit
@@ -221,20 +224,19 @@ class BinaryQuant(CompressionSpec):
         return n * m + 64
 
     def write(self, block, w):
-        if block.alpha is None or block.signs is None:
-            w.fail("binary block has no derived state; call refresh_blocks() first")
         super().write(block, w)
-        w.floats(np.float64(block.alpha))
-        w.bits(block.signs > 0.0)
+        alpha, signs = block.state
+        w.floats(np.float64(alpha))
+        w.bits(signs > 0.0)
 
     def read(self, r, n, m, activation, label):
         block = super().read(r, n, m, activation, label)
-        block.alpha = float(r.floats((), f"{label} alpha"))
-        block.signs = r.bits(n, m, f"{label} signs") * 2.0 - 1.0
+        alpha = float(r.floats((), f"{label} alpha"))
+        block.state = (alpha, r.bits(n, m, f"{label} signs") * 2.0 - 1.0)
         return block
 
     def describe(self, block):
-        return {} if block.alpha is None else {"alpha": block.alpha}
+        return {"alpha": block.state[0]}
 
 
 @dataclass(frozen=True)
@@ -242,39 +244,43 @@ class LowRank(CompressionSpec):
     """Replace the weight by a rank-r product A @ B from a truncated SVD."""
 
     kind = "low_rank"
-    factored = True
     rank: int
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
+    def shapes(self, n, m):
+        return {"a": (n, self.rank), "b": (self.rank, m)}
+
     def compress(self, block):
-        return factorize_layer(block, self.rank)
+        """Split a dense layer into factors A = U, B = diag(s) V^T.
+
+        The rank is clamped to min(n, m) when the layer is too skinny, and
+        the block's spec carries the clamped rank (``shape_warnings`` names
+        that case, and the one where the factors store no fewer values than
+        the dense weight).
+        """
+        r = min(self.rank, *block.weight.data.shape)
+        res = truncated_svd(block.weight.data, r)
+        params = {"a": Tensor(res.u, requires_grad=True),
+                  "b": Tensor(res.singular_values[:, None] * res.v.T, requires_grad=True)}
+        return CompressedBlock(LowRank(r), params, Tensor(block.bias.data.copy(), requires_grad=True),
+                               block.activation)
 
     def linear(self, block, x):
-        return linear(linear(x, block.b), block.a, block.bias)
+        return linear(linear(x, block.params["b"]), block.params["a"], block.bias)
 
     def stored(self, n, m):
         return min(self.rank, n, m) * (n + m)
 
-    def count(self, block):
-        return block.a.data.size + block.b.data.size
-
-    def write(self, block, w):
-        for t in (block.a, block.b, block.bias):
-            w.floats(t.data)
-
     def read(self, r, n, m, activation, label):
         if self.rank > min(n, m):
             r.fail(f"{label} has rank {self.rank} above min({n}, {m})")
-        a = Tensor(r.floats((n, self.rank), f"{label} factor a"), requires_grad=True)
-        b = Tensor(r.floats((self.rank, m), f"{label} factor b"), requires_grad=True)
-        bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-        return CompressedBlock(self, bias, activation, factors=(a, b))
+        return super().read(r, n, m, activation, label)
 
     def describe(self, block):
-        return {"rank": block.a.data.shape[1]}
+        return {"rank": self.rank}
 
     def shape_warnings(self, n, m):
         r = min(self.rank, n, m)
@@ -381,10 +387,6 @@ def config_fields(cls, section: dict, prefix: str, **given):
 # Mask construction
 
 
-def magnitude_scores(w: Array) -> Array:
-    return np.abs(np.asarray(w, dtype=np.float64))
-
-
 def drop_smallest(scores: Array, drop: int) -> Array:
     """0/1 mask over the 1-D ``scores`` zeroing the ``drop`` smallest.
 
@@ -416,7 +418,7 @@ def prune_layerwise(w: Array, sparsity: float) -> Array:
     """0/1 mask zeroing the floor(sparsity * size) smallest |w| entries."""
     _check_sparsity(sparsity)
     w = np.asarray(w, dtype=np.float64)
-    return drop_smallest(magnitude_scores(w).ravel(), int(math.floor(sparsity * w.size))).reshape(w.shape)
+    return drop_smallest(np.abs(w).ravel(), int(math.floor(sparsity * w.size))).reshape(w.shape)
 
 
 def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
@@ -430,7 +432,7 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     if not layers:
         raise ValueError("prune_global needs at least one layer")
     arrs = [np.asarray(w, dtype=np.float64) for w in layers]
-    flat = np.concatenate([magnitude_scores(a).ravel() for a in arrs])
+    flat = np.concatenate([np.abs(a).ravel() for a in arrs])
     mask_flat = drop_smallest(flat, int(math.floor(sparsity * flat.size)))
     masks = []
     offset = 0
@@ -469,7 +471,7 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
         raise ShapeError(f"prune_nm expects a 2-D weight, got shape {w.shape}")
     n, m = w.shape
     if group > _RANK_GROUP_MAX:
-        scores = magnitude_scores(w)
+        scores = np.abs(w)
         mask = np.zeros_like(w)
         rows = np.arange(n)[:, None]
         for start in range(0, m, group):
@@ -524,25 +526,6 @@ def prune_structured(w: Array, sparsity: float) -> Array:
     norms = np.sqrt((w * w).sum(axis=1))
     rows = drop_smallest(norms, int(math.floor(sparsity * w.shape[0])))
     return np.repeat(rows[:, None], w.shape[1], axis=1)
-
-
-# --------------------------------------------------------------------------
-# Binarization
-
-
-@dataclass(frozen=True)
-class ScaledSign:
-    """Sign pattern plus one shared magnitude."""
-
-    alpha: float
-    signs: Array  # entries in {-1.0, +1.0}; sign(0) = +1
-
-
-def binarize_scaled(w: Array) -> ScaledSign:
-    w = np.asarray(w, dtype=np.float64)
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    alpha = float(np.linalg.norm(w) / math.sqrt(w.size))
-    return ScaledSign(alpha=alpha, signs=signs)
 
 
 # --------------------------------------------------------------------------
@@ -711,82 +694,42 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
 class CompressedBlock:
     """A layer whose forward pass uses only its compressed representation.
 
-    Pruning and binarization keep the trainable full-precision ``weight``
-    and route gradients to it through the STE, so zeroed weights keep
-    learning and can re-enter the mask at the next refresh. Low-rank
-    blocks train the factors ``a`` (n, r) and ``b`` (r, m) directly, no STE.
+    ``params`` holds the family's trainable tensors by name, in the order
+    of ``spec.shapes``; ``state`` is what ``spec.refresh`` derives from
+    them (None for a family that derives nothing). The constructor derives
+    it, so every block can run, and it changes only at the next refresh.
     """
 
-    def __init__(
-        self,
-        spec: CompressionSpec,
-        bias: Tensor,
-        activation: str,
-        weight: Tensor | None = None,
-        factors: tuple[Tensor, Tensor] | None = None,
-    ):
-        if (factors is not None, weight is not None) != (spec.factored, not spec.factored):
-            takes = "factors, not a weight" if spec.factored else "a weight, not factors"
-            raise ValueError(f"{spec.kind} blocks take {takes}")
+    def __init__(self, spec: CompressionSpec, params: dict[str, Tensor], bias: Tensor, activation: str):
         self.spec = spec
+        self.params = params
         self.bias = bias
         self.activation = activation
-        self.weight = weight
-        self.a, self.b = factors if factors is not None else (None, None)
-        self.mask: Array | None = None
-        self.alpha: float | None = None
-        self.signs: Array | None = None
+        self.state = None
+        spec.refresh([self])
 
     @property
     def in_dim(self) -> int:
-        return self.b.data.shape[1] if self.weight is None else self.weight.data.shape[1]
+        return next(reversed(self.params.values())).data.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.a.data.shape[0] if self.weight is None else self.weight.data.shape[0]
+        return next(iter(self.params.values())).data.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
         return apply_activation(self.spec.linear(self, x), self.activation)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        if self.weight is None:
-            return [("a", self.a), ("b", self.b), ("bias", self.bias)]
-        return [("weight", self.weight), ("bias", self.bias)]
+        return [*self.params.items(), ("bias", self.bias)]
 
     def param_count(self) -> int:
-        """Stored parameters after discarding what the transform drops.
-
-        Pruning counts surviving mask entries, binarization keeps the full
-        count (entries shrink to one bit, see bit_footprint), low rank
-        counts both factors. Biases are never compressed and always count.
-        """
+        """Stored weight entries (``spec.count``) plus the bias, which is never compressed."""
         return self.spec.count(self) + self.bias.data.size
 
 
 def compress_block(block: DenseBlock, spec: CompressionSpec) -> CompressedBlock:
     """Build a compressed twin of a dense block (the block is left alone)."""
     return spec.compress(block)
-
-
-def factorize_layer(block: DenseBlock, rank: int) -> CompressedBlock:
-    """Split a dense layer into factors A = U, B = diag(s) V^T.
-
-    The rank is clamped to min(n, m) when the layer is too skinny
-    (``LowRank.shape_warnings`` names that case, and the one where the
-    factors store no fewer values than the dense weight).
-    """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    r = min(rank, *block.weight.data.shape)
-    res = truncated_svd(block.weight.data, r)
-    a = res.u
-    b = res.singular_values[:, None] * res.v.T
-    return CompressedBlock(
-        spec=LowRank(r),
-        bias=Tensor(block.bias.data.copy(), requires_grad=True),
-        activation=block.activation,
-        factors=(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)),
-    )
 
 
 def refresh_blocks(blocks: Sequence[CompressedBlock], refresh_masks: bool = True) -> None:
@@ -808,21 +751,3 @@ def compress_network(net, spec: CompressionSpec):
     blocks = [compress_block(b, spec) for b in net.blocks]
     refresh_blocks(blocks)
     return Network(blocks, name=net.name)
-
-
-# --------------------------------------------------------------------------
-# Size accounting
-
-
-def spec_param_count(spec: CompressionSpec | None, n: int, m: int) -> int:
-    """Stored weight-entry count for an n x m layer under a spec.
-
-    Bias entries are not included here; block/network counts add them.
-    """
-    return n * m if spec is None else spec.stored(n, m)
-
-
-def bit_footprint(spec: CompressionSpec | None, n: int, m: int) -> int:
-    """Bits needed for the weight payload: 64 per stored float, except
-    binarization, which stores one bit per entry plus 64 for alpha."""
-    return 64 * n * m if spec is None else spec.bits(n, m)

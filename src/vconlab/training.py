@@ -431,11 +431,14 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     blend under their shared scheduler. With ``post_shot_spec`` an all-dense
     network is compressed in place once ``q_steps`` steps are done.
 
-    Per step: refresh derived compression state, forward, mean-batch
-    cross-entropy, backward, optimizer update, then one tick of each
-    scheduler, so the very first forward sees beta = 1. The logged beta
-    column is the weight of the original branch: the scheduler's value for a
-    blended network, 1 for an all-dense one, 0 for a compressed one.
+    Derived compression state is refreshed once per weight update: once
+    before the first step, then after each optimizer update, so every
+    forward and every validation pass sees the state of the current
+    weights. Per step: forward, mean-batch cross-entropy, backward,
+    optimizer update, refresh, then one tick of each scheduler, so the very
+    first forward sees beta = 1. The logged beta column is the weight of
+    the original branch: the scheduler's value for a blended network, 1
+    for an all-dense one, 0 for a compressed one.
     """
     if cfg.post_shot_spec is not None and not _all_dense(net):
         raise ValueError("post_shot_spec needs an all-dense network")
@@ -447,12 +450,12 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     schedulers = schedulers_of(net)
     log = RunLog()
     gstep = 0
+    refresh_network(net, refresh_masks=not cfg.freeze_mask)
     for epoch in range(1, cfg.epochs + 1):
         order = batch_order(cfg.seed, epoch, n_train)
         for b in range(spe):
             if gstep == cfg.q_steps and cfg.post_shot_spec is not None:
                 _post_shot_switch(net, cfg.post_shot_spec)
-            refresh_network(net, refresh_masks=not cfg.freeze_mask)
             beta = schedulers[0].beta() if schedulers else (1.0 if _all_dense(net) else 0.0)
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             logits = net.forward(Tensor(x_train[idx]))
@@ -465,11 +468,11 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
                 p.grad = None  # a branch that left the graph must not replay its last gradient
             backward(loss)
             lr_used = opt.step(params)
+            refresh_network(net, refresh_masks=not cfg.freeze_mask)
             for sch in schedulers:
                 sch.step()
             log.steps.append((gstep, beta, lr_used, loss_val))
             gstep += 1
-        refresh_network(net, refresh_masks=not cfg.freeze_mask)
         acc = evaluate(net, x_val, y_val, compressed_only=cfg.eval_compressed_only)
         log.epochs.append((epoch, acc))
     return net, log

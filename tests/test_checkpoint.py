@@ -25,7 +25,7 @@ from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
 from vconlab.vcon import BetaScheduler, wrap_network
 
-from test_families import SAMPLES
+from test_families import SAMPLES, same_state
 
 SPECS = list(SAMPLES.values())
 
@@ -62,11 +62,7 @@ def test_compressed_roundtrip(tmp_path, spec):
     _assert_params_equal(net, back)
     for orig, rest in zip(net.blocks, back.blocks):
         assert rest.spec == orig.spec
-        if orig.mask is not None:
-            assert np.array_equal(rest.mask, orig.mask)
-        if orig.alpha is not None:
-            assert rest.alpha == orig.alpha
-            assert np.array_equal(rest.signs, orig.signs)
+        assert same_state(rest.state, orig.state)
     _assert_forward_equal(net, back, 5, seed=2)
 
 
@@ -110,13 +106,13 @@ def test_blended_blocks_on_different_schedulers_are_refused(tmp_path):
 def test_signs_of_exact_zero_weights_roundtrip(tmp_path):
     # sign(0) = +1 must survive the bit packing
     net = compress_network(init_params([2, 3], seed=6), BinaryQuant())
-    net.blocks[0].weight.data[0, 0] = 0.0
+    net.blocks[0].params["weight"].data[0, 0] = 0.0
     refresh_blocks(net.blocks)
-    assert net.blocks[0].signs[0, 0] == 1.0
+    assert net.blocks[0].state[1][0, 0] == 1.0
     p = tmp_path / "net.vcnet"
     save_network(net, p)
     back, _ = load_network(p)
-    assert back.blocks[0].signs[0, 0] == 1.0
+    assert back.blocks[0].state[1][0, 0] == 1.0
 
 
 def test_mask_rows_are_byte_aligned(tmp_path):
@@ -125,7 +121,7 @@ def test_mask_rows_are_byte_aligned(tmp_path):
     p = tmp_path / "net.vcnet"
     save_network(net, p)
     back, _ = load_network(p)
-    assert np.array_equal(back.blocks[0].mask, net.blocks[0].mask)
+    assert np.array_equal(back.blocks[0].state, net.blocks[0].state)
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def test_rank_above_layer_dims_rejected(tmp_path):
     # factors of rank 3 on a 16x2 layer are self-consistent but not low rank
     rng = np.random.default_rng(12)
     a, b = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((16, 3), (3, 2)))
-    block = CompressedBlock(LowRank(3), Tensor(np.zeros(16), requires_grad=True), "none", factors=(a, b))
+    block = CompressedBlock(LowRank(3), {"a": a, "b": b}, Tensor(np.zeros(16), requires_grad=True), "none")
     p = tmp_path / "net.vcnet"
     save_network(Network([block]), p)
     with pytest.raises(CheckpointError, match="rank 3 above"):

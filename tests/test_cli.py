@@ -299,6 +299,17 @@ def test_train_seed_flag_replaces_list(tmp_path):
     assert [r["seed"] for r in summary["per_seed"]] == [7]
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep-q"])
+def test_mode_flag_is_train_only(tmp_path, capsys, command):
+    # compare and sweep-q always run the blended arm, so they take no --mode
+    path, _ = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--quiet", "--mode", "post_shot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode post_shot" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_vcon_writes_finalized_checkpoint_when_converged(tmp_path):
     # 63 train rows / batch 16 = 4 steps per epoch; q=4 converges inside 2 epochs
     path, _ = _write_config(tmp_path, mode="vcon", q_steps=4)
@@ -616,14 +627,14 @@ def test_freeze_original_keeps_initial_originals(tmp_path):
     for block, start in zip(net.blocks, init.blocks):
         assert np.array_equal(block.original.weight.data, start.weight.data)
         assert np.array_equal(block.original.bias.data, start.bias.data)
-        assert not np.array_equal(block.branch.weight.data, start.weight.data)  # the branch still trained
+        assert not np.array_equal(block.branch.params["weight"].data, start.weight.data)  # the branch still trained
 
 
 def test_freeze_mask_keeps_initial_masks(tmp_path):
     net, exp = _vcon_checkpoint(tmp_path, "freeze_mask")
     first = compress_network(init_params(exp.layer_sizes, 0, exp.activation), exp.compression)
     for block, start in zip(net.blocks, first.blocks):
-        assert np.array_equal(block.branch.mask, start.mask)
+        assert np.array_equal(block.branch.state, start.state)
 
 
 def test_eval_compressed_only_reports_the_compressed_branches(tmp_path):

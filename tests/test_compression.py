@@ -15,18 +15,14 @@ from vconlab.compression import (
     PruneStructured,
     PruneUnstructuredGlobal,
     PruneUnstructuredLayer,
-    binarize_scaled,
-    bit_footprint,
     compress_block,
     compress_network,
-    factorize_layer,
     prune_global,
     prune_layerwise,
     prune_nm,
     prune_structured,
     refresh_blocks,
     spec_from_dict,
-    spec_param_count,
     spec_to_dict,
     truncated_svd,
 )
@@ -43,19 +39,6 @@ from oracles import (
     singular_values_oracle,
     stable_sort_masks_oracle,
 )
-
-
-# --------------------------------------------------------------------------
-# Scores
-
-
-def test_magnitude_scores_examples():
-    from vconlab.compression import magnitude_scores
-
-    assert np.array_equal(magnitude_scores(np.array([[-2.0, 0.5]])), np.array([[2.0, 0.5]]))
-    assert np.array_equal(magnitude_scores(np.zeros((3, 4))), np.zeros((3, 4)))
-    w = np.random.default_rng(1).normal(size=(4, 5))
-    assert np.array_equal(magnitude_scores(w), magnitude_scores(-w))
 
 
 # --------------------------------------------------------------------------
@@ -330,14 +313,20 @@ def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
 # Binarization
 
 
+def _binarized(w):
+    """A binary block's state (alpha, signs) for the weight ``w``."""
+    block = DenseBlock(Tensor(np.asarray(w, dtype=np.float64)), Tensor(np.zeros(len(w))), "none")
+    return compress_block(block, BinaryQuant()).state
+
+
 def test_binarize_frozen_example():
-    ss = binarize_scaled(np.array([[3.0, -4.0]]))
-    assert abs(ss.alpha - 5.0 / math.sqrt(2.0)) < 1e-12
-    assert np.array_equal(ss.signs, np.array([[1.0, -1.0]]))
+    alpha, signs = _binarized([[3.0, -4.0]])
+    assert abs(alpha - 5.0 / math.sqrt(2.0)) < 1e-12
+    assert np.array_equal(signs, np.array([[1.0, -1.0]]))
 
 
 def test_binarize_sign_of_zero_is_positive():
-    assert np.array_equal(binarize_scaled(np.array([[0.0, -0.0]])).signs, np.array([[1.0, 1.0]]))
+    assert np.array_equal(_binarized([[0.0, -0.0]])[1], np.array([[1.0, 1.0]]))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -345,9 +334,9 @@ def test_binarize_sign_of_zero_is_positive():
 def test_binarize_alpha_formula(seed):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
-    ss = binarize_scaled(w)
-    assert ss.alpha == float(np.linalg.norm(w) / math.sqrt(w.size))
-    assert set(np.unique(ss.signs).tolist()) <= {-1.0, 1.0}
+    alpha, signs = _binarized(w)
+    assert alpha == float(np.linalg.norm(w) / math.sqrt(w.size))
+    assert set(np.unique(signs).tolist()) <= {-1.0, 1.0}
 
 
 # --------------------------------------------------------------------------
@@ -572,29 +561,34 @@ def _dense(n, m, seed=0, activation="none"):
     )
 
 
+def _factors(block, rank):
+    fac = compress_block(block, LowRank(rank))
+    return fac, fac.params["a"].data, fac.params["b"].data
+
+
 def test_factorize_identity_recovers_exactly():
     block = DenseBlock(Tensor(np.eye(3)), Tensor(np.zeros(3)), "none")
-    fac = factorize_layer(block, 3)
-    assert np.linalg.norm(fac.a.data @ fac.b.data - np.eye(3)) <= 1e-8
+    _, a, b = _factors(block, 3)
+    assert np.linalg.norm(a @ b - np.eye(3)) <= 1e-8
 
 
 def test_factorize_diag_rank_one():
     block = DenseBlock(Tensor(np.diag([3.0, 2.0, 1.0])), Tensor(np.zeros(3)), "none")
-    fac = factorize_layer(block, 1)
-    assert np.allclose(fac.a.data @ fac.b.data, np.diag([3.0, 0.0, 0.0]), atol=1e-10)
+    _, a, b = _factors(block, 1)
+    assert np.allclose(a @ b, np.diag([3.0, 0.0, 0.0]), atol=1e-10)
 
 
 def test_factorize_param_count_100x100_r16():
-    block = _dense(100, 100, seed=1)
-    fac = factorize_layer(block, 16)
-    assert fac.a.data.size + fac.b.data.size == 3200
+    fac, a, b = _factors(_dense(100, 100, seed=1), 16)
+    assert a.size + b.size == 3200
     assert fac.param_count() == 3200 + 100
 
 
 def test_factorize_clamps_oversized_rank():
-    fac = factorize_layer(_dense(16, 2, seed=2), 4)
-    assert fac.a.data.shape == (16, 2)
-    assert fac.b.data.shape == (2, 2)
+    fac, a, b = _factors(_dense(16, 2, seed=2), 4)
+    assert a.shape == (16, 2)
+    assert b.shape == (2, 2)
+    assert fac.spec == LowRank(2)
     assert LowRank(4).shape_warnings(16, 2) == [
         "rank 4 clamped to 2 for a 16x2 layer",
         "rank 2 on a 16x2 layer stores 36 values vs 32 dense; no size benefit",
@@ -622,7 +616,7 @@ def test_binary_on_constant_magnitude_matrix_is_exact():
     w = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     block = DenseBlock(Tensor(w), Tensor(np.zeros(2)), "none")
     comp = compress_block(block, BinaryQuant())
-    assert comp.alpha == 0.5
+    assert comp.state[0] == 0.5
     x = np.random.default_rng(7).uniform(-2, 2, size=(5, 2))
     assert np.array_equal(comp.forward(Tensor(x)).data, block.forward(Tensor(x)).data)
 
@@ -642,12 +636,12 @@ def test_ste_gradient_equals_dense_gradient_at_transformed_point():
     backward(sum_all(comp.forward(Tensor(x))))
 
     surrogate = DenseBlock(
-        Tensor(comp.weight.data * comp.mask, requires_grad=True),
+        Tensor(comp.params["weight"].data * comp.state, requires_grad=True),
         Tensor(comp.bias.data.copy(), requires_grad=True),
         "relu",
     )
     backward(sum_all(surrogate.forward(Tensor(x))))
-    assert np.array_equal(comp.weight.grad, surrogate.weight.grad)
+    assert np.array_equal(comp.params["weight"].grad, surrogate.weight.grad)
     assert np.array_equal(comp.bias.grad, surrogate.bias.grad)
 
 
@@ -672,13 +666,13 @@ def test_refresh_swaps_mask_after_rerank():
     block = _dense(2, 2, seed=14)
     block.weight.data[...] = np.array([[1.0, 0.1], [2.0, 3.0]])
     comp = compress_block(block, PruneUnstructuredLayer(0.25))
-    assert comp.mask[0, 1] == 0.0
+    assert comp.state[0, 1] == 0.0
     # boost the pruned weight, kill a kept one, re-rank
-    comp.weight.data[0, 1] = 5.0
-    comp.weight.data[0, 0] = 0.0
+    comp.params["weight"].data[0, 1] = 5.0
+    comp.params["weight"].data[0, 0] = 0.0
     refresh_blocks([comp])
-    assert comp.mask[0, 1] == 1.0
-    assert comp.mask[0, 0] == 0.0
+    assert comp.state[0, 1] == 1.0
+    assert comp.state[0, 0] == 0.0
 
 
 def test_refresh_blocks_shares_global_threshold():
@@ -689,40 +683,34 @@ def test_refresh_blocks_shares_global_threshold():
     c1 = compress_block(b1, PruneUnstructuredGlobal(0.5))
     c2 = compress_block(b2, PruneUnstructuredGlobal(0.5))
     refresh_blocks([c1, c2])
-    assert np.array_equal(c1.mask, np.ones((1, 2)))
-    assert np.array_equal(c2.mask, np.zeros((1, 2)))
+    assert np.array_equal(c1.state, np.ones((1, 2)))
+    assert np.array_equal(c2.state, np.zeros((1, 2)))
 
 
 def test_freeze_mask_blocks_mask_refresh_but_not_alpha():
     pruned = compress_block(_dense(2, 2, seed=17), PruneUnstructuredLayer(0.5))
     binary = compress_block(_dense(2, 2, seed=18), BinaryQuant())
-    old_mask = pruned.mask.copy()
-    old_alpha = binary.alpha
-    pruned.weight.data *= -3.0  # reorders nothing, but flips values
-    pruned.weight.data[0, 0] = 100.0
-    binary.weight.data *= 2.0
+    old_mask = pruned.state.copy()
+    old_alpha = binary.state[0]
+    pruned.params["weight"].data *= -3.0  # reorders nothing, but flips values
+    pruned.params["weight"].data[0, 0] = 100.0
+    binary.params["weight"].data *= 2.0
     refresh_blocks([pruned, binary], refresh_masks=False)
-    assert np.array_equal(pruned.mask, old_mask)
-    assert binary.alpha == 2.0 * old_alpha
+    assert np.array_equal(pruned.state, old_mask)
+    assert binary.state[0] == 2.0 * old_alpha
 
 
 def test_binary_forward_uses_the_signs_of_the_last_refresh():
     # like a pruning mask, the signs change only when the block is refreshed
     block = compress_block(_dense(3, 4, seed=20), BinaryQuant())
     x = Tensor(np.random.default_rng(21).uniform(-2, 2, size=(5, 4)))
-    alpha, signs = block.alpha, block.signs.copy()
-    block.weight.data[...] = -block.weight.data
+    alpha, signs = block.state
+    weight = block.params["weight"].data
+    weight[...] = -weight
     assert np.array_equal(block.forward(x).data, x.data @ (alpha * signs).T + block.bias.data)
     refresh_blocks([block])
-    assert np.array_equal(block.signs, -signs)
+    assert np.array_equal(block.state[1], -signs)
     assert np.array_equal(block.forward(x).data, x.data @ (alpha * -signs).T + block.bias.data)
-
-
-def test_compressed_forward_requires_refresh():
-    block = compress_block(_dense(2, 2, seed=19), PruneUnstructuredLayer(0.5))
-    block.mask = None
-    with pytest.raises(RuntimeError, match="refresh"):
-        block.forward(Tensor(np.zeros((1, 2))))
 
 
 # --------------------------------------------------------------------------
@@ -730,22 +718,21 @@ def test_compressed_forward_requires_refresh():
 
 
 def test_spec_param_count_frozen_values():
-    assert spec_param_count(PruneUnstructuredLayer(0.95), 64, 64) == 205
-    assert spec_param_count(PruneNM(1, 16), 64, 64) == 256
-    assert spec_param_count(LowRank(8), 64, 64) == 1024
-    assert spec_param_count(None, 64, 64) == 4096
-    assert spec_param_count(BinaryQuant(), 64, 64) == 4096
+    assert PruneUnstructuredLayer(0.95).stored(64, 64) == 205
+    assert PruneNM(1, 16).stored(64, 64) == 256
+    assert LowRank(8).stored(64, 64) == 1024
+    assert BinaryQuant().stored(64, 64) == 4096
 
 
 def test_spec_param_count_structured_and_trailing_nm():
-    assert spec_param_count(PruneStructured(0.5), 10, 8) == 5 * 8
+    assert PruneStructured(0.5).stored(10, 8) == 5 * 8
     # m=10, 2:4 groups -> 2+2+ceil(2*2/4)=5 per row
-    assert spec_param_count(PruneNM(2, 4), 3, 10) == 3 * 5
+    assert PruneNM(2, 4).stored(3, 10) == 3 * 5
 
 
 def test_bit_footprint_binary():
-    assert bit_footprint(BinaryQuant(), 64, 64) == 4096 + 64
-    assert bit_footprint(PruneUnstructuredLayer(0.95), 64, 64) == 205 * 64
+    assert BinaryQuant().bits(64, 64) == 4096 + 64
+    assert PruneUnstructuredLayer(0.95).bits(64, 64) == 205 * 64
 
 
 def test_block_param_count_matches_masks():

@@ -520,20 +520,40 @@ def test_post_shot_actually_compresses_after_switch():
 
     assert all(isinstance(b, CompressedBlock) for b in net.blocks)
     for b in net.blocks:
-        assert (b.mask == 0).sum() == math.floor(0.5 * b.mask.size)
+        assert (b.state == 0).sum() == math.floor(0.5 * b.state.size)
+
+
+def test_state_is_refreshed_once_per_weight_update(monkeypatch):
+    # once before the first step, then once after each optimizer update; the
+    # validation pass at an epoch's end sees the last update's state
+    from vconlab import training
+
+    ds = _blobs(per_class=30)
+    net = compress_network(init_params([2, 8, 3], seed=13), PruneUnstructuredLayer(0.5))
+    calls = []
+    real = training.refresh_blocks
+
+    def counted(blocks, **kwargs):
+        calls.append(len(blocks))
+        real(blocks, **kwargs)
+
+    monkeypatch.setattr(training, "refresh_blocks", counted)
+    _, log = train(net, ds, TrainConfig(epochs=3, batch_size=16, seed=13))
+    assert len(log.steps) == 3 * 4
+    assert calls == [2] * (1 + len(log.steps))
 
 
 def test_freeze_mask_keeps_initial_mask_through_training():
     ds = _blobs(noise=0.2, per_class=30)
     net = compress_network(init_params([2, 8, 3], seed=10), PruneUnstructuredLayer(0.5))
-    before = [b.mask.copy() for b in net.blocks]
+    before = [b.state.copy() for b in net.blocks]
     cfg = TrainConfig(
         epochs=2, batch_size=16, seed=10, freeze_mask=True,
         optimizer=OptimizerSpec(kind="sgd", lr=0.5),  # big steps so ranks would move
     )
     train(net, ds, cfg)
     for b, m in zip(net.blocks, before):
-        assert np.array_equal(b.mask, m)
+        assert np.array_equal(b.state, m)
 
 
 def test_post_shot_spec_needs_an_all_dense_network():

@@ -146,8 +146,8 @@ def test_branch_starts_from_original_weights():
     net = init_params([3, 5, 2], seed=7)
     blended = wrap_network(net, PruneUnstructuredLayer(0.0), BetaScheduler(q=4))
     for orig, vb in zip(net.blocks, blended.blocks):
-        assert np.array_equal(vb.branch.weight.data, orig.weight.data)
-        assert vb.branch.weight is not orig.weight  # deep copy, no aliasing
+        assert np.array_equal(vb.branch.params["weight"].data, orig.weight.data)
+        assert vb.branch.params["weight"] is not orig.weight  # deep copy, no aliasing
 
 
 def test_wrap_does_not_mutate_source_network():
@@ -188,14 +188,14 @@ def test_gradient_splits_by_beta():
     assert np.max(np.abs(vb.original.weight.grad - 0.75 * g_orig.grad)) <= 1e-12
 
     # compressed branch gets the 1 - beta share (STE passes it through)
-    masked = vb.branch.weight.data * vb.branch.mask
+    masked = vb.branch.params["weight"].data * vb.branch.state
     solo_b = DenseBlock(
         Tensor(masked, requires_grad=True),
         Tensor(vb.branch.bias.data.copy(), requires_grad=True),
         act,
     )
     backward(sum_all(solo_b.forward(x)))
-    assert np.max(np.abs(vb.branch.weight.grad - 0.25 * solo_b.weight.grad)) <= 1e-12
+    assert np.max(np.abs(vb.branch.params["weight"].grad - 0.25 * solo_b.weight.grad)) <= 1e-12
 
 
 def test_converged_blend_leaves_original_grad_none():
@@ -206,7 +206,7 @@ def test_converged_blend_leaves_original_grad_none():
     for block in blended.blocks:
         assert block.original.weight.grad is None
         assert block.original.weight not in grads
-        assert block.branch.weight.grad is not None
+        assert block.branch.params["weight"].grad is not None
 
 
 def test_graph_has_one_node_per_affine_layer():
