@@ -20,6 +20,7 @@ therefore a deterministic function of the weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -555,18 +556,26 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     turn together, with c and s per pair. Pairs that share a column keep
     the cyclic row order, so every pair sees the same columns, makes the
     same decision and gets the same c and s as in the row-by-row sweep.
+    The test and c, s are elementwise array ops over the wave, with
+    ``math.hypot`` (``_hypot1``).
 
     The result is fixed bit for bit, not only to rounding: every dot is a
     BLAS ddot over a non-unit stride, whose kernel adds in the same order
     for any such stride, and each rotation is ``c*x - s*y``, ``s*x + c*y``
-    per element. Each column's squared norm is cached and recomputed, with
-    that same dot, only after the column rotates, so it equals the value a
-    fresh dot would give.
+    per element. A wave's dots are one stacked ``np.matmul``
+    (``_strided_dots``), which numpy hands, 1 x n by n x 1 product by
+    product, to that strided ddot, as it does ``x.dot(y)`` (checked on
+    numpy 2.4.6; the oracle tests guard other versions). Each column's
+    squared norm is cached and, after a wave rotates, recomputed with that
+    same dot for the wave's columns ``lo .. w - lo``; a column that did not
+    rotate gets back its cached value, so every cache equals what a fresh
+    dot would give.
 
     Column k of ``u`` over ``v`` is row k of one ``(cols, 2 * (rows +
     cols))`` work array, in its even lanes, so each column is a stride-2
-    view and a wave's gather, rotation and scatter turn ``u`` and ``v``
-    of all its rotating pairs at once. The columns go back into a C-order
+    view, a wave's i and j columns are a slice and a reversed slice, and a
+    wave's gather, rotation and scatter turn ``u`` and ``v`` of all its
+    rotating pairs at once. The columns go back into a C-order
     ``(rows + cols, cols)`` array before the column sums, whose bits
     depend on that layout. ``tests/oracles.py`` keeps the plain per-pair
     loop that this must match.
@@ -585,18 +594,28 @@ def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     return u, sig, v
 
 
-def _jacobi_waves(cols: int) -> list[list[tuple[int, int]]]:
-    """The pairs (i, j), i < j, of one cyclic sweep, as waves: wave ``w``
-    holds the pairs with ``i + j == w``, ``i`` ascending, for ``w`` in
-    1 .. 2 * cols - 3.
+def _jacobi_waves(cols: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of one cyclic sweep, as waves: wave ``w``,
+    for ``w`` in 1 .. 2 * cols - 3, holds the pairs ``(i, w - i)`` with
+    ``lo <= i < hi``, and comes back as its bounds ``(lo, hi)``.
 
     No two pairs of a wave share a column, and two pairs that share a
     column come in the order the row-by-row sweep visits them, so running
     the waves in order shows every pair the columns it sees in that sweep."""
-    return [
-        [(i, w - i) for i in range(max(0, w - cols + 1), (w + 1) // 2)]
-        for w in range(1, 2 * cols - 2)
-    ]
+    return [(max(0, w - cols + 1), (w + 1) // 2) for w in range(1, 2 * cols - 2)]
+
+
+def _strided_dots(x: Array, y: Array) -> Array:
+    """``x[k].dot(y[k])`` for every row k, as one stacked ``np.matmul`` of
+    1 x n rows by n x 1 columns; numpy hands each such product to the same
+    strided BLAS ddot that ``x[k].dot(y[k])`` calls."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _hypot1(x: Array) -> Array:
+    """``math.hypot(1.0, v)`` for every entry v; ``np.hypot`` differs from
+    it in the last bit on some inputs."""
+    return np.array(list(map(math.hypot, itertools.repeat(1.0), x.tolist())))
 
 
 def _rotated_columns(a: Array) -> Array:
@@ -608,40 +627,38 @@ def _rotated_columns(a: Array) -> Array:
     whole = lanes[:, ::2]  # column k is lanes[k, ::2]
     whole[:, :rows] = a.T
     whole[:, rows:] = np.eye(cols)
-    col = list(whole[:, :rows])
-    dot = [x.dot for x in col]
-    sq = [float(dot[k](col[k])) for k in range(cols)]
+    col = whole[:, :rows]
+    sq = _strided_dots(col, col)
     waves = _jacobi_waves(cols)
-    sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
-    for _ in range(SVD_MAX_SWEEPS):
-        rotated = False
-        for wave in waves:
-            turned_i, turned_j, cs, ss = [], [], [], []
-            for i, j in wave:
-                pp = sq[i]
-                qq = sq[j]
-                pq = float(dot[i](col[j]))
-                if abs(pq) <= SVD_TOL * sqrt(pp * qq):
+    # a zeta past the largest float is inf, as in Python float arithmetic, and gives t = 0
+    with np.errstate(over="ignore"):
+        for _ in range(SVD_MAX_SWEEPS):
+            rotated = False
+            for w, (lo, hi) in enumerate(waves, start=1):
+                # wave w pairs i = lo .. hi-1 with j = w-lo down to w-hi+1
+                pq = _strided_dots(col[lo:hi], col[w - lo : w - hi : -1])
+                pp = sq[lo:hi]
+                qq = sq[w - lo : w - hi : -1]
+                turn = np.abs(pq) > SVD_TOL * np.sqrt(pp * qq)
+                if not turn.any():
                     continue
+                rotated = True
+                pq, pp, qq = pq[turn], pp[turn], qq[turn]
                 zeta = (qq - pp) / (2.0 * pq)
-                t = copysign(1.0, zeta) / (abs(zeta) + hypot(1.0, zeta))
-                c = 1.0 / hypot(1.0, t)
-                turned_i.append(i)
-                turned_j.append(j)
-                cs.append(c)
-                ss.append(c * t)
-            if not cs:
-                continue
-            rotated = True
-            c, s = np.array([cs, ss])[:, :, None]
-            x = whole[turned_i]
-            y = whole[turned_j]
-            whole[turned_i] = c * x - s * y
-            whole[turned_j] = s * x + c * y
-            for k in turned_i + turned_j:
-                sq[k] = float(dot[k](col[k]))
-        if not rotated:
-            break
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + _hypot1(zeta))
+                c = 1.0 / _hypot1(t)
+                s = c * t
+                c, s = c[:, None], s[:, None]
+                turned_i = np.flatnonzero(turn) + lo
+                turned_j = w - turned_i
+                x = whole[turned_i]
+                y = whole[turned_j]
+                whole[turned_i] = c * x - s * y
+                whole[turned_j] = s * x + c * y
+                # columns lo .. w-lo: those that turned, plus the ones whose fresh dot equals their cache
+                sq[lo : w - lo + 1] = _strided_dots(col[lo : w - lo + 1], col[lo : w - lo + 1])
+            if not rotated:
+                break
     return np.ascontiguousarray(whole.T)
 
 
@@ -653,8 +670,9 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
     values come back sorted non-increasing. The factors are bit-for-bit
     those of the plain per-pair Jacobi loop in ``tests/oracles.py`` (same
     pair order, same strided dots, same rotation arithmetic; only the
-    columns' layout in memory differs, see ``_one_sided_jacobi``), which
-    the tests check.
+    columns' layout in memory differs, and a wave's dots go through one
+    stacked ``np.matmul`` that numpy hands to the same strided ddot, see
+    ``_one_sided_jacobi``), which the tests check.
 
     A matrix with a NaN or infinite entry is a ValueError, and so is one
     whose ``(w*w).sum()**2`` is not finite (a sum of squares above about

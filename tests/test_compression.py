@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,7 +453,10 @@ def test_truncated_svd_just_inside_the_bound_matches_the_per_pair_loop():
 
 def test_jacobi_waves_hold_each_pair_once_in_cyclic_order():
     for cols in range(1, 41):
-        waves = compression._jacobi_waves(cols)
+        bounds = compression._jacobi_waves(cols)
+        assert len(bounds) == max(0, 2 * cols - 3)
+        waves = [[(i, w - i) for i in range(lo, hi)] for w, (lo, hi) in enumerate(bounds, start=1)]
+        assert all(wave for wave in waves)
         cyclic = [(i, j) for i in range(cols - 1) for j in range(i + 1, cols)]
         assert sorted(pair for wave in waves for pair in wave) == cyclic
         for wave in waves:
@@ -467,11 +471,44 @@ def test_jacobi_waves_hold_each_pair_once_in_cyclic_order():
 # the package's dots run over stride 2 (each column in the even lanes of
 # its row of the work array), the oracle's over stride cols; the bytes
 # agree only where the BLAS strided ddot adds in the same order for every
-# stride, as OpenBLAS's does
+# stride, as OpenBLAS's does. The package takes a wave's dots with one
+# stacked np.matmul, which numpy hands, product by product, to that same
+# strided ddot (checked on numpy 2.4.6)
 _STRIDE_NOTE = (
     "Jacobi factors differ from the per-pair loop's; if this BLAS is not OpenBLAS, "
-    "its strided ddot may add in a different order for stride 2 than for stride cols"
+    "its strided ddot may add in a different order for stride 2 than for stride cols; "
+    "if this numpy's vector-vector matmul does not call the strided ddot, the stacked "
+    "dots of a wave differ from the per-pair dots"
 )
+
+_MATMUL_NOTE = (
+    "a stacked np.matmul of 1 x n stride-2 rows by n x 1 columns differs from each pair's "
+    "ndarray.dot; the Jacobi sweep assumes numpy's vector-vector matmul path hands every "
+    "product of the stack to the strided ddot that x.dot(y) calls"
+)
+
+
+# one row is left out: ndarray.dot takes two length-1 vectors as scalars,
+# so 0 * -1 is -0.0 there and +0.0 through the ddot; the sweep takes no pair
+# dot on one row, since rows >= cols leaves a single column
+@pytest.mark.parametrize("rows", [2, 3, 7, 37, 128])
+def test_jacobi_stacked_matmul_of_stride_two_rows_gives_each_pairs_dot_bytes(rows):
+    cols = 12
+    rng = np.random.default_rng(rows)
+    whole = np.zeros((cols, 2 * (rows + cols)))[:, ::2]  # the sweep's layout: row k holds column k
+    whole[:, :rows] = rng.normal(size=(cols, rows))
+    col = whole[:, :rows]
+    col[3] = 0.0
+    col[8:] *= 1e-160  # dots among rows 8-11 are subnormal
+    stacks = [(col[:k], col[cols - k :]) for k in range(1, cols + 1)]  # forward
+    stacks += [(col[lo:hi], col[w - lo : w - hi : -1])  # reversed, as in a wave
+               for w, (lo, hi) in enumerate(compression._jacobi_waves(cols), start=1)]
+    stacks += [(col, col), (col[::-1], col)]
+    assert any(0.0 < abs(float(x.dot(x))) < np.finfo(np.float64).tiny for x in col)
+    for x, y in stacks:
+        got = compression._strided_dots(x, y)
+        want = np.array([x[k].dot(y[k]) for k in range(len(x))])
+        assert got.tobytes() == want.tobytes(), _MATMUL_NOTE
 
 
 def _assert_svd_matches_per_pair_loop(w, rank):
@@ -480,6 +517,16 @@ def _assert_svd_matches_per_pair_loop(w, rank):
     assert res.u.tobytes() == u.tobytes() and res.u.shape == u.shape, _STRIDE_NOTE
     assert res.singular_values.tobytes() == sig.tobytes(), _STRIDE_NOTE
     assert res.v.tobytes() == v.tobytes() and res.v.shape == v.shape, _STRIDE_NOTE
+
+
+def test_truncated_svd_bit_identical_to_per_pair_loop_when_products_of_norms_underflow(monkeypatch):
+    # entries near 1e-150: every pp * qq underflows to 0, so the rotation
+    # threshold is 0 and the sweeps never stop before SVD_MAX_SWEEPS
+    w = np.random.default_rng(19).normal(size=(19, 13)) * 1e-150
+    _assert_svd_matches_per_pair_loop(w, 13)
+    full = truncated_svd(w, 13)
+    monkeypatch.setattr(compression, "SVD_MAX_SWEEPS", compression.SVD_MAX_SWEEPS - 1)
+    assert truncated_svd(w, 13).v.tobytes() != full.v.tobytes()  # the last sweep still rotated
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -532,6 +579,9 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
     zero_and_twin = rng.normal(size=(12, 6))
     zero_and_twin[:, 2] = 0.0
     zero_and_twin[:, 4] = zero_and_twin[:, 1]
+    # |x|^2 = 3e152 and |y|^2 = 0 (underflow) with x.y = 2e-224: zeta = -|x|^2 / (2 x.y) is past the
+    # largest float, -inf in the per-pair loop's Python floats, so t = -0.0 and the pair turns by c = 1
+    overflow = np.array([[1e76, 1e-300], [1e76, 2e-300], [1e76, -1e-300]])
     cases = [
         zero_and_twin,
         zero_and_twin.T,  # a zero row and two identical rows on the transposed path
@@ -542,10 +592,15 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
         rng.normal(size=(9, 9)) * 1e-3,
         rng.normal(size=(9, 7)),  # odd column count: the last column has no lane partner
         rng.normal(size=(64, 64)),
+        rng.normal(size=(70, 67)),  # odd, and waves of up to 33 pairs, past the hypothesis test's 24 columns
+        overflow,
+        overflow.T,
     ]
-    for w in cases:
-        for rank in sorted({1, min(w.shape)}):
-            _assert_svd_matches_per_pair_loop(w, rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        for w in cases:
+            for rank in sorted({1, min(w.shape)}):
+                _assert_svd_matches_per_pair_loop(w, rank)
 
 
 # --------------------------------------------------------------------------
