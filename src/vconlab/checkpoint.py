@@ -46,9 +46,6 @@ class _Writer:
         # one padded bit-row per matrix row keeps rows byte-aligned
         self.fh.write(np.packbits(rows.astype(np.uint8), axis=1).tobytes())
 
-    def fail(self, message: str):
-        raise CheckpointError(message)
-
 
 class _Reader:
     def __init__(self, blob: bytes, offset: int, path=""):

@@ -50,9 +50,9 @@ class CompressionSpec:
     overrides ``linear``, the block's pre-activation with its bias, with
     its factor product), counts the stored entries and bits of an n x m
     layer (``stored``, ``bits``), writes and reads its ``.vcnet`` payload
-    through checkpoint.py's writer and reader (``floats``, ``bits``,
-    ``fail``; the base stores the named tensors, then the bias), and names
-    its ``inspect`` fields (``describe``).
+    through checkpoint.py's writer (``floats``, ``bits``) and reader (those
+    and ``fail``; the base stores the named tensors, then the bias), and
+    names its ``inspect`` fields (``describe``).
     """
 
     kind: ClassVar[str]
@@ -443,7 +443,6 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     return masks
 
 
-_RANK_GROUP_MAX = 8  # widest group ranked pairwise; from 9 columns up the per-group loop was faster on some layers
 _NAN_KEY = int(np.array(np.inf).view(np.int64)) + 1
 
 
@@ -453,17 +452,18 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     Groups run along the input (column) axis. A trailing group of width
     l < group keeps ceil(keep * l / group) entries.
 
-    Groups of at most ``_RANK_GROUP_MAX`` columns (trailing group included)
-    are ranked all at once. Each entry's key is its magnitude's float64 bit
-    pattern as an int64: non-negative floats order like their bits, and
-    every NaN gets one key above +inf's. An entry's rank is counted from
-    pairwise comparisons (entry i sorts before a later entry j exactly when
-    key_i <= key_j), the ``keep`` highest ranks survive, and the bool mask
-    is built whole and converted to float once. The passes grow with the
-    width squared: from 9 columns up they ran slower than one stable
-    argsort per group on the 3-row output layers, so wider groups keep
-    that loop. Both give the mask of the per-group loop kept in
-    ``tests/oracles.py``, bit for bit.
+    All groups are ranked at once. Each entry's key is its magnitude's
+    float64 bit pattern as an int64: non-negative floats order like their
+    bits, and every NaN gets one key above +inf's. An entry's rank is
+    counted from pairwise comparisons (entry i sorts before a later entry j
+    exactly when key_i <= key_j), the ``keep`` highest ranks survive, and
+    the bool mask is built whole and converted to float once. This gives
+    the mask of the per-group stable-sort loop kept in
+    ``tests/oracles.py``, bit for bit. The passes grow with the group width
+    squared, so wide groups on few-row layers cost more than that loop
+    (from 32 columns up, several times more on 3x256 and 64x64 layers),
+    while a 256x256 layer is faster at every width up to 64; CHANGES.md
+    has the timings.
     """
     if not (1 <= keep <= group):
         raise ValueError(f"N:M pruning needs 1 <= N <= M, got {keep}:{group}")
@@ -471,17 +471,6 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     if w.ndim != 2:
         raise ShapeError(f"prune_nm expects a 2-D weight, got shape {w.shape}")
     n, m = w.shape
-    if group > _RANK_GROUP_MAX:
-        scores = np.abs(w)
-        mask = np.zeros_like(w)
-        rows = np.arange(n)[:, None]
-        for start in range(0, m, group):
-            stop = min(start + group, m)
-            width = stop - start
-            kept = keep if width == group else -(-keep * width // group)
-            order = np.argsort(scores[:, start:stop], axis=1, kind="stable")
-            mask[rows, start + order[:, width - kept :]] = 1.0
-        return mask
     top = np.empty((n, m), dtype=bool)
     full = m - m % group
     if full:
@@ -500,20 +489,22 @@ def _magnitude_keys(w: Array) -> Array:
 
 
 def _top_ranked(w: Array, kept: int) -> Array:
-    """Bool mask over ``w`` (rows, groups, width <= ``_RANK_GROUP_MAX``)
-    marking in each group the ``kept`` entries a stable ascending sort of
-    the magnitudes puts last.
+    """Bool mask over ``w`` (rows, groups, width) marking in each group the
+    ``kept`` entries a stable ascending sort of the magnitudes puts last.
 
     Entry i's rank is the number of entries sorted before it: it starts at
     i, as if every earlier entry came first, and moves by one for each
-    later entry j with key_j < key_i, which comes first instead.
+    later entry j with key_j < key_i, which comes first instead. Ranks stay
+    in [0, width), so they take the smallest unsigned dtype that holds
+    width - 1: uint8 up to 256 columns.
     """
     width = w.shape[-1]
+    dtype = np.min_scalar_type(width - 1)
     keys = _magnitude_keys(w.transpose(2, 0, 1))  # one contiguous slice per position in the group
-    rank = np.repeat(np.arange(width, dtype=np.uint8), keys[0].size).reshape(keys.shape)  # stays below width
+    rank = np.repeat(np.arange(width, dtype=dtype), keys[0].size).reshape(keys.shape)
     for i in range(width - 1):
         later_first = (keys[i + 1 :] < keys[i]).view(np.uint8)
-        rank[i] += later_first.sum(axis=0, dtype=np.uint8)
+        rank[i] += later_first.sum(axis=0, dtype=dtype)
         rank[i + 1 :] -= later_first
     return (rank >= width - kept).transpose(1, 2, 0)
 

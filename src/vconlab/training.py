@@ -192,14 +192,6 @@ class Dataset:
         sel = self.split_tags == tag
         return self.features[sel], self.labels[sel]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 def _split_tags(count: int) -> Array:
     n_train = int(math.floor(0.70 * count))

@@ -23,9 +23,9 @@ from vconlab.compression import (
 )
 from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
-from vconlab.vcon import BetaScheduler, wrap_network
+from vconlab.vcon import BetaScheduler, finalize, wrap_network
 
-from test_families import SAMPLES, same_state
+from test_families import SAMPLES, SIZES, same_state
 
 SPECS = list(SAMPLES.values())
 
@@ -78,6 +78,34 @@ def test_blended_roundtrip_with_scheduler(tmp_path, spec):
     # a single scheduler object is shared by all restored blocks
     assert all(b.scheduler is back_sched for b in back.blocks)
     _assert_forward_equal(net, back, 4, seed=4)  # same beta on both sides
+
+
+_LOW_RANK_LAYOUT = pytest.mark.xfail(strict=True, reason=(
+    "LowRank.compress builds factor b in Fortran order and a .vcnet load gives C order, so the "
+    "loaded network's forward differs in the last bit (the LowRank.compress FOUND line in CHANGES.md)"))
+
+
+@pytest.mark.parametrize("kind", [pytest.param(k, marks=_LOW_RANK_LAYOUT) if k == "low_rank" else k
+                                  for k in sorted(SAMPLES)])
+def test_loaded_network_forward_is_bit_equal(tmp_path, kind):
+    # a network behaves the same after a save and load: freshly compressed,
+    # mid-transition and finalized, at the family samples' sizes (the [5, 6, 3]
+    # nets above are too small to show low rank's last-bit layout difference)
+    spec = SAMPLES[kind]
+    nets = {
+        "compressed": compress_network(init_params(SIZES, seed=7), spec),
+        "mid-transition": wrap_network(init_params(SIZES, seed=7), spec, BetaScheduler(q=4, t=2)),
+        "finalized": finalize(wrap_network(init_params(SIZES, seed=7), spec, BetaScheduler(q=4, t=4))),
+    }
+    x = Tensor(np.random.default_rng(8).uniform(-2, 2, size=(32, SIZES[0])))
+    differ = []
+    for state, net in nets.items():
+        p = tmp_path / f"{state}.vcnet"
+        save_network(net, p)
+        back, _ = load_network(p)
+        if back.forward(x).data.tobytes() != net.forward(x).data.tobytes():
+            differ.append(state)
+    assert differ == []
 
 
 def test_scheduler_can_be_passed_explicitly(tmp_path):

@@ -251,8 +251,8 @@ _INF_PALETTE = st.sampled_from([math.inf, -math.inf, 1.0, -1.0, 0.0, -0.0, math.
 @given(st.data())
 @settings(max_examples=400)
 def test_nm_masks_equal_the_per_group_argsort_bit_for_bit(data):
-    # groups of 1-12 columns, on both sides of the pairwise-rank cutoff, with
-    # trailing groups, groups wider than the layer and keep == group
+    # groups of 1-12 columns, with trailing groups, groups wider than the
+    # layer and keep == group; the rank dtype's width bound is tested below
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 30))
     palette = data.draw(st.sampled_from([*_PALETTES, _INF_PALETTE]))
     w = np.array(data.draw(st.lists(palette, min_size=n * m, max_size=n * m)), dtype=np.float64).reshape(n, m)
@@ -260,6 +260,21 @@ def test_nm_masks_equal_the_per_group_argsort_bit_for_bit(data):
     keep = data.draw(st.sampled_from([1, group, data.draw(st.integers(1, group))]))
     got, want = prune_nm(w, keep, group), per_group_nm_mask_oracle(w, keep, group)
     assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group", [255, 256, 257, 300])
+def test_wide_nm_groups_equal_the_per_group_argsort(group):
+    # ranks are uint8 up to 256 columns and uint16 past it; each layer has two
+    # full groups and a trailing one 30 columns short, which for 300 columns
+    # is 270 wide, so a trailing group crosses the bound too
+    rng = np.random.default_rng(group)
+    m = 3 * group - 30
+    ties = rng.choice([0.0, -0.0, 0.5, -0.5, 2.0, math.nan], size=(3, m))
+    w = np.vstack([ties, rng.normal(size=(2, m)), np.zeros((1, m))])
+    w[3, ::7] = math.nan
+    for keep in (1, group // 2, group - 1, group):
+        got, want = prune_nm(w, keep, group), per_group_nm_mask_oracle(w, keep, group)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_nan_scores_are_pruned_last_in_index_order():
@@ -278,7 +293,10 @@ _RUN_COMPRESSION = {
     "prune_structured": {"kind": "prune_structured", "sparsity": 0.6},
     "prune_nm_2_4": {"kind": "prune_nm", "keep": 2, "group": 4},
     "prune_nm_3_8": {"kind": "prune_nm", "keep": 3, "group": 8},
+    "prune_nm_3_12": {"kind": "prune_nm", "keep": 3, "group": 12},
 }
+# 3:12 gets hidden layers of 24 and 30 inputs: two full groups each, and a trailing 6 on the second
+_RUN_SIZES = {"prune_nm_3_12": [2, 24, 30, 3]}
 
 
 @pytest.mark.parametrize("kind", list(_RUN_COMPRESSION))
@@ -287,7 +305,7 @@ def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
     # the same run with the masks built by the stable-sort oracles writes the
     # same step logs and the same checkpoint bytes
     cfg = {
-        "model": {"layer_sizes": [2, 8, 6, 3]},
+        "model": {"layer_sizes": _RUN_SIZES.get(kind, [2, 8, 6, 3])},
         "dataset": {"kind": "spiral", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0},
         "compression": _RUN_COMPRESSION[kind],
         "optimizer": {"kind": "adam", "lr": 0.05},

@@ -241,7 +241,7 @@ def test_batch_order_is_seed_epoch_function():
 def test_synthetic_shapes_and_split_sizes():
     ds = make_synthetic("spiral", classes=3, samples_per_class=500, seed=0)
     assert ds.features.shape == (1500, 2)
-    assert ds.num_classes == 3
+    assert set(ds.labels.tolist()) == {0, 1, 2}
     for tag, size in [("train", 1050), ("val", 225), ("test", 225)]:
         x, y = ds.split(tag)
         assert len(x) == len(y) == size
