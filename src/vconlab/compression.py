@@ -203,15 +203,15 @@ class PruneStructured(_SparsityMask):
 class BinaryQuant(CompressionSpec):
     """Replace the weight by alpha * sign(w), alpha = ||W||_F / sqrt(n*m).
 
-    The block's state is ``(alpha, signs)``, signs in {-1.0, +1.0} with
-    sign(0) = +1."""
+    The block's state is ``(alpha, signs)``, signs in {-1.0, +1.0}: +1.0
+    where w >= 0 (either signed zero included), -1.0 elsewhere (NaN too)."""
 
     kind = "binary"
 
     def refresh(self, blocks, refresh_masks=True):
         for blk in blocks:
             w = blk.params["weight"].data
-            blk.state = (float(np.linalg.norm(w) / math.sqrt(w.size)), np.where(w >= 0.0, 1.0, -1.0))
+            blk.state = (float(np.linalg.norm(w) / math.sqrt(w.size)), (w >= 0.0) * 2.0 - 1.0)
 
     def effective_weight(self, block):
         alpha, signs = block.state

@@ -81,7 +81,10 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map x @ w.T (+ b): a (batch, m) input through an (n, m) weight
     and an optional length-n bias row. The engine's one product op; the bias
-    gradient sums over the batch axis."""
+    is added into the fresh product in place, and the bias gradient sums
+    over the batch axis. The weight gradient is ``g.T @ x``, C-ordered.
+    Its bytes equal ``(x.T @ g).T``'s on the golden digests' platform, not
+    on every BLAS kernel (README, Determinism)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear: cannot apply weight {w.data.shape} to input {x.data.shape}")
     if b is not None and b.data.shape != (w.data.shape[0],):
@@ -92,11 +95,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             _give(x, g @ w.data)
         if w.requires_grad:
-            _give(w, (x.data.T @ g).T)
+            _give(w, g.T @ x.data)
         if b is not None and b.requires_grad:
             _give(b, g.sum(axis=0))
 
-    return _result(z, (x, w), _bw) if b is None else _result(z + b.data, (x, w, b), _bw)
+    if b is None:
+        return _result(z, (x, w), _bw)
+    return _result(np.add(z, b.data, out=z), (x, w, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

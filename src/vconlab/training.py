@@ -108,7 +108,9 @@ class Optimizer:
     handful of whole-buffer ops, whose per-element arithmetic is the same
     as one tensor at a time; each parameter then subtracts its slice from
     its own array in place. The gather adds 0.0, so a -0.0 gradient counts
-    as +0.0.
+    as +0.0. It takes a gradient of any layout; the engine's are C-ordered
+    (``linear`` returns its weight gradient as ``g.T @ x``), so for them it
+    is a contiguous copy.
 
     Adam moments are keyed by parameter name, so blocks can be swapped
     mid-run (the post-shot switch) without losing or misrouting moments.

@@ -348,6 +348,19 @@ def test_binarize_sign_of_zero_is_positive():
     assert np.array_equal(_binarized([[0.0, -0.0]])[1], np.array([[1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("w", [
+    [[0.0, -0.0, np.inf, -np.inf], [np.nan, -np.nan, 5e-324, -5e-324], [2.2e-308, -2.2e-308, 1.0, -1.0]],
+    -np.arange(1.0, 13.0).reshape(3, 4),
+], ids=["special_values", "all_negative"])
+def test_binarize_signs_follow_the_where_rule_byte_for_byte(w):
+    # +1.0 where w >= 0 (either zero, +inf, positive subnormals), -1.0 elsewhere (NaN of either sign too)
+    w = np.array(w)
+    signs = _binarized(w)[1]
+    want = np.where(w >= 0.0, 1.0, -1.0)
+    assert signs.dtype == want.dtype and signs.shape == want.shape
+    assert signs.tobytes() == want.tobytes()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40)
 def test_binarize_alpha_formula(seed):

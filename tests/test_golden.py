@@ -8,10 +8,12 @@ changed. See that script for the matrix of commands.
 
 import json
 
+import numpy as np
 import pytest
 
 from golden import record
 from vconlab import cli
+from vconlab.tensor import Tensor, backward, linear, mul, sum_all
 
 RECORDED = json.loads(record.DIGESTS.read_text())
 
@@ -45,3 +47,34 @@ def test_one_worker_writes_the_pooled_runs_bytes(same_platform, tmp_path, monkey
     want = {key: digest for key, digest in RECORDED["files"].items() if key.startswith(out + "/")}
     bad = _mismatches(got, want)
     assert not bad, "\n".join(bad)
+
+
+# linear takes its weight gradient as g.T @ x, C-ordered, while the digests
+# were recorded with (x.T @ g).T. numpy hands the two to dgemm with the
+# operands and the output's orientation swapped, and the bytes agree where
+# the kernels sum each entry the same way either way round. On the recorded
+# platform they do; OpenBLAS's Haswell and Nehalem kernels give other bytes
+# for some shapes (the 3-row output layers from batch 26 up, checked on
+# numpy 2.4.6), so there this fact and the digests do not hold together.
+_ORIENTATION_NOTE = (
+    "linear's weight gradient g.T @ x differs from (x.T @ g).T; the digests assume this "
+    "BLAS computes the product the same way with its operands and its output's "
+    "orientation swapped"
+)
+
+# every weight and low-rank factor shape of the benchmark workloads: the
+# [2, W, W, 3] layers at widths 64, 128 and 256, and the rank-16 factors at 128
+_WORKLOAD_SHAPES = ([(w, 2) for w in (64, 128, 256)] + [(w, w) for w in (64, 128, 256)]
+                    + [(3, w) for w in (64, 128, 256)] + [(2, 2), (128, 16), (16, 128), (3, 3)])
+
+
+@pytest.mark.parametrize("batch", [1, 26, 64, 225])
+def test_linear_weight_gradient_bytes_equal_the_transposed_product(same_platform, batch):
+    rng = np.random.default_rng(batch)
+    for n, m in _WORKLOAD_SHAPES:
+        x = rng.normal(size=(batch, m))
+        x[:, ::3] = np.maximum(x[:, ::3], 0.0)  # relu zeros, as hidden layers feed
+        g = rng.normal(size=(batch, n))
+        tw = Tensor(rng.normal(size=(n, m)), requires_grad=True)
+        backward(sum_all(mul(linear(Tensor(x), tw), Tensor(g))))  # linear's output gradient is g
+        assert tw.grad.tobytes() == (x.T @ g).T.tobytes(), f"{n}x{m}, batch {batch}: {_ORIENTATION_NOTE}"

@@ -106,6 +106,8 @@ def test_linear_gradients_keep_operand_layout():
     backward(sum_all(linear(tx, tw)))
     assert np.array_equal(tw.grad, np.tile(x.sum(axis=0), (4, 1)))
     assert np.array_equal(tx.grad, np.tile(w.sum(axis=0), (2, 1)))
+    # C order, so the optimizer's gather is a contiguous copy
+    assert tw.grad.flags.c_contiguous and tx.grad.flags.c_contiguous
 
 
 def test_fanout_accumulates():

@@ -31,6 +31,7 @@ from vconlab.training import (
 from vconlab.vcon import BetaScheduler, compressed_blocks, wrap_network
 
 from oracles import PerTensorOptimizer
+from test_families import SAMPLES, SIZES
 
 
 def _param(value, grad=None):
@@ -149,6 +150,66 @@ def test_flat_optimizer_matches_per_tensor_loop_bit_for_bit(kind, schedule):
             for name, (m, v) in opt._state.items():
                 assert m.tobytes() == ref.state[name]["m"].tobytes(), (step, name)
                 assert v.tobytes() == ref.state[name]["v"].tobytes(), (step, name)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_takes_gradients_of_any_layout_to_the_same_bytes(kind):
+    # the engine hands C-ordered gradients; a Fortran-ordered or strided one
+    # with the same values gives the same parameter and moment bytes
+    rng = np.random.default_rng(3)
+    shapes = {"a": (5, 7), "b": (3, 7)}
+    layouts = {"c": np.ascontiguousarray, "f": np.asfortranarray,
+               "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2]}
+    start = {name: _draw(rng, shape) for name, shape in shapes.items()}
+    runs = {}
+    for layout, arrange in layouts.items():
+        grads = np.random.default_rng(4)
+        opt = Optimizer(OptimizerSpec(kind=kind, lr=0.05))
+        params = {name: _param(value) for name, value in start.items()}
+        for _ in range(3):
+            for name, p in params.items():
+                p.grad = arrange(_draw(grads, shapes[name]))
+                assert p.grad.flags.c_contiguous == (layout == "c")
+            opt.step(list(params.items()))
+        moments = [m.tobytes() + v.tobytes() for m, v in opt._state.values()]
+        runs[layout] = ([p.data.tobytes() for p in params.values()], moments)
+    assert runs["f"] == runs["c"] and runs["strided"] == runs["c"]
+
+
+def test_every_live_gradient_is_c_ordered_in_each_phase(monkeypatch):
+    # the optimizer's gather is a contiguous copy only for C-ordered gradients;
+    # a dense step, then each family's ste_standard, mid-transition vcon and
+    # post-switch post_shot steps (two steps each, the second in that phase)
+    from vconlab import training
+
+    ds = _blobs(noise=0.2, per_class=20)  # 42 training rows: two steps of 21
+    cfg = dict(epochs=1, batch_size=21, seed=5)
+    seen = []
+    real = training.Optimizer.step
+
+    def checked(self, named_params):
+        live = [(name, p.grad) for name, p in named_params if p.grad is not None]
+        assert live
+        seen.append([name for name, g in live if not g.flags.c_contiguous])
+        return real(self, named_params)
+
+    monkeypatch.setattr(training.Optimizer, "step", checked)
+    runs = [("dense", init_params(SIZES, seed=5), {})]
+    for kind, spec in sorted(SAMPLES.items()):
+        runs += [
+            (f"{kind} ste_standard", compress_network(init_params(SIZES, seed=5), spec), {}),
+            (f"{kind} vcon", wrap_network(init_params(SIZES, seed=5), spec, BetaScheduler(q=4)), {}),
+            (f"{kind} post_shot", init_params(SIZES, seed=5), dict(q_steps=1, post_shot_spec=spec)),
+        ]
+    for label, net, extra in runs:
+        seen.clear()
+        _, log = train(net, ds, TrainConfig(**cfg, **extra))
+        assert len(log.steps) == 2
+        if label.endswith("vcon"):
+            assert 0.0 < log.steps[1][1] < 1.0
+        if label.endswith("post_shot"):
+            assert log.steps[1][1] == 0.0
+        assert seen == [[], []], label
 
 
 def test_optimizer_counts_a_negative_zero_gradient_as_positive_zero():
