@@ -537,10 +537,13 @@ class SvdResult:
 def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
     """Hestenes rotations on column pairs until all pairs are orthogonal.
 
-    Caller guarantees rows >= cols and that ``truncated_svd``'s bound holds,
-    so |x|^2 |y|^2 is finite for any two columns. A pair (i, j), i < j,
-    rotates when |x.y| exceeds SVD_TOL times sqrt(|x|^2 |y|^2), and the
-    sweeps stop after one with no rotation (at most SVD_MAX_SWEEPS).
+    Caller guarantees rows >= cols and that ``truncated_svd``'s bound holds.
+    A pair (i, j), i < j, rotates when |x.y| exceeds SVD_TOL * |x| * |y|,
+    each norm the square root of its squared norm, and the sweeps stop
+    after one with no rotation (at most SVD_MAX_SWEEPS). Taking the two
+    roots apart keeps the threshold from underflowing where |x|^2 |y|^2
+    would (entries below about 1e-80), and scaling a matrix by a power of
+    two, its squares still normal floats, leaves every decision as it is.
 
     Each sweep runs the pairs in waves (``_jacobi_waves``): the pairs of a
     wave share no column, each is tested on its own, and those that rotate
@@ -630,7 +633,7 @@ def _rotated_columns(a: Array) -> Array:
                 pq = _strided_dots(col[lo:hi], col[w - lo : w - hi : -1])
                 pp = sq[lo:hi]
                 qq = sq[w - lo : w - hi : -1]
-                turn = np.abs(pq) > SVD_TOL * np.sqrt(pp * qq)
+                turn = np.abs(pq) > SVD_TOL * np.sqrt(pp) * np.sqrt(qq)
                 if not turn.any():
                     continue
                 rotated = True
@@ -667,8 +670,9 @@ def truncated_svd(w: Array, rank: int) -> SvdResult:
 
     A matrix with a NaN or infinite entry is a ValueError, and so is one
     whose ``(w*w).sum()**2`` is not finite (a sum of squares above about
-    1.34e154, the square root of the largest float): that bounds every
-    product of two columns' squared norms, which the rotation test takes.
+    1.34e154, the square root of the largest float). The bound dates from a
+    rotation test that took the product of two squared norms; relaxing it
+    needs a per-pair oracle test at the new bound.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -705,12 +709,17 @@ class CompressedBlock:
 
     ``params`` holds the family's trainable tensors by name, in the order
     of ``spec.shapes``; ``state`` is what ``spec.refresh`` derives from
-    them (None for a family that derives nothing). The constructor derives
-    it, so every block can run, and it changes only at the next refresh.
+    them (None for a family that derives nothing). The constructor makes
+    every param C-contiguous, whatever layout the family built it in, so a
+    block's products and its ``.vcnet`` reload (always C order) run on the
+    same layout and give the same bytes. It then derives the state, so
+    every block can run, and the state changes only at the next refresh.
     """
 
     def __init__(self, spec: CompressionSpec, params: dict[str, Tensor], bias: Tensor, activation: str):
         self.spec = spec
+        for t in params.values():
+            t.data = np.ascontiguousarray(t.data)
         self.params = params
         self.bias = bias
         self.activation = activation

@@ -116,7 +116,7 @@ def _per_pair_jacobi(a):
                 pp = float(x @ x)
                 qq = float(y @ y)
                 pq = float(x @ y)
-                if abs(pq) <= SVD_TOL * math.sqrt(pp * qq):
+                if abs(pq) <= SVD_TOL * math.sqrt(pp) * math.sqrt(qq):
                     continue
                 rotated = True
                 zeta = (qq - pp) / (2.0 * pq)

@@ -23,6 +23,7 @@ from vconlab.compression import (
 )
 from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
+from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 from vconlab.vcon import BetaScheduler, finalize, wrap_network
 
 from test_families import SAMPLES, SIZES, same_state
@@ -80,17 +81,19 @@ def test_blended_roundtrip_with_scheduler(tmp_path, spec):
     _assert_forward_equal(net, back, 4, seed=4)  # same beta on both sides
 
 
-_LOW_RANK_LAYOUT = pytest.mark.xfail(strict=True, reason=(
-    "LowRank.compress builds factor b in Fortran order and a .vcnet load gives C order, so the "
-    "loaded network's forward differs in the last bit (the LowRank.compress FOUND line in CHANGES.md)"))
+def _one_step(net):
+    # one Adam step on one batch of every training point
+    ds = make_synthetic("spiral", classes=3, samples_per_class=10, seed=9)
+    train(net, ds, TrainConfig(epochs=1, batch_size=64, seed=3, optimizer=OptimizerSpec(lr=0.01)))
+    return [p.data.tobytes() for _, p in net.named_parameters()]
 
 
-@pytest.mark.parametrize("kind", [pytest.param(k, marks=_LOW_RANK_LAYOUT) if k == "low_rank" else k
-                                  for k in sorted(SAMPLES)])
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
 def test_loaded_network_forward_is_bit_equal(tmp_path, kind):
     # a network behaves the same after a save and load: freshly compressed,
     # mid-transition and finalized, at the family samples' sizes (the [5, 6, 3]
-    # nets above are too small to show low rank's last-bit layout difference)
+    # nets above are too small to show a last-bit layout difference), in its
+    # forward pass and in one more training step
     spec = SAMPLES[kind]
     nets = {
         "compressed": compress_network(init_params(SIZES, seed=7), spec),
@@ -104,7 +107,9 @@ def test_loaded_network_forward_is_bit_equal(tmp_path, kind):
         save_network(net, p)
         back, _ = load_network(p)
         if back.forward(x).data.tobytes() != net.forward(x).data.tobytes():
-            differ.append(state)
+            differ.append(f"{state} forward")
+        if _one_step(back) != _one_step(net):
+            differ.append(f"{state} step")
     assert differ == []
 
 

@@ -551,13 +551,29 @@ def _assert_svd_matches_per_pair_loop(w, rank):
 
 
 def test_truncated_svd_bit_identical_to_per_pair_loop_when_products_of_norms_underflow(monkeypatch):
-    # entries near 1e-150: every pp * qq underflows to 0, so the rotation
-    # threshold is 0 and the sweeps never stop before SVD_MAX_SWEEPS
+    # entries near 1e-150: every pp * qq underflows to 0, but the threshold
+    # takes sqrt(pp) and sqrt(qq) apart, so it stays above 0 and the sweeps
+    # stop long before SVD_MAX_SWEEPS
     w = np.random.default_rng(19).normal(size=(19, 13)) * 1e-150
+    assert (w[:, 0] @ w[:, 0]) * (w[:, 1] @ w[:, 1]) == 0.0
     _assert_svd_matches_per_pair_loop(w, 13)
     full = truncated_svd(w, 13)
-    monkeypatch.setattr(compression, "SVD_MAX_SWEEPS", compression.SVD_MAX_SWEEPS - 1)
-    assert truncated_svd(w, 13).v.tobytes() != full.v.tobytes()  # the last sweep still rotated
+    monkeypatch.setattr(compression, "SVD_MAX_SWEEPS", 20)
+    assert truncated_svd(w, 13).v.tobytes() == full.v.tobytes()  # done within 20 sweeps
+
+
+@pytest.mark.parametrize("power", [-400, -100, 100, 200])
+def test_truncated_svd_scaled_by_a_power_of_two_makes_the_same_rotations(power):
+    # every dot scales by 4**power and the threshold with it, exactly, while
+    # the squares stay normal floats: the same pairs turn by the same c and s
+    w = np.random.default_rng(23).normal(size=(17, 11))
+    scaled = w * 2.0**power
+    assert np.isfinite((scaled * scaled).sum() ** 2) and (scaled * scaled)[scaled != 0].min() > np.finfo(float).tiny
+    base, res = truncated_svd(w, 11), truncated_svd(scaled, 11)
+    assert res.u.tobytes() == base.u.tobytes()
+    assert res.v.tobytes() == base.v.tobytes()
+    assert res.singular_values.tobytes() == (base.singular_values * 2.0**power).tobytes()
+    _assert_svd_matches_per_pair_loop(scaled, 11)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
