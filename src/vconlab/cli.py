@@ -32,7 +32,7 @@ from .compression import (
     spec_from_dict,
     spec_to_dict,
 )
-from .model import ACTIVATIONS, Network, init_params
+from .model import ACTIVATIONS, Network, init_params, stack_networks
 from .training import (
     Constant,
     Cosine,
@@ -40,6 +40,7 @@ from .training import (
     OptimizerSpec,
     RunLog,
     TrainConfig,
+    TrainingDiverged,
     load_csv,
     make_synthetic,
     q_steps_from_epochs,
@@ -275,6 +276,8 @@ def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool, post
 
 @dataclass
 class SeedResult:
+    """One member's run; ``wall_clock_seconds`` is its whole stack's."""
+
     seed: int
     final_test_accuracy: float
     best_val_accuracy: float
@@ -291,10 +294,21 @@ class SeedResult:
         return self.scheduler is not None and self.scheduler.t >= self.scheduler.q
 
 
-def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_steps: int) -> SeedResult:
+@dataclass
+class StackResult:
+    """One ``run_single`` call: the stack's log, one row per step, and each
+    seed's outcome in seed order: its result, or why it left the stack."""
+
+    log: RunLog
+    members: list[SeedResult | TrainingDiverged]
+
+
+def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: str, q_steps: int) -> StackResult:
+    """Train one arm's ``seeds`` as one stack of networks, then take each
+    member out as a lone network with its own log and accuracies."""
     start = time.perf_counter()
-    net = init_params(exp.layer_sizes, seed, exp.activation)
-    dense_count = net.param_count()
+    net = stack_networks([init_params(exp.layer_sizes, seed, exp.activation) for seed in seeds])
+    dense_count = net.select(0).param_count()
     scheduler = None
     if mode == "ste_standard":
         net = compress_network(net, exp.compression)
@@ -304,7 +318,7 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     cfg = TrainConfig(
         epochs=exp.epochs,
         batch_size=exp.batch_size,
-        seed=seed,
+        seed=tuple(seeds),
         optimizer=exp.optimizer,
         q_steps=q_steps,
         post_shot_spec=exp.compression if mode == "post_shot" else None,
@@ -313,11 +327,20 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seed: int, mode: str, q_
     )
     net, log = train(net, dataset, cfg)
     x_test, y_test = dataset.split("test")
-    test_acc = _evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only)
-    compressed_count = sum(b.param_count() for b in compressed_blocks(net))  # once originals are dropped
+    test_acc = iter(_evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only))
+    finished = iter(range(len(seeds) - len(log.failures)))
     elapsed = time.perf_counter() - start
-    best_val = max((acc for _, acc in log.epochs if not math.isnan(acc)), default=float("nan"))
-    return SeedResult(seed, test_acc, best_val, dense_count, compressed_count, elapsed, log, net, scheduler)
+    members = []
+    for i, seed in enumerate(seeds):
+        if i in log.failures:
+            members.append(log.failures[i])
+            continue
+        member, member_log = net.select(next(finished)), log.member(i)
+        compressed_count = sum(b.param_count() for b in compressed_blocks(member))  # once originals are dropped
+        best_val = max((acc for _, acc in member_log.epochs if not math.isnan(acc)), default=float("nan"))
+        members.append(SeedResult(seed, next(test_acc), best_val, dense_count, compressed_count, elapsed,
+                                  member_log, member, scheduler))
+    return StackResult(log, members)
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
@@ -363,20 +386,26 @@ class _Arm:
 
 
 def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str, q: int,
-              seed: int) -> tuple[dict, list[tuple[int, float]]]:
-    """One run, in whichever process it was given to: train, write its files,
-    and return only its summary row and its validation curve."""
-    result = run_single(exp, dataset, seed, mode, q)
-    _write_seed_outputs(out_dir, result)
-    row = {name: getattr(result, name) for name in _ROW_FIELDS}
-    if mode == "vcon":  # finalized_seed{S}.vcnet was written exactly when this is true
-        row["transition_finished"] = result.transition_finished
-    return row, result.log.epochs
+              seeds: list[int]) -> list[tuple[dict, list[tuple[int, float]]] | TrainingDiverged]:
+    """One stack of runs, in whichever process it was given to: train, write
+    each finished member's files, and return, in seed order, each member's
+    summary row and validation curve, or why it left the stack."""
+    outcomes = []
+    for result in run_single(exp, dataset, seeds, mode, q).members:
+        if isinstance(result, TrainingDiverged):
+            outcomes.append(result)
+            continue
+        _write_seed_outputs(out_dir, result)
+        row = {name: getattr(result, name) for name in _ROW_FIELDS}
+        if mode == "vcon":  # finalized_seed{S}.vcnet was written exactly when this is true
+            row["transition_finished"] = result.transition_finished
+        outcomes.append((row, result.log.epochs))
+    return outcomes
 
 
 def _worker_count(tasks: int) -> int:
     """Processes to run ``tasks`` runs in: one per CPU this process may use, at
-    most one per task, and 1 (the calling process itself) where fork is missing."""
+    most one per run, and 1 (the calling process itself) where fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -411,12 +440,25 @@ def _one_blas_thread() -> None:
                 getattr(lib, name)(1)
 
 
+def _chunks(seeds: list[int], count: int) -> list[list[int]]:
+    """``seeds`` in ``count`` runs of consecutive seeds, sizes differing by at
+    most one, the longer ones first."""
+    size, extra = divmod(len(seeds), count)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)]).tolist()
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: bool) -> list[_Arm]:
-    """Run each arm on every seed. The runs are independent tasks; with several
-    tasks and CPUs they are spread over forked worker processes. Each run writes
-    its own files as soon as it ends. Results are taken in task order (arm by
-    arm, seed by seed), so progress lines, each arm's summary.json (written after
-    its last seed) and the first failure do not depend on the worker count.
+    """Run each arm on every seed. A task trains a chunk of an arm's seeds as
+    one stack (``run_single``): each arm's seeds are split into ``ceil(workers
+    / arms)`` chunks, so the workers, one per CPU, each take about one stack,
+    and with several tasks and workers the tasks are spread over forked
+    worker processes. Each member writes its own files as soon as its stack
+    ends. Results are taken in task order (arm by arm, seed by seed), so
+    progress lines, each arm's summary.json (written after its last seed)
+    and the first failure do not depend on the worker count. A member that
+    diverges leaves its stack; the others finish and keep their files, and
+    its failure is raised when the results reach it.
 
     What compressing each layer warns about is printed once, here, before any
     run starts."""
@@ -424,35 +466,42 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
         for n, m in zip(exp.layer_sizes[1:], exp.layer_sizes):
             for message in exp.compression.shape_warnings(n, m):
                 print(f"warning: {message}", file=sys.stderr)
-    tasks = [(arm, seed) for arm in arms for seed in exp.seeds]
-    jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, seed) for arm, seed in tasks]
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(len(arms) * len(exp.seeds))
+    chunks = _chunks(exp.seeds, min(len(exp.seeds), -(-workers // len(arms))))
+    tasks = [(arm, chunk) for arm in arms for chunk in chunks]
+    jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, chunk) for arm, chunk in tasks]
     if workers == 1:
         _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
         return arms
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
+    pool = ProcessPoolExecutor(min(workers, len(tasks)), mp_context=get_context("fork"),
+                               initializer=_one_blas_thread)
     try:
         futures = [pool.submit(_run_task, *job) for job in jobs]
         _collect(exp, tasks, (future.result() for future in futures), quiet)
     finally:
-        # after a failure, runs not yet started are dropped and running ones finish
+        # after a failure, tasks not yet started are dropped and running ones finish
         pool.shutdown(cancel_futures=True)
     return arms
 
 
-def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, int]], results, quiet: bool) -> None:
-    """Take each task's (row, validation curve) in task order; write an arm's
-    summary.json once its last seed is in."""
+def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, list[int]]], results, quiet: bool) -> None:
+    """Take each member's (row, validation curve) in task order, raising the
+    first that left its stack; write an arm's summary.json once its last
+    seed is in."""
     rows = []
-    for (arm, seed), (row, curve) in zip(tasks, results):
-        if not quiet:
-            print(f"  mode={arm.mode} seed={seed} test_acc={row['final_test_accuracy']:.4f} "
-                  f"({row['wall_clock_seconds']:.1f}s)")
-        arm.val_accuracy.extend((seed, epoch, acc) for epoch, acc in curve)
-        rows.append(row)
+    for (arm, seeds), outcomes in zip(tasks, results):
+        for seed, outcome in zip(seeds, outcomes):
+            if isinstance(outcome, TrainingDiverged):
+                raise outcome
+            row, curve = outcome
+            if not quiet:
+                print(f"  mode={arm.mode} seed={seed} test_acc={row['final_test_accuracy']:.4f} "
+                      f"({row['wall_clock_seconds']:.1f}s)")
+            arm.val_accuracy.extend((seed, epoch, acc) for epoch, acc in curve)
+            rows.append(row)
         if len(rows) == len(exp.seeds):
             arm.summary = _summary_dict(exp, arm.mode, rows)
             _write_json(arm.out_dir / "summary.json", arm.summary)

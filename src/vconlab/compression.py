@@ -16,6 +16,12 @@ Tie rule used everywhere: when magnitudes tie at the pruning threshold,
 the smaller flat index is pruned first (global pruning orders by layer
 index, then flat index), and NaN ranks above every number. Masks are
 therefore a deterministic function of the weights.
+
+Every rule, family and block also takes a stack of networks (model.py):
+weights with a leading stack axis get each member's mask, scale or factors
+as that member alone would, in one pass where numpy can do it row by row
+and in a loop over the members where it cannot (the Jacobi SVD, the tie and
+NaN fallback of ``drop_smallest``, binary's norm).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import ClassVar, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .model import DenseBlock, Network, apply_activation
+from .model import DenseBlock, Network, apply_activation, select
 from .tensor import ShapeError, Tensor, linear, ste_apply
 
 Array = np.ndarray
@@ -204,18 +210,21 @@ class BinaryQuant(CompressionSpec):
     """Replace the weight by alpha * sign(w), alpha = ||W||_F / sqrt(n*m).
 
     The block's state is ``(alpha, signs)``, signs in {-1.0, +1.0}: +1.0
-    where w >= 0 (either signed zero included), -1.0 elsewhere (NaN too)."""
+    where w >= 0 (either signed zero included), -1.0 elsewhere (NaN too);
+    alpha is an array of one value per member (0-d for a lone block)."""
 
     kind = "binary"
 
     def refresh(self, blocks, refresh_masks=True):
         for blk in blocks:
             w = blk.params["weight"].data
-            blk.state = (float(np.linalg.norm(w) / math.sqrt(w.size)), (w >= 0.0) * 2.0 - 1.0)
+            n, m = w.shape[-2:]
+            norms = np.array([np.linalg.norm(member) for member in w.reshape(-1, n, m)])
+            blk.state = ((norms / math.sqrt(n * m)).reshape(w.shape[:-2]), (w >= 0.0) * 2.0 - 1.0)
 
     def effective_weight(self, block):
         alpha, signs = block.state
-        weight = alpha * signs
+        weight = np.expand_dims(alpha, (-2, -1)) * signs
         return ste_apply(block.params["weight"], lambda w: weight)
 
     def stored(self, n, m):
@@ -232,12 +241,12 @@ class BinaryQuant(CompressionSpec):
 
     def read(self, r, n, m, activation, label):
         block = super().read(r, n, m, activation, label)
-        alpha = float(r.floats((), f"{label} alpha"))
+        alpha = r.floats((), f"{label} alpha")
         block.state = (alpha, r.bits(n, m, f"{label} signs") * 2.0 - 1.0)
         return block
 
     def describe(self, block):
-        return {"alpha": block.state[0]}
+        return {"alpha": float(block.state[0])}
 
 
 @dataclass(frozen=True)
@@ -255,17 +264,21 @@ class LowRank(CompressionSpec):
         return {"a": (n, self.rank), "b": (self.rank, m)}
 
     def compress(self, block):
-        """Split a dense layer into factors A = U, B = diag(s) V^T.
+        """Split a dense layer into factors A = U, B = diag(s) V^T, each
+        member of a stack by its own SVD.
 
         The rank is clamped to min(n, m) when the layer is too skinny, and
         the block's spec carries the clamped rank (``shape_warnings`` names
         that case, and the one where the factors store no fewer values than
         the dense weight).
         """
-        r = min(self.rank, *block.weight.data.shape)
-        res = truncated_svd(block.weight.data, r)
-        params = {"a": Tensor(res.u, requires_grad=True),
-                  "b": Tensor(res.singular_values[:, None] * res.v.T, requires_grad=True)}
+        w = block.weight.data
+        n, m = w.shape[-2:]
+        r = min(self.rank, n, m)
+        res = [truncated_svd(member, r) for member in w.reshape(-1, n, m)]
+        a = np.stack([x.u for x in res]).reshape(*w.shape[:-2], n, r)
+        b = np.stack([x.singular_values[:, None] * x.v.T for x in res]).reshape(*w.shape[:-2], r, m)
+        params = {"a": Tensor(a, requires_grad=True), "b": Tensor(b, requires_grad=True)}
         return CompressedBlock(LowRank(r), params, Tensor(block.bias.data.copy(), requires_grad=True),
                                block.activation)
 
@@ -389,41 +402,63 @@ def config_fields(cls, section: dict, prefix: str, **given):
 
 
 def drop_smallest(scores: Array, drop: int) -> Array:
-    """0/1 mask over the 1-D ``scores`` zeroing the ``drop`` smallest.
+    """0/1 mask over each row of ``scores`` (1-D, or a stack of rows)
+    zeroing that row's ``drop`` smallest.
 
     The mask a stable sort would give (ties go by the smaller index, NaN
     ranks above every number), found in linear time: ``np.partition``
-    gives the drop-th smallest score as the threshold. When it is a number
-    and exactly ``drop`` scores are <= it, those are the ones to go, and
-    one comparison builds the mask. Otherwise everything below the
-    threshold goes, then the entries tied at it in index order until
-    ``drop`` are gone. ``tests/oracles.py`` keeps the stable-sort masks
-    this must match.
+    gives each row's drop-th smallest score as its threshold. In a row
+    where it is a number and exactly ``drop`` scores are <= it, those are
+    the ones to go, and one comparison over all rows builds the mask. Each
+    other row (a tie at the threshold, or NaN) is redone alone: everything
+    below the threshold goes, then the entries tied at it in index order
+    until ``drop`` are gone. ``tests/oracles.py`` keeps the stable-sort
+    masks this must match.
     """
     if not drop:
-        return np.ones(scores.size)
-    thr = np.partition(scores, drop - 1)[drop - 1]
+        return np.ones(scores.shape)
+    thr = np.partition(scores, drop - 1, axis=-1)[..., [drop - 1]]  # a copy: the partition is freed
+    dropped = scores <= thr  # false everywhere in a row whose threshold is NaN
+    mask = 1.0 - dropped
+    width = scores.shape[-1]
+    # a row with a number for its threshold drops at least ``drop``: if no row's is
+    # NaN, a total of drop per row means exactly drop in every row
+    if np.count_nonzero(dropped) == drop * (scores.size // width) and not np.isnan(thr).any():
+        return mask
+    rows, row_thr, row_mask = scores.reshape(-1, width), thr.reshape(-1), mask.reshape(-1, width)
+    for i in np.flatnonzero(np.count_nonzero(dropped.reshape(-1, width), axis=1) != drop):
+        row_mask[i] = _drop_with_ties(rows[i], row_thr[i], drop)
+    return mask
+
+
+def _drop_with_ties(scores: Array, thr: float, drop: int) -> Array:
+    """``drop_smallest`` of one row whose threshold ``thr`` is tied or NaN."""
     if np.isnan(thr):  # NaN compares false with everything: it ties only with NaN
         below, tied = ~np.isnan(scores), np.isnan(scores)
     else:
-        dropped = scores <= thr
-        if np.count_nonzero(dropped) == drop:
-            return 1.0 - dropped
         below, tied = scores < thr, scores == thr
     mask = np.logical_not(below).astype(np.float64)
     mask[np.flatnonzero(tied)[: drop - np.count_nonzero(below)]] = 0.0
     return mask
 
 
+def _flat(w: Array) -> Array:
+    """Each (n, m) weight of ``w`` as one row; a lone one as a 1-D array."""
+    return w.reshape(*w.shape[:-2], -1)
+
+
 def prune_layerwise(w: Array, sparsity: float) -> Array:
-    """0/1 mask zeroing the floor(sparsity * size) smallest |w| entries."""
+    """0/1 mask zeroing the floor(sparsity * n * m) smallest |w| entries of
+    an n x m weight, or of each member's weight in a stack."""
     _check_sparsity(sparsity)
     w = np.asarray(w, dtype=np.float64)
-    return drop_smallest(np.abs(w).ravel(), int(math.floor(sparsity * w.size))).reshape(w.shape)
+    n, m = w.shape[-2:]
+    return drop_smallest(_flat(np.abs(w)), int(math.floor(sparsity * (n * m)))).reshape(w.shape)
 
 
 def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
-    """Masks for several layers under one shared magnitude threshold.
+    """Masks for several layers under one shared magnitude threshold, one
+    per member when the layers are stacked.
 
     Total zeros = floor(sparsity * total size); ties resolved by
     (layer index, flat index), smallest pruned first. A single layer
@@ -433,14 +468,10 @@ def prune_global(layers: Sequence[Array], sparsity: float) -> list[Array]:
     if not layers:
         raise ValueError("prune_global needs at least one layer")
     arrs = [np.asarray(w, dtype=np.float64) for w in layers]
-    flat = np.concatenate([np.abs(a).ravel() for a in arrs])
-    mask_flat = drop_smallest(flat, int(math.floor(sparsity * flat.size)))
-    masks = []
-    offset = 0
-    for a in arrs:
-        masks.append(mask_flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    return masks
+    flat = np.concatenate([_flat(np.abs(a)) for a in arrs], axis=-1)
+    mask_flat = drop_smallest(flat, int(math.floor(sparsity * flat.shape[-1])))
+    ends = np.cumsum([math.prod(a.shape[-2:]) for a in arrs]).tolist()
+    return [part.reshape(a.shape) for a, part in zip(arrs, np.split(mask_flat, ends[:-1], axis=-1))]
 
 
 _NAN_KEY = int(np.array(np.inf).view(np.int64)) + 1
@@ -468,16 +499,18 @@ def prune_nm(w: Array, keep: int, group: int) -> Array:
     if not (1 <= keep <= group):
         raise ValueError(f"N:M pruning needs 1 <= N <= M, got {keep}:{group}")
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"prune_nm expects a 2-D weight, got shape {w.shape}")
-    n, m = w.shape
+    if not 2 <= w.ndim <= 3:
+        raise ShapeError(f"prune_nm expects a 2-D weight, or 3-D for a stack, got shape {w.shape}")
+    m = w.shape[-1]
+    rows = w.reshape(-1, m)  # the members' rows one after another: groups never span two
+    n = len(rows)
     top = np.empty((n, m), dtype=bool)
     full = m - m % group
     if full:
-        top[:, :full] = _top_ranked(w[:, :full].reshape(n, full // group, group), keep).reshape(n, full)
+        top[:, :full] = _top_ranked(rows[:, :full].reshape(n, full // group, group), keep).reshape(n, full)
     if full < m:  # a trailing group of width l keeps ceil(keep * l / group)
-        top[:, full:] = _top_ranked(w[:, full:].reshape(n, 1, m - full), -(-keep * (m - full) // group))[:, 0]
-    return top.astype(np.float64)
+        top[:, full:] = _top_ranked(rows[:, full:].reshape(n, 1, m - full), -(-keep * (m - full) // group))[:, 0]
+    return top.astype(np.float64).reshape(w.shape)
 
 
 def _magnitude_keys(w: Array) -> Array:
@@ -510,14 +543,15 @@ def _top_ranked(w: Array, kept: int) -> Array:
 
 
 def prune_structured(w: Array, sparsity: float) -> Array:
-    """Mask zeroing the floor(sparsity * n_rows) rows with smallest l2 norm."""
+    """Mask zeroing the floor(sparsity * n_rows) rows with smallest l2 norm,
+    in each member's weight of a stack."""
     _check_sparsity(sparsity)
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"prune_structured expects a 2-D weight, got shape {w.shape}")
-    norms = np.sqrt((w * w).sum(axis=1))
-    rows = drop_smallest(norms, int(math.floor(sparsity * w.shape[0])))
-    return np.repeat(rows[:, None], w.shape[1], axis=1)
+    if not 2 <= w.ndim <= 3:
+        raise ShapeError(f"prune_structured expects a 2-D weight, or 3-D for a stack, got shape {w.shape}")
+    norms = np.sqrt((w * w).sum(axis=-1))
+    rows = drop_smallest(norms, int(math.floor(sparsity * w.shape[-2])))
+    return np.repeat(rows[..., None], w.shape[-1], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -728,14 +762,27 @@ class CompressedBlock:
 
     @property
     def in_dim(self) -> int:
-        return next(reversed(self.params.values())).data.shape[1]
+        return next(reversed(self.params.values())).data.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return next(iter(self.params.values())).data.shape[0]
+        return next(iter(self.params.values())).data.shape[-2]
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        return self.bias.data.shape[:-1]
 
     def forward(self, x: Tensor) -> Tensor:
         return apply_activation(self.spec.linear(self, x), self.activation)
+
+    def select(self, index) -> CompressedBlock:
+        """The members ``index`` of a stacked block (see ``Network.select``),
+        each with its slice of the state rather than one derived alone (a
+        global mask, or a frozen one, depends on more than the block)."""
+        block = CompressedBlock(self.spec, {name: select(t, index) for name, t in self.params.items()},
+                                select(self.bias, index), self.activation)
+        block.state = _select_state(self.state, index)
+        return block
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [*self.params.items(), ("bias", self.bias)]
@@ -743,6 +790,14 @@ class CompressedBlock:
     def param_count(self) -> int:
         """Stored weight entries (``spec.count``) plus the bias, which is never compressed."""
         return self.spec.count(self) + self.bias.data.size
+
+
+def _select_state(state, index):
+    if state is None:
+        return None
+    if isinstance(state, tuple):
+        return tuple(_select_state(part, index) for part in state)
+    return state[index]
 
 
 def compress_block(block: DenseBlock, spec: CompressionSpec) -> CompressedBlock:

@@ -1,4 +1,10 @@
-"""Dense feed-forward networks with enumerable, seedable parameters."""
+"""Dense feed-forward networks with enumerable, seedable parameters.
+
+A network is a lone one, or a stack of S networks of the same shape: every
+tensor then has a leading stack axis, member s is slice s of each, and one
+forward pass runs every member on its own slice (``stack_networks``,
+``Network.select``).
+"""
 
 from __future__ import annotations
 
@@ -22,13 +28,20 @@ def apply_activation(z: Tensor, activation: str) -> Tensor:
     raise ValueError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
 
 
+def select(t: Tensor, index) -> Tensor:
+    """The members ``index`` of a stacked tensor (an int drops the stack axis),
+    with its ``requires_grad``."""
+    return Tensor(t.data[index], requires_grad=t.requires_grad)
+
+
 class DenseBlock:
-    """One affine layer: weight (n_out, n_in), bias (n_out,), activation."""
+    """One affine layer: weight (n_out, n_in), bias (n_out,), activation;
+    each with the leading axis of a stack, or neither."""
 
     def __init__(self, weight: Tensor, bias: Tensor, activation: str = "none"):
-        if weight.data.ndim != 2:
-            raise ShapeError(f"weight must be 2-D, got shape {weight.data.shape}")
-        if bias.data.ndim != 1 or bias.data.shape[0] != weight.data.shape[0]:
+        if not 2 <= weight.data.ndim <= 3:
+            raise ShapeError(f"weight must be 2-D, or 3-D for a stack, got shape {weight.data.shape}")
+        if bias.data.shape != weight.data.shape[:-1]:
             raise ShapeError(
                 f"bias shape {bias.data.shape} does not match weight shape {weight.data.shape}"
             )
@@ -40,14 +53,21 @@ class DenseBlock:
 
     @property
     def in_dim(self) -> int:
-        return self.weight.data.shape[1]
+        return self.weight.data.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.data.shape[0]
+        return self.weight.data.shape[-2]
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        return self.bias.data.shape[:-1]
 
     def forward(self, x: Tensor) -> Tensor:
         return apply_activation(linear(x, self.weight, self.bias), self.activation)
+
+    def select(self, index) -> DenseBlock:
+        return DenseBlock(select(self.weight, index), select(self.bias, index), self.activation)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -57,7 +77,8 @@ class DenseBlock:
 
 
 class Network:
-    """An ordered chain of blocks; anything with forward/named_parameters fits."""
+    """An ordered chain of blocks; anything with forward/named_parameters,
+    the dims, ``stack`` and ``select`` fits."""
 
     def __init__(self, blocks: Iterable, name: str = "net"):
         self.blocks = list(blocks)
@@ -74,8 +95,14 @@ class Network:
     def input_dim(self) -> int:
         return self.blocks[0].in_dim
 
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """``(S,)`` for a stack of S members, ``()`` for a lone network."""
+        return self.blocks[0].stack
+
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
+        """A (batch, in) input, shared by every member, or one per member."""
+        if x.data.ndim not in (2, 2 + len(self.stack)) or x.data.shape[-1] != self.input_dim:
             raise ShapeError(
                 f"forward: expected input shape (batch, {self.input_dim}), got {x.data.shape}"
             )
@@ -88,6 +115,22 @@ class Network:
 
     def param_count(self) -> int:
         return sum(block.param_count() for block in self.blocks)
+
+    def select(self, index) -> Network:
+        """Member ``index`` of a stack as a lone network (an int), or the members
+        of an index array or mask as a smaller stack. Tensors are new; their
+        arrays may be views of this network's."""
+        return Network([block.select(index) for block in self.blocks], name=self.name)
+
+
+def stack_networks(nets: Sequence[Network]) -> Network:
+    """One stack of the given lone dense networks, member i being ``nets[i]``."""
+    def stacked(tensors):
+        return Tensor(np.stack([t.data for t in tensors]), requires_grad=True)
+
+    layers = zip(*(net.blocks for net in nets))
+    return Network([DenseBlock(stacked([b.weight for b in blocks]), stacked([b.bias for b in blocks]),
+                               blocks[0].activation) for blocks in layers], name=nets[0].name)
 
 
 def init_params(layer_sizes: Sequence[int], seed: int, activation: str = "relu") -> Network:

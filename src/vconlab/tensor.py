@@ -80,28 +80,33 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map x @ w.T (+ b): a (batch, m) input through an (n, m) weight
-    and an optional length-n bias row. The engine's one product op; the bias
-    is added into the fresh product in place, and the bias gradient sums
-    over the batch axis. The weight gradient is ``g.T @ x``, C-ordered.
-    Its bytes equal ``(x.T @ g).T``'s on the golden digests' platform, not
-    on every BLAS kernel (README, Determinism)."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+    and an optional length-n bias row, each with an optional leading stack
+    axis of S members, member s using slice s of each. An input without the
+    axis is shared by every member; it takes no gradient. The engine's one
+    product op; the bias is added into the fresh product in place, and the
+    bias gradient sums over the batch axis. The weight gradient is
+    ``g.T @ x`` per member, C-ordered. Its bytes equal ``(x.T @ g).T``'s on
+    the golden digests' platform, not on every BLAS kernel (README,
+    Determinism). numpy hands each member of a stacked product to the same
+    BLAS call as its own 2-D product, so a member's bytes do not depend on
+    the stack it is in (README, Determinism)."""
+    if not (2 <= x.data.ndim <= 3 and 2 <= w.data.ndim <= 3) or x.data.shape[-1] != w.data.shape[-1]:
         raise ShapeError(f"linear: cannot apply weight {w.data.shape} to input {x.data.shape}")
-    if b is not None and b.data.shape != (w.data.shape[0],):
+    if b is not None and b.data.shape != w.data.shape[:-1]:
         raise ShapeError(f"linear: bias {b.data.shape} does not match weight {w.data.shape}")
-    z = x.data @ w.data.T
+    z = x.data @ w.data.swapaxes(-1, -2)
 
     def _bw(g: Array) -> None:
         if x.requires_grad:
             _give(x, g @ w.data)
         if w.requires_grad:
-            _give(w, g.T @ x.data)
+            _give(w, g.swapaxes(-1, -2) @ x.data)
         if b is not None and b.requires_grad:
-            _give(b, g.sum(axis=0))
+            _give(b, g.sum(axis=-2))
 
     if b is None:
         return _result(z, (x, w), _bw)
-    return _result(np.add(z, b.data, out=z), (x, w, b), _bw)
+    return _result(np.add(z, b.data[..., None, :], out=z), (x, w, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -182,37 +187,41 @@ def sum_all(t: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
-    """Mean cross-entropy between row-softmax of logits and integer labels.
+    """Mean cross-entropy between row-softmax of logits and integer labels:
+    (batch, classes) logits and batch labels give one loss, a stack of S
+    gives one per member, and each member's loss and gradient are those of
+    its slice alone.
 
     Stabilized by subtracting the per-row max before exponentiating, so
     finite logits can never produce NaN/Inf.
     """
-    if logits.data.ndim != 2:
+    if not 2 <= logits.data.ndim <= 3:
         raise ShapeError(f"softmax_cross_entropy: expected (batch, classes) logits, got {logits.data.shape}")
     y = np.asarray(labels, dtype=np.intp)
-    if y.ndim != 1 or y.shape[0] != logits.data.shape[0]:
+    if y.shape != logits.data.shape[:-1]:
         raise ShapeError(
-            f"softmax_cross_entropy: {logits.data.shape[0]} logit rows vs {y.shape} labels"
+            f"softmax_cross_entropy: {logits.data.shape[:-1]} logit rows vs {y.shape} labels"
         )
-    n, classes = logits.data.shape
+    n, classes = logits.data.shape[-2:]
     if y.size and (y.min() < 0 or y.max() >= classes):
         bad = int(y[(y < 0) | (y >= classes)][0])
         raise IndexError(f"label {bad} out of range for {classes} classes")
 
     z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
     ez = np.exp(shifted)
-    sum_ez = ez.sum(axis=1, keepdims=True)
+    sum_ez = ez.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(sum_ez)
-    rows = np.arange(n)
+    rows = np.arange(y.size)  # every (member, row) pair, flat
 
     def _bw(g: Array) -> None:
         probs = ez / sum_ez
-        probs[rows, y] -= 1.0
-        _give(logits, g * probs / n)
+        probs.reshape(-1, classes)[rows, y.ravel()] -= 1.0
+        _give(logits, g[..., None, None] * probs / n)
 
-    return _result(np.asarray(-log_probs[rows, y].mean()), (logits,), _bw)
+    picked = log_probs.reshape(-1, classes)[rows, y.ravel()].reshape(y.shape)
+    return _result(-picked.mean(axis=-1), (logits,), _bw)
 
 
 def ste_apply(x: Tensor, transform: Callable[[Array], Array]) -> Tensor:
@@ -233,7 +242,9 @@ def ste_apply(x: Tensor, transform: Callable[[Array], Array]) -> Tensor:
 
 
 def backward(loss: Tensor) -> dict[Tensor, Array]:
-    """Run reverse-mode accumulation from a scalar loss.
+    """Run reverse-mode accumulation from a scalar loss, or from a stack's
+    losses, one per member: each is seeded with 1, and as no op mixes
+    members, each member's gradients are those of its own loss.
 
     Every tensor that needs a gradient and is reachable from ``loss`` has
     its ``grad`` reset to None, then receives the sum of its contributions:
@@ -245,8 +256,8 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     needs no gradient gives an empty map. A second call on the same graph
     starts again from None and gives the same gradients.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
+    if loss.data.ndim > 1:
+        raise ShapeError(f"backward: loss must be a scalar or one per member, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return {}
 

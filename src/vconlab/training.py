@@ -5,7 +5,9 @@ every numeric op are pure functions of the config and seeds, so two runs
 with identical arguments produce bit-identical logs. Batch order per
 epoch depends only on (seed, epoch), never on the network being trained,
 which is what lets a zero-length transition reproduce the standard STE
-baseline exactly.
+baseline exactly. The loop trains a lone network or a stack of them
+(model.py) alike; each member of a stack takes its own seed's batches and
+gives the bytes it would give alone.
 """
 
 from __future__ import annotations
@@ -139,6 +141,11 @@ class Optimizer:
                 if old is not None and old[0].shape == p.data.shape:
                     moments[0][...], moments[1][...] = old
                 self._state[name] = (moments[0], moments[1])
+
+    def select(self, index) -> None:
+        """Keep the moments of a stack's members ``index`` (``Network.select``)."""
+        self._state = {name: (m[index], v[index]) for name, (m, v) in self._state.items()}
+        self._layout = None
 
     def step(self, named_params: Sequence[tuple[str, Tensor]]) -> float:
         spec = self.spec
@@ -301,10 +308,19 @@ def load_csv(path, standardize: bool = True) -> Dataset:
 
 @dataclass
 class RunLog:
-    """Per-step and per-epoch scalars; exact floats, no wall-clock."""
+    """Per-step and per-epoch scalars; exact floats, no wall-clock.
+
+    A stack's log holds a list of losses and of accuracies, one per member
+    (NaN once a member has left), and the members that left the stack
+    under ``failures``; ``member`` takes one member's log out of it."""
 
     steps: list[tuple[int, float, float, float]] = field(default_factory=list)  # step, beta, lr, loss
     epochs: list[tuple[int, float]] = field(default_factory=list)  # epoch, val_accuracy
+    failures: dict[int, TrainingDiverged] = field(default_factory=dict)  # member -> why it left
+
+    def member(self, i: int) -> RunLog:
+        return RunLog([(step, beta, lr, loss[i]) for step, beta, lr, loss in self.steps],
+                      [(epoch, acc[i]) for epoch, acc in self.epochs])
 
 
 STEP_HEADER = ["step", "beta", "lr", "train_loss"]
@@ -362,7 +378,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int
     batch_size: int
-    seed: int
+    seed: int | tuple[int, ...]  # a stack takes a tuple: one seed per member
     optimizer: OptimizerSpec = OptimizerSpec()
     q_steps: int = 0  # post-shot dense budget: steps trained dense before the switch
     post_shot_spec: CompressionSpec | None = None
@@ -400,14 +416,15 @@ def refresh_network(net: Network, refresh_masks: bool = True) -> None:
     refresh_blocks(blocks, refresh_masks=refresh_masks)
 
 
-def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float:
-    """Classification accuracy at the network's current state."""
+def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float | list[float]:
+    """Classification accuracy at the network's current state: a float, or a
+    list of one per member for a stack."""
     if len(labels) == 0:
-        return float("nan")
+        return np.full(net.stack, np.nan).tolist()
     x = Tensor(features)
     out = (Network(compressed_blocks(net)) if compressed_only else net).forward(x)
-    pred = out.data.argmax(axis=1)
-    return float((pred == labels).mean())
+    pred = out.data.argmax(axis=-1)
+    return (pred == labels).mean(axis=-1).tolist()
 
 
 def _resolve_schedule(spec: OptimizerSpec, total_steps: int) -> OptimizerSpec:
@@ -433,9 +450,19 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     first forward sees beta = 1. The logged beta column is the weight of
     the original branch: the scheduler's value for a blended network, 1
     for an all-dense one, 0 for a compressed one.
+
+    A stack runs one graph per step: member i takes the batches of
+    ``cfg.seed[i]`` and one loss, whose gradient reaches only its own
+    slices. A member whose loss is not finite leaves the stack at that step
+    (``log.failures`` keeps its ``TrainingDiverged``) and the others step
+    on; once no member is left, the first member's failure is raised, as
+    it is for a lone network.
     """
     if cfg.post_shot_spec is not None and not _all_dense(net):
         raise ValueError("post_shot_spec needs an all-dense network")
+    seeds = np.asarray(cfg.seed)
+    if seeds.shape != net.stack:
+        raise ValueError(f"a network of stack shape {net.stack} needs a seed of that shape, got {cfg.seed!r}")
     x_train, y_train = dataset.split("train")
     x_val, y_val = dataset.split("val")
     n_train = len(y_train)
@@ -443,20 +470,31 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     opt = Optimizer(_resolve_schedule(cfg.optimizer, cfg.epochs * spe))
     schedulers = schedulers_of(net)
     log = RunLog()
+    alive = np.arange(seeds.size)  # the member index of each slice still in the stack
     gstep = 0
     refresh_network(net, refresh_masks=not cfg.freeze_mask)
     for epoch in range(1, cfg.epochs + 1):
-        order = batch_order(cfg.seed, epoch, n_train)
+        orders = np.reshape([batch_order(int(seed), epoch, n_train) for seed in seeds.reshape(-1)[alive]],
+                            (*net.stack, n_train))
         for b in range(spe):
             if gstep == cfg.q_steps and cfg.post_shot_spec is not None:
                 _post_shot_switch(net, cfg.post_shot_spec)
             beta = schedulers[0].beta() if schedulers else (1.0 if _all_dense(net) else 0.0)
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            logits = net.forward(Tensor(x_train[idx]))
-            loss = softmax_cross_entropy(logits, y_train[idx])
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(gstep, lr_at(opt.step_count, opt.spec), beta)
+            while True:
+                idx = orders[..., b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                logits = net.forward(Tensor(x_train[idx]))
+                loss = softmax_cross_entropy(logits, y_train[idx])
+                diverged = ~np.isfinite(loss.data.reshape(-1))
+                if not diverged.any():
+                    break
+                for member in alive[diverged]:
+                    log.failures[int(member)] = TrainingDiverged(gstep, lr_at(opt.step_count, opt.spec), beta)
+                if diverged.all():
+                    raise log.failures[min(log.failures)]
+                keep = ~diverged  # the rest take this step again without them
+                net.blocks = net.select(keep).blocks
+                opt.select(keep)
+                orders, alive = orders[keep], alive[keep]
             params = net.named_parameters()
             for _, p in params:
                 p.grad = None  # a branch that left the graph must not replay its last gradient
@@ -465,11 +503,19 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
             refresh_network(net, refresh_masks=not cfg.freeze_mask)
             for sch in schedulers:
                 sch.step()
-            log.steps.append((gstep, beta, lr_used, loss_val))
+            log.steps.append((gstep, beta, lr_used, _by_member(loss.data, alive, seeds)))
             gstep += 1
         acc = evaluate(net, x_val, y_val, compressed_only=cfg.eval_compressed_only)
-        log.epochs.append((epoch, acc))
+        log.epochs.append((epoch, _by_member(acc, alive, seeds)))
     return net, log
+
+
+def _by_member(values, alive: Array, seeds: Array):
+    """The values of the slices still in the stack, at their members' places
+    and NaN at the others': a float for a lone network, a list for a stack."""
+    row = np.full(seeds.size, np.nan)
+    row[alive] = np.reshape(values, -1)
+    return row.reshape(seeds.shape).tolist()
 
 
 def _all_dense(net: Network) -> bool:

@@ -73,6 +73,14 @@ class VconBlock:
     def out_dim(self) -> int:
         return self.original.out_dim
 
+    @property
+    def stack(self) -> tuple[int, ...]:
+        return self.original.stack
+
+    def select(self, index) -> VconBlock:
+        """The members ``index`` of a stacked block, on the same scheduler."""
+        return VconBlock(self.original.select(index), self.branch.select(index), self.scheduler)
+
     def forward(self, x: Tensor) -> Tensor:
         beta = self.scheduler.beta()
         if beta == 0.0:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from vconlab import cli
+from vconlab import cli, training
 from vconlab.checkpoint import load_network, save_network
 from vconlab.cli import (
     ConfigError,
@@ -27,7 +27,7 @@ from vconlab.cli import (
 )
 from vconlab.compression import PruneNM, compress_network
 from vconlab.model import init_params
-from vconlab.training import TrainingDiverged, read_runlog
+from vconlab.training import read_runlog
 from vconlab.vcon import BetaScheduler, wrap_network
 
 
@@ -427,19 +427,28 @@ def test_compare_shared_seeds_share_data_order(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monkeypatch, workers):
-    real_run = cli.run_single
+def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capfd, monkeypatch, workers):
+    # seed 1's blended network turns NaN at its third update, as a member of
+    # the vcon arm's stack: it leaves the stack, and seed 0 trains on in it
+    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=6)
+    solo = tmp_path / "solo"
+    assert main(["compare", "--config", str(path), "--quiet", "--set", "seeds=[0]", "--set", f"output_dir={solo}"]) == 0
+    real_step = training.Optimizer.step
 
-    def run_single(exp, dataset, seed, mode, q_steps):
-        if (mode, seed) == ("vcon", 1):
-            raise TrainingDiverged(3, 0.01, 0.5)
-        return real_run(exp, dataset, seed, mode, q_steps)
+    def step(self, named_params):
+        lr = real_step(self, named_params)
+        if self.step_count == 3:
+            for name, p in named_params:
+                if name == "blocks.0.original.weight":
+                    p.data[1] = np.nan  # the member of seed 1
+        return lr
 
-    monkeypatch.setattr(cli, "run_single", run_single)
+    monkeypatch.setattr(training.Optimizer, "step", step)
     _force_workers(monkeypatch, workers)
-    path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=4)
-    assert main(["compare", "--config", str(path), "--quiet"]) == 1
-    assert "training diverged at step 3 (lr=0.01, beta=0.5)" in capsys.readouterr().err
+    capfd.readouterr()
+    with np.errstate(divide="raise", over="raise", invalid="raise"):  # what would warn fails the run instead
+        assert main(["compare", "--config", str(path), "--quiet"]) == 1
+    assert capfd.readouterr().err == "error: training diverged at step 3 (lr=0.01, beta=0.5)\n"
     out = tmp_path / "out"
     files = ["runlog_steps_seed{}.csv", "runlog_epochs_seed{}.csv", "checkpoint_seed{}.vcnet"]
     for seed in (0, 1):
@@ -449,15 +458,18 @@ def test_compare_keeps_finished_runs_when_a_seed_diverges(tmp_path, capsys, monk
     assert not any((out / "vcon" / name.format(1)).exists() for name in files)
     assert not (out / "vcon" / "summary.json").exists()
     assert not (out / "compare.json").exists()
+    for arm in ("baseline", "vcon"):  # seed 0's files are those of its run alone
+        for f in (solo / arm).glob("*_seed0.*"):
+            assert (out / arm / f.name).read_bytes() == f.read_bytes(), f"{arm}/{f.name}"
 
 
 def test_worker_that_dies_is_a_runtime_error(tmp_path, capfd, monkeypatch):
     real_run = cli.run_single
 
-    def run_single(exp, dataset, seed, mode, q_steps):
-        if (mode, seed) == ("vcon", 1):
+    def run_single(exp, dataset, seeds, mode, q_steps):
+        if mode == "vcon":
             os._exit(3)
-        return real_run(exp, dataset, seed, mode, q_steps)
+        return real_run(exp, dataset, seeds, mode, q_steps)
 
     monkeypatch.setattr(cli, "run_single", run_single)
     _force_workers(monkeypatch, 2)
@@ -488,10 +500,10 @@ def test_low_rank_warnings_print_once_per_command(tmp_path, capfd, monkeypatch, 
 def test_progress_lines_come_in_task_order(tmp_path, capsys, monkeypatch):
     real_run = cli.run_single
 
-    def run_single(exp, dataset, seed, mode, q_steps):
-        if (mode, seed) == ("ste_standard", 0):
+    def run_single(exp, dataset, seeds, mode, q_steps):
+        if mode == "ste_standard":
             time.sleep(0.5)  # the second task ends first
-        return real_run(exp, dataset, seed, mode, q_steps)
+        return real_run(exp, dataset, seeds, mode, q_steps)
 
     monkeypatch.setattr(cli, "run_single", run_single)
     _force_workers(monkeypatch, 2)

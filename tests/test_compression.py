@@ -303,7 +303,9 @@ _RUN_SIZES = {"prune_nm_3_12": [2, 24, 30, 3]}
 @pytest.mark.parametrize("mode", ["ste_standard", "vcon"])
 def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
     # the same run with the masks built by the stable-sort oracles writes the
-    # same step logs and the same checkpoint bytes
+    # same step logs and the same checkpoint bytes; in one process, both seeds
+    # train as one stack
+    monkeypatch.setattr(cli, "_worker_count", lambda tasks: 1)
     cfg = {
         "model": {"layer_sizes": _RUN_SIZES.get(kind, [2, 8, 6, 3])},
         "dataset": {"kind": "spiral", "classes": 3, "samples_per_class": 30, "noise": 0.2, "seed": 0},
@@ -318,11 +320,20 @@ def test_runs_match_stable_sort_masks(tmp_path, monkeypatch, kind, mode):
         assert cli.main(["train", "--config", str(path), "--quiet", "--set", f"output_dir={out}"]) == 0
         return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "summary.json"}
 
+    def per_member(oracle):
+        # the oracles take lone weights; a run trains its seeds as one stack
+        def masks(ws, *args):
+            members = [w.reshape(-1, *w.shape[-2:]) for w in ws]
+            per = [oracle([w[i] for w in members], *args) for i in range(len(members[0]))]
+            return [np.stack(layer).reshape(w.shape) for w, layer in zip(ws, zip(*per))]
+        return masks
+
     shipped = run(tmp_path / "shipped")
-    monkeypatch.setattr(compression, "prune_global", lambda ws, s: stable_sort_masks_oracle(ws, s, "global"))
-    monkeypatch.setattr(compression, "prune_layerwise", lambda w, s: stable_sort_masks_oracle([w], s, "layer")[0])
-    monkeypatch.setattr(compression, "prune_structured", lambda w, s: stable_sort_masks_oracle([w], s, "rows")[0])
-    monkeypatch.setattr(compression, "prune_nm", per_group_nm_mask_oracle)
+    monkeypatch.setattr(compression, "prune_global", per_member(lambda ws, s: stable_sort_masks_oracle(ws, s, "global")))
+    for name, oracle in (("prune_layerwise", lambda ws, s: stable_sort_masks_oracle(ws, s, "layer")),
+                         ("prune_structured", lambda ws, s: stable_sort_masks_oracle(ws, s, "rows")),
+                         ("prune_nm", lambda ws, keep, group: [per_group_nm_mask_oracle(ws[0], keep, group)])):
+        monkeypatch.setattr(compression, name, lambda w, *args, masks=per_member(oracle): masks([w], *args)[0])
     assert run(tmp_path / "oracle") == shipped
     assert any(name.startswith("checkpoint_seed") for name in shipped)
     assert any(name.startswith("runlog_steps_seed") for name in shipped)
