@@ -327,20 +327,16 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: 
     )
     net, log = train(net, dataset, cfg)
     x_test, y_test = dataset.split("test")
-    test_acc = iter(_evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only))
-    finished = iter(range(len(seeds) - len(log.failures)))
+    test_acc = _evaluate(net, x_test, y_test, compressed_only=exp.eval_compressed_only)
     elapsed = time.perf_counter() - start
-    members = []
-    for i, seed in enumerate(seeds):
-        if i in log.failures:
-            members.append(log.failures[i])
-            continue
-        member, member_log = net.select(next(finished)), log.member(i)
+    members = dict(log.failures)
+    for k, i in enumerate(i for i in range(len(seeds)) if i not in log.failures):  # slice k holds seed i
+        member, member_log = net.select(k), log.member(i)
         compressed_count = sum(b.param_count() for b in compressed_blocks(member))  # once originals are dropped
         best_val = max((acc for _, acc in member_log.epochs if not math.isnan(acc)), default=float("nan"))
-        members.append(SeedResult(seed, next(test_acc), best_val, dense_count, compressed_count, elapsed,
-                                  member_log, member, scheduler))
-    return StackResult(log, members)
+        members[i] = SeedResult(seeds[i], test_acc[k], best_val, dense_count, compressed_count, elapsed,
+                                member_log, member, scheduler)
+    return StackResult(log, [members[i] for i in range(len(seeds))])
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
@@ -467,7 +463,7 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
             for message in exp.compression.shape_warnings(n, m):
                 print(f"warning: {message}", file=sys.stderr)
     workers = _worker_count(len(arms) * len(exp.seeds))
-    chunks = _chunks(exp.seeds, min(len(exp.seeds), -(-workers // len(arms))))
+    chunks = _chunks(exp.seeds, -(-workers // len(arms)))  # at most one per seed, as workers <= runs
     tasks = [(arm, chunk) for arm in arms for chunk in chunks]
     jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, chunk) for arm, chunk in tasks]
     if workers == 1:
@@ -476,8 +472,7 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(min(workers, len(tasks)), mp_context=get_context("fork"),
-                               initializer=_one_blas_thread)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
     try:
         futures = [pool.submit(_run_task, *job) for job in jobs]
         _collect(exp, tasks, (future.result() for future in futures), quiet)
