@@ -26,6 +26,7 @@ NaN fallback of ``drop_smallest``, binary's norm).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
@@ -224,7 +225,7 @@ class BinaryQuant(CompressionSpec):
 
     def effective_weight(self, block):
         alpha, signs = block.state
-        weight = np.expand_dims(alpha, (-2, -1)) * signs
+        weight = alpha[..., None, None] * signs
         return ste_apply(block.params["weight"], lambda w: weight)
 
     def stored(self, n, m):
@@ -417,7 +418,7 @@ def drop_smallest(scores: Array, drop: int) -> Array:
     """
     if not drop:
         return np.ones(scores.shape)
-    thr = np.partition(scores, drop - 1, axis=-1)[..., [drop - 1]]  # a copy: the partition is freed
+    thr = np.partition(scores, drop - 1, axis=-1)[..., drop - 1 : drop].copy()  # the partition can go
     dropped = scores <= thr  # false everywhere in a row whose threshold is NaN
     mask = 1.0 - dropped
     width = scores.shape[-1]
@@ -776,11 +777,13 @@ class CompressedBlock:
         return apply_activation(self.spec.linear(self, x), self.activation)
 
     def select(self, index) -> CompressedBlock:
-        """The members ``index`` of a stacked block (see ``Network.select``),
-        each with its slice of the state rather than one derived alone (a
-        global mask, or a frozen one, depends on more than the block)."""
-        block = CompressedBlock(self.spec, {name: select(t, index) for name, t in self.params.items()},
-                                select(self.bias, index), self.activation)
+        """The members ``index`` of a stacked block (see ``Network.select``).
+        Each keeps its slice of the state: one derived for the member alone
+        could differ (a global mask, or a frozen one, depends on more than
+        the block), so the constructor, which derives it, is bypassed."""
+        block = copy.copy(self)
+        block.params = {name: select(t, index) for name, t in self.params.items()}
+        block.bias = select(self.bias, index)
         block.state = _select_state(self.state, index)
         return block
 
