@@ -25,7 +25,7 @@ from .tensor import (
     sub,
     sum_all,
 )
-from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, init_params
+from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, init_params, stack_networks
 from .compression import (
     BinaryQuant,
     CompressedBlock,
