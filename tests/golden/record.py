@@ -13,10 +13,14 @@ for what the command printed there and ``<file>.vcnet (inspect)`` for
 ``vconlab inspect`` of each network file without its path line.
 ``summary.json`` is digested without its ``wall_clock_seconds`` fields.
 
-The bits of a matmul depend on the BLAS kernels, so ``digests.json`` also
-stores the platform they were recorded on: numpy's version, its BLAS build,
-and the OpenBLAS core picked at run time (a DYNAMIC_ARCH build picks its
-kernels per CPU, which ``np.show_config`` does not report).
+The bits of a matmul depend on the BLAS kernels, so each set of digests
+also stores the platform it was recorded on: numpy's version, its BLAS
+build, and the OpenBLAS core picked at run time (a DYNAMIC_ARCH build picks
+its kernels per CPU, which ``np.show_config`` does not report). There is
+one set per core of ``CORES``, each recorded in a child process with
+``OPENBLAS_CORETYPE`` set to that core; a core whose instructions this CPU
+lacks (the ``/proc/cpuinfo`` flag in ``CORES``) is not recorded, and its
+file is left as it is.
 
 Re-record only in a change that means to change outputs, from the
 repository root:
@@ -32,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +45,14 @@ import numpy as np
 
 from vconlab import cli
 
-DIGESTS = Path(__file__).with_name("digests.json")
+HERE = Path(__file__).parent
+
+# each OpenBLAS core with a digest set: the /proc/cpuinfo flag its kernels need, and the set's file
+CORES = {
+    "SkylakeX": ("avx512f", HERE / "digests.json"),
+    "Haswell": ("avx2", HERE / "digests-haswell.json"),
+    "Sandybridge": ("avx", HERE / "digests-sandybridge.json"),
+}
 
 CONFIG = {
     "model": {"layer_sizes": [2, 16, 16, 3], "activation": "relu"},
@@ -154,7 +166,17 @@ def fingerprint() -> dict:
             "openblas_core": _openblas_core()}
 
 
-def main() -> int:
+def cpu_flags() -> set[str]:
+    """The instruction-set flags of this CPU; none where /proc/cpuinfo is missing."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def digest_set() -> dict:
+    """This process's fingerprint and the digests of the matrix, run in a temporary directory."""
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -162,8 +184,31 @@ def main() -> int:
             files = run_matrix()
         finally:
             os.chdir(start)
-    DIGESTS.write_text(json.dumps({"fingerprint": fingerprint(), "files": files}, indent=1, sort_keys=True) + "\n")
-    print(f"{len(files)} digests -> {DIGESTS}")
+    return {"fingerprint": fingerprint(), "files": files}
+
+
+def digest_set_under(core: str) -> dict:
+    """``digest_set`` of a child process whose OpenBLAS runs the kernels of ``core``."""
+    path = [str(HERE.parents[1] / "src"), str(HERE), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import json, record; print(json.dumps(record.digest_set()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    if child.returncode != 0:
+        raise RuntimeError(f"matrix under {core}: exit {child.returncode}: {child.stderr}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    flags = cpu_flags()
+    for core, (flag, path) in CORES.items():
+        if flag not in flags:
+            print(f"{core}: this CPU has no {flag}, {path.name} left as it is")
+            continue
+        recorded = digest_set_under(core)
+        if recorded["fingerprint"]["openblas_core"] != core:
+            raise RuntimeError(f"OPENBLAS_CORETYPE={core} ran the {recorded['fingerprint']['openblas_core']} kernels")
+        path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+        print(f"{core}: {len(recorded['files'])} digests -> {path}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Byte identity of the CLI's outputs against digests recorded in the repo.
 
-A refactor that means to keep outputs must leave every digest of
-``tests/golden/digests.json`` as it is; one that means to change them
-re-records the file with ``tests/golden/record.py`` and says which files
-changed. See that script for the matrix of commands.
+A refactor that means to keep outputs must leave every digest of every
+set in ``tests/golden/`` as it is; one that means to change them
+re-records the sets with ``tests/golden/record.py`` and says which files
+changed. See that script for the matrix of commands and the OpenBLAS
+cores with a set.
 """
 
 import json
@@ -15,14 +16,19 @@ from golden import record
 from vconlab import cli
 from vconlab.tensor import Tensor, backward, linear, mul, sum_all
 
-RECORDED = json.loads(record.DIGESTS.read_text())
+RECORDED = {core: json.loads(path.read_text()) for core, (_, path) in record.CORES.items() if path.exists()}
+CORE = record.fingerprint()["openblas_core"]
 
 
 @pytest.fixture
 def same_platform():
+    """The recorded set whose platform is this process's."""
     current = record.fingerprint()
-    if current != RECORDED["fingerprint"]:
-        pytest.skip(f"digests recorded on {RECORDED['fingerprint']}, this platform is {current}")
+    recorded = next((s for s in RECORDED.values() if s["fingerprint"] == current), None)
+    if recorded is None:
+        pytest.skip(f"digests recorded on {[s['fingerprint'] for s in RECORDED.values()]}, "
+                    f"this platform is {current}")
+    return recorded
 
 
 def _mismatches(got: dict, want: dict) -> list[str]:
@@ -33,8 +39,22 @@ def _mismatches(got: dict, want: dict) -> list[str]:
 
 def test_matrix_outputs_match_the_recorded_digests(same_platform, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    bad = _mismatches(record.run_matrix(), RECORDED["files"])
-    assert not bad, f"{len(bad)} of {len(RECORDED['files'])} digests do not match:\n" + "\n".join(bad)
+    bad = _mismatches(record.run_matrix(), same_platform["files"])
+    assert not bad, f"{len(bad)} of {len(same_platform['files'])} digests do not match:\n" + "\n".join(bad)
+
+
+@pytest.mark.parametrize("core", [core for core in record.CORES if core != CORE])
+def test_matrix_outputs_match_the_digests_of_another_kernel(same_platform, core):
+    # the same matrix in a child process whose OpenBLAS runs another core's kernels
+    flag, _ = record.CORES[core]
+    if core not in RECORDED or flag not in record.cpu_flags():
+        pytest.skip(f"no {core} digests, or this CPU has no {flag}")
+    want = RECORDED[core]
+    got = record.digest_set_under(core)
+    if got["fingerprint"] != want["fingerprint"]:
+        pytest.skip(f"{core} digests recorded on {want['fingerprint']}, the child ran on {got['fingerprint']}")
+    bad = _mismatches(got["files"], want["files"])
+    assert not bad, f"{core}: {len(bad)} of {len(want['files'])} digests do not match:\n" + "\n".join(bad)
 
 
 def test_one_worker_writes_the_pooled_runs_bytes(same_platform, tmp_path, monkeypatch):
@@ -44,18 +64,19 @@ def test_one_worker_writes_the_pooled_runs_bytes(same_platform, tmp_path, monkey
     (tmp_path / "config.json").write_text(json.dumps(record.CONFIG))
     out, args = next((out, args) for out, args in record.commands() if out == "low_rank/post_shot")
     got = record.run_command(out, args)
-    want = {key: digest for key, digest in RECORDED["files"].items() if key.startswith(out + "/")}
+    want = {key: digest for key, digest in same_platform["files"].items() if key.startswith(out + "/")}
     bad = _mismatches(got, want)
     assert not bad, "\n".join(bad)
 
 
-# linear takes its weight gradient as g.T @ x, C-ordered, while the digests
-# were recorded with (x.T @ g).T. numpy hands the two to dgemm with the
-# operands and the output's orientation swapped, and the bytes agree where
-# the kernels sum each entry the same way either way round. On the recorded
-# platform they do; OpenBLAS's Haswell and Nehalem kernels give other bytes
+# linear takes its weight gradient as g.T @ x, C-ordered, where it once took
+# (x.T @ g).T. numpy hands the two to dgemm with the operands and the
+# output's orientation swapped, and the bytes agree where the kernels sum
+# each entry the same way either way round. OpenBLAS's SkylakeX and
+# Sandybridge kernels do; its Haswell and Nehalem kernels give other bytes
 # for some shapes (the 3-row output layers from batch 26 up, checked on
-# numpy 2.4.6), so there this fact and the digests do not hold together.
+# numpy 2.4.6), so the test runs only on the cores of ORIENTATION_CORES.
+ORIENTATION_CORES = ("SkylakeX", "Sandybridge")
 _ORIENTATION_NOTE = (
     "linear's weight gradient g.T @ x differs from (x.T @ g).T; the digests assume this "
     "BLAS computes the product the same way with its operands and its output's "
@@ -70,6 +91,8 @@ _WORKLOAD_SHAPES = ([(w, 2) for w in (64, 128, 256)] + [(w, w) for w in (64, 128
 
 @pytest.mark.parametrize("batch", [1, 26, 64, 225])
 def test_linear_weight_gradient_bytes_equal_the_transposed_product(same_platform, batch):
+    if CORE not in ORIENTATION_CORES:
+        pytest.skip(f"the orientation fact is checked only on {ORIENTATION_CORES}")
     rng = np.random.default_rng(batch)
     for n, m in _WORKLOAD_SHAPES:
         x = rng.normal(size=(batch, m))
