@@ -6,13 +6,15 @@ Layout (documented in the README and kept stable):
     header  one UTF-8 JSON line ending in "\\n"
     payload concatenated arrays, little-endian float64, row-major
 
-Per-block payload order -- dense: weight, bias. Compressed: whatever the
-family's class in compression.py writes through the float and bit-row
-helpers below (bit rows are padded with zeros to a byte). A blended block
-stores its original's payload followed by its branch's. The header
+Per-block payload: the block's ``named_parameters()`` in order (dense:
+weight, bias; compressed: the family's tensors in ``spec.shapes`` order,
+then bias; blended: its original's, then its branch's), then the state
+its compressed part's family writes through ``write_state`` with the
+float and bit-row helpers below (bit rows are padded with zeros to a
+byte). This module alone reads and writes the tensors. The header
 carries layer sizes, activation tags, specs, and the shared scheduler
 state (q, t) when present; a file loads only if its header is exactly the
-one its network saves as.
+one its network saves as. A stack of networks is not saved.
 """
 
 from __future__ import annotations
@@ -105,19 +107,19 @@ def _header(net: Network, scheduler: BetaScheduler | None) -> dict:
 
 
 def _write_block(w: _Writer, block) -> None:
-    if isinstance(block, VconBlock):
-        _write_block(w, block.original)
-        _write_block(w, block.branch)
-    elif isinstance(block, CompressedBlock):
-        block.spec.write(block, w)
-    else:
-        w.floats(block.weight.data)
-        w.floats(block.bias.data)
+    for _, t in block.named_parameters():
+        w.floats(t.data)
+    compressed = block.branch if isinstance(block, VconBlock) else block
+    if isinstance(compressed, CompressedBlock):
+        compressed.spec.write_state(compressed, w)
 
 
 def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> None:
     """Write the network and one scheduler state (by default the first blended
-    block's, which every blended block must share) to one flat file."""
+    block's, which every blended block must share) to one flat file. A stack
+    is refused before the file is opened."""
+    if net.stack:
+        raise CheckpointError(f"cannot save a stack of {net.stack[0]} networks to {path}; select a member first")
     blended = [b.scheduler for b in net.blocks if isinstance(b, VconBlock)]
     if scheduler is None and blended:
         scheduler = blended[0]
@@ -166,27 +168,28 @@ def _check_header(header, path) -> None:
             raise CheckpointError(f"{path}: blended block without scheduler state")
 
 
-def _read_dense(r: _Reader, hdr: dict, label: str) -> DenseBlock:
-    n, m = hdr["out_dim"], hdr["in_dim"]
-    weight = Tensor(r.floats((n, m), f"{label} weight"), requires_grad=True)
-    bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-    return DenseBlock(weight, bias, hdr["activation"])
-
-
-def _read_compressed(r: _Reader, hdr: dict, label: str) -> CompressedBlock:
-    spec = spec_from_dict(hdr["spec"])
-    if spec is None:
-        r.fail(f"{label}: compressed block with spec 'none'")
-    return spec.read(r, hdr["out_dim"], hdr["in_dim"], hdr["activation"], label)
-
-
 def _read_block(r: _Reader, hdr: dict, label: str, scheduler: BetaScheduler | None):
-    if hdr["kind"] == "dense":
-        return _read_dense(r, hdr, label)
+    """The block of one header entry: each tensor of its layout, its bias,
+    then its family's state. A blended block reads its original as a dense
+    block, then its branch as a compressed one."""
+    if hdr["kind"] == "vcon":
+        original = _read_block(r, {**hdr, "kind": "dense"}, f"{label} original", None)
+        branch = _read_block(r, {**hdr, "kind": "compressed"}, f"{label} branch", None)
+        return VconBlock(original, branch, scheduler)
+    n, m = hdr["out_dim"], hdr["in_dim"]
+    spec = None
     if hdr["kind"] == "compressed":
-        return _read_compressed(r, hdr, label)
-    original = _read_dense(r, hdr, f"{label} original")
-    return VconBlock(original, _read_compressed(r, hdr, f"{label} branch"), scheduler)
+        spec = spec_from_dict(hdr["spec"])
+        if spec is None:
+            r.fail(f"{label}: compressed block with spec 'none'")
+    layout = {"weight": (n, m)} if spec is None else spec.shapes(n, m)
+    params = {name: Tensor(r.floats(shape, f"{label} {name}"), requires_grad=True) for name, shape in layout.items()}
+    bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
+    if spec is None:
+        return DenseBlock(params["weight"], bias, hdr["activation"])
+    block = CompressedBlock(spec, params, bias, hdr["activation"])
+    spec.read_state(block, r, label)
+    return block
 
 
 def load_network(path) -> tuple[Network, BetaScheduler | None]:

@@ -8,9 +8,10 @@ straight-through estimator; low-rank blocks train the two factors
 directly.
 
 Each family is one spec class (see ``CompressionSpec``), the single home
-of its rule, its tensors, its derived state, size accounting, file payload
-and report; ``FAMILIES`` maps each config/header ``kind`` to its class.
-``CompressedBlock`` holds whatever the family names and knows no family.
+of its rule, its tensors, its derived state, size accounting, what its
+file stores beyond the tensors, and report; ``FAMILIES`` maps each
+config/header ``kind`` to its class. ``CompressedBlock`` holds whatever
+the family names and knows no family.
 
 Tie rule used everywhere: when magnitudes tie at the pruning threshold,
 the smaller flat index is pruned first (global pruning orders by layer
@@ -56,10 +57,12 @@ class CompressionSpec:
     block's effective weight (``effective_weight``; low rank instead
     overrides ``linear``, the block's pre-activation with its bias, with
     its factor product), counts the stored entries and bits of an n x m
-    layer (``stored``, ``bits``), writes and reads its ``.vcnet`` payload
-    through checkpoint.py's writer (``floats``, ``bits``) and reader (those
-    and ``fail``; the base stores the named tensors, then the bias), and
-    names its ``inspect`` fields (``describe``).
+    layer (``stored``, ``bits``), and names its ``inspect`` fields
+    (``describe``). checkpoint.py stores a block's named tensors and its
+    bias; a family whose file holds more (its state, or a check on what
+    was read) writes and reads that through ``write_state`` and
+    ``read_state``, with checkpoint.py's writer (``floats``, ``bits``) and
+    reader (those and ``fail``).
     """
 
     kind: ClassVar[str]
@@ -84,15 +87,11 @@ class CompressionSpec:
     def count(self, block: CompressedBlock) -> int:
         return self.stored(block.out_dim, block.in_dim)
 
-    def write(self, block: CompressedBlock, w) -> None:
-        for _, t in block.named_parameters():
-            w.floats(t.data)
+    def write_state(self, block: CompressedBlock, w) -> None:
+        pass
 
-    def read(self, r, n: int, m: int, activation: str, label: str) -> CompressedBlock:
-        params = {name: Tensor(r.floats(shape, f"{label} {name}"), requires_grad=True)
-                  for name, shape in self.shapes(n, m).items()}
-        bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
-        return CompressedBlock(self, params, bias, activation)
+    def read_state(self, block: CompressedBlock, r, label: str) -> None:
+        pass
 
     def describe(self, block: CompressedBlock) -> dict:
         return {}
@@ -121,16 +120,14 @@ class _MaskSpec(CompressionSpec):
     def count(self, block):
         return int(block.state.sum())
 
-    def write(self, block, w):
-        super().write(block, w)
+    def write_state(self, block, w):
         w.bits(block.state)
 
-    def read(self, r, n, m, activation, label):
-        block = super().read(r, n, m, activation, label)
+    def read_state(self, block, r, label):
+        n, m = block.out_dim, block.in_dim
         block.state = r.bits(n, m, f"{label} mask")
         if not self.network_wide and self.count(block) != self.stored(n, m):
             r.fail(f"{label} mask keeps {self.count(block)} weights, {self.kind} keeps {self.stored(n, m)}")
-        return block
 
     def describe(self, block):
         return {"kept_weights": self.count(block), "density": float(block.state.sum() / block.state.size)}
@@ -234,17 +231,14 @@ class BinaryQuant(CompressionSpec):
     def bits(self, n, m):
         return n * m + 64
 
-    def write(self, block, w):
-        super().write(block, w)
+    def write_state(self, block, w):
         alpha, signs = block.state
         w.floats(np.float64(alpha))
         w.bits(signs > 0.0)
 
-    def read(self, r, n, m, activation, label):
-        block = super().read(r, n, m, activation, label)
+    def read_state(self, block, r, label):
         alpha = r.floats((), f"{label} alpha")
-        block.state = (alpha, r.bits(n, m, f"{label} signs") * 2.0 - 1.0)
-        return block
+        block.state = (alpha, r.bits(block.out_dim, block.in_dim, f"{label} signs") * 2.0 - 1.0)
 
     def describe(self, block):
         return {"alpha": float(block.state[0])}
@@ -289,10 +283,10 @@ class LowRank(CompressionSpec):
     def stored(self, n, m):
         return min(self.rank, n, m) * (n + m)
 
-    def read(self, r, n, m, activation, label):
+    def read_state(self, block, r, label):
+        n, m = block.out_dim, block.in_dim
         if self.rank > min(n, m):
             r.fail(f"{label} has rank {self.rank} above min({n}, {m})")
-        return super().read(r, n, m, activation, label)
 
     def describe(self, block):
         return {"rank": self.rank}

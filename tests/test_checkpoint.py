@@ -21,7 +21,7 @@ from vconlab.compression import (
     compress_network,
     refresh_blocks,
 )
-from vconlab.model import Network, init_params
+from vconlab.model import Network, init_params, stack_networks
 from vconlab.tensor import Tensor
 from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 from vconlab.vcon import BetaScheduler, finalize, wrap_network
@@ -155,6 +155,46 @@ def test_mask_rows_are_byte_aligned(tmp_path):
     save_network(net, p)
     back, _ = load_network(p)
     assert np.array_equal(back.blocks[0].state, net.blocks[0].state)
+
+
+def _payload(net, path):
+    """The bytes after the header line of ``net`` saved to ``path``."""
+    save_network(net, path)
+    blob = path.read_bytes()
+    return blob[_split(blob)[1] :]
+
+
+def _tensor_bytes(item):
+    return b"".join(p.data.astype("<f8").tobytes() for _, p in item.named_parameters())
+
+
+def test_dense_payload_is_the_named_parameters(tmp_path):
+    net = init_params(SIZES, seed=13)
+    assert _payload(net, tmp_path / "net.vcnet") == _tensor_bytes(net)
+
+
+@pytest.mark.parametrize("state", ["compressed", "blended"])
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+def test_block_payload_is_its_named_parameters_then_its_state(tmp_path, kind, state):
+    # every block stores its named parameters, then what its family adds;
+    # a network stores its blocks' payloads one after another
+    net = (compress_network(init_params(SIZES, seed=13), SAMPLES[kind]) if state == "compressed"
+           else wrap_network(init_params(SIZES, seed=13), SAMPLES[kind], BetaScheduler(q=4, t=2)))
+    blocks = [_payload(Network([b]), tmp_path / f"block{i}.vcnet") for i, b in enumerate(net.blocks)]
+    for block, payload in zip(net.blocks, blocks):
+        assert payload.startswith(_tensor_bytes(block))
+    assert _payload(net, tmp_path / "net.vcnet") == b"".join(blocks)
+    back, _ = load_network(tmp_path / "net.vcnet")
+    assert _tensor_bytes(back) == _tensor_bytes(net)
+
+
+def test_a_stack_is_not_saved(tmp_path):
+    # a file holds one network; its loader would reject the stack's payload
+    net = stack_networks([init_params([2, 4, 3], seed=s) for s in (0, 1)])
+    p = tmp_path / "net.vcnet"
+    with pytest.raises(CheckpointError, match="stack of 2 networks.*select a member first"):
+        save_network(net, p)
+    assert not p.exists()
 
 
 # --------------------------------------------------------------------------
