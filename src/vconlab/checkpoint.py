@@ -170,7 +170,8 @@ def _check_header(header, path) -> None:
 
 def _read_block(r: _Reader, hdr: dict, label: str, scheduler: BetaScheduler | None):
     """The block of one header entry: each tensor of its layout, its bias,
-    then its family's state. A blended block reads its original as a dense
+    then its family's state, which the block is built with (nothing is
+    derived). A blended block reads its original as a dense
     block, then its branch as a compressed one."""
     if hdr["kind"] == "vcon":
         original = _read_block(r, {**hdr, "kind": "dense"}, f"{label} original", None)
@@ -187,9 +188,7 @@ def _read_block(r: _Reader, hdr: dict, label: str, scheduler: BetaScheduler | No
     bias = Tensor(r.floats((n,), f"{label} bias"), requires_grad=True)
     if spec is None:
         return DenseBlock(params["weight"], bias, hdr["activation"])
-    block = CompressedBlock(spec, params, bias, hdr["activation"])
-    spec.read_state(block, r, label)
-    return block
+    return CompressedBlock(spec, params, bias, hdr["activation"], spec.read_state(r, n, m, label))
 
 
 def load_network(path) -> tuple[Network, BetaScheduler | None]:

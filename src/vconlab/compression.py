@@ -27,7 +27,6 @@ NaN fallback of ``drop_smallest``, binary's norm).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import sys
@@ -60,9 +59,10 @@ class CompressionSpec:
     layer (``stored``, ``bits``), and names its ``inspect`` fields
     (``describe``). checkpoint.py stores a block's named tensors and its
     bias; a family whose file holds more (its state, or a check on what
-    was read) writes and reads that through ``write_state`` and
-    ``read_state``, with checkpoint.py's writer (``floats``, ``bits``) and
-    reader (those and ``fail``).
+    was read) writes it from a block through ``write_state`` and reads it
+    back for an n x m block through ``read_state``, which returns the
+    state, with checkpoint.py's writer (``floats``, ``bits``) and reader
+    (those and ``fail``).
     """
 
     kind: ClassVar[str]
@@ -90,8 +90,8 @@ class CompressionSpec:
     def write_state(self, block: CompressedBlock, w) -> None:
         pass
 
-    def read_state(self, block: CompressedBlock, r, label: str) -> None:
-        pass
+    def read_state(self, r, n: int, m: int, label: str):
+        return None
 
     def describe(self, block: CompressedBlock) -> dict:
         return {}
@@ -123,11 +123,12 @@ class _MaskSpec(CompressionSpec):
     def write_state(self, block, w):
         w.bits(block.state)
 
-    def read_state(self, block, r, label):
-        n, m = block.out_dim, block.in_dim
-        block.state = r.bits(n, m, f"{label} mask")
-        if not self.network_wide and self.count(block) != self.stored(n, m):
-            r.fail(f"{label} mask keeps {self.count(block)} weights, {self.kind} keeps {self.stored(n, m)}")
+    def read_state(self, r, n, m, label):
+        mask = r.bits(n, m, f"{label} mask")
+        kept = int(mask.sum())
+        if not self.network_wide and kept != self.stored(n, m):
+            r.fail(f"{label} mask keeps {kept} weights, {self.kind} keeps {self.stored(n, m)}")
+        return mask
 
     def describe(self, block):
         return {"kept_weights": self.count(block), "density": float(block.state.sum() / block.state.size)}
@@ -236,9 +237,9 @@ class BinaryQuant(CompressionSpec):
         w.floats(np.float64(alpha))
         w.bits(signs > 0.0)
 
-    def read_state(self, block, r, label):
+    def read_state(self, r, n, m, label):
         alpha = r.floats((), f"{label} alpha")
-        block.state = (alpha, r.bits(block.out_dim, block.in_dim, f"{label} signs") * 2.0 - 1.0)
+        return alpha, r.bits(n, m, f"{label} signs") * 2.0 - 1.0
 
     def describe(self, block):
         return {"alpha": float(block.state[0])}
@@ -283,10 +284,10 @@ class LowRank(CompressionSpec):
     def stored(self, n, m):
         return min(self.rank, n, m) * (n + m)
 
-    def read_state(self, block, r, label):
-        n, m = block.out_dim, block.in_dim
+    def read_state(self, r, n, m, label):
         if self.rank > min(n, m):
             r.fail(f"{label} has rank {self.rank} above min({n}, {m})")
+        return None
 
     def describe(self, block):
         return {"rank": self.rank}
@@ -741,19 +742,25 @@ class CompressedBlock:
     them (None for a family that derives nothing). The constructor makes
     every param C-contiguous, whatever layout the family built it in, so a
     block's products and its ``.vcnet`` reload (always C order) run on the
-    same layout and give the same bytes. It then derives the state, so
-    every block can run, and the state changes only at the next refresh.
+    same layout and give the same bytes. A caller that holds the block's
+    state already (a file's, or a stack member's slice) passes it; otherwise
+    the constructor derives it. Either way every block can run, and the
+    state changes only at the next refresh.
     """
 
-    def __init__(self, spec: CompressionSpec, params: dict[str, Tensor], bias: Tensor, activation: str):
+    def __init__(self, spec: CompressionSpec, params: dict[str, Tensor], bias: Tensor, activation: str,
+                 state=MISSING):
         self.spec = spec
         for t in params.values():
             t.data = np.ascontiguousarray(t.data)
         self.params = params
         self.bias = bias
         self.activation = activation
-        self.state = None
-        spec.refresh([self])
+        if state is MISSING:
+            self.state = None
+            spec.refresh([self])
+        else:
+            self.state = state
 
     @property
     def in_dim(self) -> int:
@@ -774,12 +781,9 @@ class CompressedBlock:
         """The members ``index`` of a stacked block (see ``Network.select``).
         Each keeps its slice of the state: one derived for the member alone
         could differ (a global mask, or a frozen one, depends on more than
-        the block), so the constructor, which derives it, is bypassed."""
-        block = copy.copy(self)
-        block.params = {name: select(t, index) for name, t in self.params.items()}
-        block.bias = select(self.bias, index)
-        block.state = _select_state(self.state, index)
-        return block
+        the block)."""
+        return CompressedBlock(self.spec, {name: select(t, index) for name, t in self.params.items()},
+                               select(self.bias, index), self.activation, _select_state(self.state, index))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [*self.params.items(), ("bias", self.bias)]

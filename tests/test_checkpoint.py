@@ -188,6 +188,25 @@ def test_block_payload_is_its_named_parameters_then_its_state(tmp_path, kind, st
     assert _tensor_bytes(back) == _tensor_bytes(net)
 
 
+@pytest.mark.parametrize("state", ["compressed", "blended"])
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+def test_loading_derives_no_state(tmp_path, monkeypatch, kind, state):
+    # a loaded block is built with the state its file holds; the family's
+    # rule never runs (for a global mask it would give each block its own)
+    net = (compress_network(init_params(SIZES, seed=14), SAMPLES[kind]) if state == "compressed"
+           else wrap_network(init_params(SIZES, seed=14), SAMPLES[kind], BetaScheduler(q=4, t=2)))
+    save_network(net, tmp_path / "net.vcnet")
+
+    def refresh(self, blocks, refresh_masks=True):
+        raise AssertionError(f"{type(self).__name__}.refresh ran while loading")
+
+    for cls in FAMILIES.values():
+        monkeypatch.setattr(cls, "refresh", refresh)
+    back, _ = load_network(tmp_path / "net.vcnet")
+    save_network(back, tmp_path / "again.vcnet")
+    assert (tmp_path / "again.vcnet").read_bytes() == (tmp_path / "net.vcnet").read_bytes()
+
+
 def test_a_stack_is_not_saved(tmp_path):
     # a file holds one network; its loader would reject the stack's payload
     net = stack_networks([init_params([2, 4, 3], seed=s) for s in (0, 1)])
