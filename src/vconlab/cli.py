@@ -3,6 +3,11 @@
 Configs are one JSON file with nested sections; any leaf can be
 overridden from the command line with --set dotted.key=value. Exit codes:
 0 success, 1 runtime failure, 2 config error.
+
+Process set-up: ``main`` first keeps the arrays a training step frees in
+the process's heap (``_keep_freed_arrays``, glibc's allocator settings,
+which forked workers inherit), and each pool worker starts by keeping
+OpenBLAS to one thread (``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -436,6 +441,33 @@ def _one_blas_thread() -> None:
                 getattr(lib, name)(1)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+def _keep_freed_arrays() -> None:
+    """Process set-up: keep the arrays a training step frees in this process's
+    heap, for the next step to reuse. By default glibc maps a block of 128 KiB
+    or more on its own and unmaps it when freed, and gives a freed heap top
+    back to the kernel, so every step faults on fresh pages. Blocks under
+    32 MiB now come from the heap, which is trimmed only past 128 MiB free.
+    Either setting alone turns off glibc's dynamic mmap threshold and faults
+    far more than both, so the trim threshold is set only once the mmap one
+    took. Forked workers inherit both. Where glibc is not the C library,
+    nothing changes."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _chunks(seeds: list[int], count: int) -> list[list[int]]:
     """``seeds`` in ``count`` runs of consecutive seeds, sizes differing by at
     most one, the longer ones first."""
@@ -681,6 +713,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_arrays()
     args = _parser().parse_args(argv)
     try:
         if args.command == "inspect":

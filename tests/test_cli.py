@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from vconlab.cli import (
     read_sweep_csv,
     validate_config,
 )
-from vconlab.compression import PruneNM, compress_network
-from vconlab.model import init_params
+from vconlab.compression import PruneNM, PruneUnstructuredLayer, compress_network
+from vconlab.model import init_params, stack_networks
 from vconlab.training import read_runlog
 from vconlab.vcon import BetaScheduler, wrap_network
 
@@ -534,6 +536,63 @@ print(before, [get() for get in getters])
     if not before or max(before) == 1:
         pytest.skip("no multi-threaded OpenBLAS here")
     assert after == [1] * len(before)
+
+
+def _stack_run(epochs):
+    # a stack of five A7-shaped vcon networks, still early in its transition
+    seeds = (0, 1, 2, 3, 4)
+    net = wrap_network(stack_networks([init_params([2, 64, 64, 3], s) for s in seeds]),
+                       PruneUnstructuredLayer(0.95), BetaScheduler(q=1000))
+    data = training.make_synthetic("spiral", classes=3, samples_per_class=500, noise=0.2, seed=0)
+    training.train(net, data, training.TrainConfig(epochs=epochs, batch_size=64, seed=seeds))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_training_steps_reuse_freed_memory():
+    # once the heap has grown to a step's size, a step's arrays land in blocks
+    # earlier steps freed, so the kernel maps no fresh pages; without the
+    # settings this run takes about 370 faults per step
+    resource = pytest.importorskip("resource")
+    cli._keep_freed_arrays()
+    _stack_run(epochs=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _stack_run(epochs=2)  # 34 steps
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 34, f"{faults} minor page faults in 34 training steps"
+
+
+def test_allocator_settings_go_together(monkeypatch):
+    # the trim threshold is set only once the mmap threshold took
+    import ctypes
+
+    for took, want in ((1, [(-3, 32 << 20), (-1, 128 << 20)]), (0, [(-3, 32 << 20)])):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return took
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_arrays()
+        assert calls == want
+
+
+@pytest.mark.parametrize("libc", ["missing", "no mallopt"])
+def test_allocator_set_up_without_mallopt_does_nothing(tmp_path, monkeypatch, libc):
+    # where glibc is not the C library (macOS, Windows, musl) main runs as before
+    import ctypes
+
+    def cdll(name):
+        if libc == "missing":
+            raise OSError(f"{name}: cannot open shared object file")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_freed_arrays()
+    path, _ = _write_config(tmp_path)
+    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def _without_wall_clock(data):
