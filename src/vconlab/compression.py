@@ -21,8 +21,9 @@ therefore a deterministic function of the weights.
 Every rule, family and block also takes a stack of networks (model.py):
 weights with a leading stack axis get each member's mask, scale or factors
 as that member alone would, in one pass where numpy can do it row by row
-and in a loop over the members where it cannot (the Jacobi SVD, the tie and
-NaN fallback of ``drop_smallest``, binary's norm).
+(the Jacobi SVD runs one wave loop for the whole stack) and in a loop over
+the members where it cannot (the tie and NaN fallback of
+``drop_smallest``, binary's norm).
 """
 
 from __future__ import annotations
@@ -260,8 +261,11 @@ class LowRank(CompressionSpec):
         return {"a": (n, self.rank), "b": (self.rank, m)}
 
     def compress(self, block):
-        """Split a dense layer into factors A = U, B = diag(s) V^T, each
-        member of a stack by its own SVD.
+        """Split a dense layer into factors A = U, B = diag(s) V^T.
+
+        A stacked layer takes one ``truncated_svd`` call for all its
+        members: they share its wave loop and its sweep stop, and each
+        member's factors are the bytes of its own SVD alone.
 
         The rank is clamped to min(n, m) when the layer is too skinny, and
         the block's spec carries the clamped rank (``shape_warnings`` names
@@ -271,10 +275,9 @@ class LowRank(CompressionSpec):
         w = block.weight.data
         n, m = w.shape[-2:]
         r = min(self.rank, n, m)
-        res = [truncated_svd(member, r) for member in w.reshape(-1, n, m)]
-        a = np.stack([x.u for x in res]).reshape(*w.shape[:-2], n, r)
-        b = np.stack([x.singular_values[:, None] * x.v.T for x in res]).reshape(*w.shape[:-2], r, m)
-        params = {"a": Tensor(a, requires_grad=True), "b": Tensor(b, requires_grad=True)}
+        res = truncated_svd(w, r)
+        b = res.singular_values[..., :, None] * res.v.swapaxes(-1, -2)
+        params = {"a": Tensor(res.u, requires_grad=True), "b": Tensor(b, requires_grad=True)}
         return CompressedBlock(LowRank(r), params, Tensor(block.bias.data.copy(), requires_grad=True),
                                block.activation)
 
@@ -559,62 +562,67 @@ SVD_MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class SvdResult:
-    u: Array  # (n, r), orthonormal columns
-    singular_values: Array  # (r,), non-increasing, >= 0
-    v: Array  # (m, r), orthonormal columns
+    """The factors of a matrix, or of each member of a stack (a leading axis)."""
+
+    u: Array  # (..., n, r), orthonormal columns
+    singular_values: Array  # (..., r), non-increasing, >= 0
+    v: Array  # (..., m, r), orthonormal columns
 
 
 def _one_sided_jacobi(a: Array) -> tuple[Array, Array, Array]:
-    """Hestenes rotations on column pairs until all pairs are orthogonal.
+    """Hestenes rotations on column pairs until all pairs are orthogonal, for
+    a matrix or for each member of a stack (a leading axis).
 
     Caller guarantees rows >= cols and that ``truncated_svd``'s bound holds.
     A pair (i, j), i < j, rotates when |x.y| exceeds SVD_TOL * |x| * |y|,
     each norm the square root of its squared norm, and the sweeps stop
-    after one with no rotation (at most SVD_MAX_SWEEPS). Taking the two
-    roots apart keeps the threshold from underflowing where |x|^2 |y|^2
-    would (entries below about 1e-80), and scaling a matrix by a power of
-    two, its squares still normal floats, leaves every decision as it is.
+    after one in which no member rotated (at most SVD_MAX_SWEEPS). Taking
+    the two roots apart keeps the threshold from underflowing where
+    |x|^2 |y|^2 would (entries below about 1e-80), and scaling a matrix by a
+    power of two, its squares still normal floats, leaves every decision as
+    it is. A member that has converged sees only sweeps in which none of its
+    pairs rotates, so its columns, and its factors, are those it gets alone.
 
-    Each sweep runs the pairs in waves (``_jacobi_waves``): the pairs of a
-    wave share no column, each is tested on its own, and those that rotate
-    turn together, with c and s per pair. Pairs that share a column keep
-    the cyclic row order, so every pair sees the same columns, makes the
-    same decision and gets the same c and s as in the row-by-row sweep.
-    The test and c, s are elementwise array ops over the wave, with
-    ``math.hypot`` (``_hypot1``).
+    Each sweep runs the pairs in waves (``_jacobi_waves``) shared by every
+    member: the pairs of a wave share no column, each (member, pair) is
+    tested on its own, and those that rotate turn together, with c and s per
+    pair. Pairs that share a column keep the cyclic row order, so every pair
+    sees the same columns, makes the same decision and gets the same c and s
+    as in the row-by-row sweep. The test and c, s are elementwise array ops
+    over the wave, with ``math.hypot`` (``_hypot1``).
 
     The result is fixed bit for bit, not only to rounding: every dot is a
     BLAS ddot over a non-unit stride, whose kernel adds in the same order
     for any such stride, and each rotation is ``c*x - s*y``, ``s*x + c*y``
-    per element. A wave's dots are one stacked ``np.matmul``
-    (``_strided_dots``), which numpy hands, 1 x n by n x 1 product by
-    product, to that strided ddot, as it does ``x.dot(y)`` (checked on
-    numpy 2.4.6; the oracle tests guard other versions). Each column's
-    squared norm is cached and, after a wave rotates, recomputed with that
-    same dot for the wave's columns ``lo .. w - lo``; a column that did not
-    rotate gets back its cached value, so every cache equals what a fresh
-    dot would give.
+    per element. A wave's dots, for every member, are one stacked
+    ``np.matmul`` (``_strided_dots``), which numpy hands, 1 x n by n x 1
+    product by product, to that strided ddot, as it does ``x.dot(y)``
+    (checked on numpy 2.4.6; the oracle tests guard other versions). Each
+    column's squared norm is cached and, after a wave rotates, recomputed
+    with that same dot for the wave's columns ``lo .. w - lo``; a column
+    that did not rotate gets back its cached value, so every cache equals
+    what a fresh dot would give.
 
-    Column k of ``u`` over ``v`` is row k of one ``(cols, 2 * (rows +
-    cols))`` work array, in its even lanes, so each column is a stride-2
-    view, a wave's i and j columns are a slice and a reversed slice, and a
-    wave's gather, rotation and scatter turn ``u`` and ``v`` of all its
-    rotating pairs at once. The columns go back into a C-order
-    ``(rows + cols, cols)`` array before the column sums, whose bits
-    depend on that layout. ``tests/oracles.py`` keeps the plain per-pair
-    loop that this must match.
+    The columns live in ``_rotated_columns``'s work array: column k of
+    ``u`` in the even lanes of row k, so each is a stride-2 view, and column
+    k of ``v`` in its odd lanes. A wave's i and j columns are then a slice
+    and a reversed slice of whole rows. A wave in which every pair of every
+    member rotates turns those slices through preallocated buffers, with no
+    gather or scatter; any other wave gathers its rotating rows, turns them
+    and scatters them back. ``u`` goes back into C order before the column
+    sums, whose bits depend on that layout. ``tests/oracles.py`` keeps the
+    plain per-pair loop that this must match.
     """
-    rows, cols = a.shape
+    cols = a.shape[-1]
     work = _rotated_columns(a)
-    u = work[:rows]
-    v = work[rows:]
-    sig = np.sqrt((u * u).sum(axis=0))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    u = u[:, order]
-    v = v[:, order]
-    nonzero = sig > 0.0
-    u[:, nonzero] = u[:, nonzero] / sig[nonzero]
+    u = np.ascontiguousarray(work[..., ::2].swapaxes(-1, -2))
+    v = np.ascontiguousarray(work[..., 1 : 2 * cols : 2].swapaxes(-1, -2))
+    sig = np.sqrt((u * u).sum(axis=-2))
+    order = np.argsort(-sig, axis=-1, kind="stable")
+    sig = np.take_along_axis(sig, order, axis=-1)
+    u = np.take_along_axis(u, order[..., None, :], axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    np.divide(u, sig[..., None, :], out=u, where=sig[..., None, :] > 0.0)
     return u, sig, v
 
 
@@ -630,103 +638,138 @@ def _jacobi_waves(cols: int) -> list[tuple[int, int]]:
 
 
 def _strided_dots(x: Array, y: Array) -> Array:
-    """``x[k].dot(y[k])`` for every row k, as one stacked ``np.matmul`` of
-    1 x n rows by n x 1 columns; numpy hands each such product to the same
-    strided BLAS ddot that ``x[k].dot(y[k])`` calls."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    """``x[..., k, :].dot(y[..., k, :])`` for every row k (of every member of
+    a stack), as one stacked ``np.matmul`` of 1 x n rows by n x 1 columns;
+    numpy hands each such product to the same strided BLAS ddot that
+    ``x[k].dot(y[k])`` calls."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _hypot1(x: Array) -> Array:
     """``math.hypot(1.0, v)`` for every entry v; ``np.hypot`` differs from
     it in the last bit on some inputs."""
-    return np.array(list(map(math.hypot, itertools.repeat(1.0), x.tolist())))
+    values = map(math.hypot, itertools.repeat(1.0), x.ravel().tolist())
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
 def _rotated_columns(a: Array) -> Array:
-    """The Jacobi loop of ``_one_sided_jacobi``: ``a`` (rows >= cols) over the
-    identity, with every column pair rotated until orthogonal, returned as a
-    C-order ``(rows + cols, cols)`` array."""
-    rows, cols = a.shape
-    lanes = np.zeros((cols, 2 * (rows + cols)))
-    whole = lanes[:, ::2]  # column k is lanes[k, ::2]
-    whole[:, :rows] = a.T
-    whole[:, rows:] = np.eye(cols)
-    col = whole[:, :rows]
+    """The Jacobi loop of ``_one_sided_jacobi`` on ``a`` (rows >= cols), or
+    on each member of a stack of them: every column pair rotated until
+    orthogonal, the rotations also applied to the identity.
+
+    Returns a ``(..., cols, 2 * rows)`` work array whose row k holds column
+    k of the rotated ``a`` in its even lanes and column k of the rotated
+    identity in its odd lanes ``1 .. 2 * cols - 1``; the odd lanes past
+    those stay zero."""
+    *stack, rows, cols = a.shape
+    work = np.zeros((*stack, cols, 2 * rows))
+    col = work[..., ::2]  # column k is col[..., k, :], a stride-2 view
+    col[...] = a.swapaxes(-1, -2)
+    work[..., range(cols), range(1, 2 * cols, 2)] = 1.0
     sq = _strided_dots(col, col)
-    waves = _jacobi_waves(cols)
+    # a whole wave turns its slices through these, the largest wave's size
+    sx_buf, sy_buf = np.empty((2, *stack, cols // 2, 2 * rows))
     # a zeta past the largest float is inf, as in Python float arithmetic, and gives t = 0
     with np.errstate(over="ignore"):
         for _ in range(SVD_MAX_SWEEPS):
             rotated = False
-            for w, (lo, hi) in enumerate(waves, start=1):
+            for w, (lo, hi) in enumerate(_jacobi_waves(cols), start=1):
                 # wave w pairs i = lo .. hi-1 with j = w-lo down to w-hi+1
-                pq = _strided_dots(col[lo:hi], col[w - lo : w - hi : -1])
-                pp = sq[lo:hi]
-                qq = sq[w - lo : w - hi : -1]
+                i, j = slice(lo, hi), slice(w - lo, w - hi, -1)
+                pq = _strided_dots(col[..., i, :], col[..., j, :])
+                pp, qq = sq[..., i], sq[..., j]
                 turn = np.abs(pq) > SVD_TOL * np.sqrt(pp) * np.sqrt(qq)
-                if not turn.any():
+                turned = np.count_nonzero(turn)
+                if not turned:
                     continue
                 rotated = True
-                pq, pp, qq = pq[turn], pp[turn], qq[turn]
+                whole = turned == turn.size
+                if not whole:
+                    pq, pp, qq = pq[turn], pp[turn], qq[turn]
                 zeta = (qq - pp) / (2.0 * pq)
                 t = np.copysign(1.0, zeta) / (np.abs(zeta) + _hypot1(zeta))
                 c = 1.0 / _hypot1(t)
                 s = c * t
-                c, s = c[:, None], s[:, None]
-                turned_i = np.flatnonzero(turn) + lo
-                turned_j = w - turned_i
-                x = whole[turned_i]
-                y = whole[turned_j]
-                whole[turned_i] = c * x - s * y
-                whole[turned_j] = s * x + c * y
+                c, s = c[..., None], s[..., None]
+                if whole:
+                    # j's rows are written through a forward slice, in the order of reversed c and s:
+                    # numpy writes a reversed view several times slower
+                    x, y, y_up = work[..., i, :], work[..., j, :], work[..., w - hi + 1 : w - lo + 1, :]
+                    sx = np.multiply(x, s, out=sx_buf[..., : hi - lo, :])
+                    sy = np.multiply(y, s, out=sy_buf[..., : hi - lo, :])
+                    np.multiply(x, c, out=x)
+                    np.subtract(x, sy, out=x)
+                    np.multiply(y_up, c[..., ::-1, :], out=y_up)
+                    np.add(y_up, sx[..., ::-1, :], out=y_up)
+                else:
+                    *member, pair = np.nonzero(turn)
+                    turned_i = (*member, pair + lo)
+                    turned_j = (*member, w - lo - pair)
+                    x, y = work[turned_i], work[turned_j]  # copies, turned in place
+                    sx, sy = x * s, y * s
+                    x *= c
+                    x -= sy
+                    y *= c
+                    y += sx
+                    work[turned_i], work[turned_j] = x, y
                 # columns lo .. w-lo: those that turned, plus the ones whose fresh dot equals their cache
-                sq[lo : w - lo + 1] = _strided_dots(col[lo : w - lo + 1], col[lo : w - lo + 1])
+                span = slice(lo, w - lo + 1)
+                sq[..., span] = _strided_dots(col[..., span, :], col[..., span, :])
             if not rotated:
                 break
-    return np.ascontiguousarray(whole.T)
+    return work
 
 
 def truncated_svd(w: Array, rank: int) -> SvdResult:
-    """Best rank-r approximation factors of a 2-D matrix.
+    """Best rank-r approximation factors of a 2-D matrix, or of each member
+    of a stack of them (a leading axis), each member's bytes those it gets
+    alone.
 
     Computed with one-sided Jacobi rotations (threshold 1e-12, at most 100
-    sweeps) on ``w``, or on ``w.T`` when ``w`` is wider than tall; singular
-    values come back sorted non-increasing. The factors are bit-for-bit
+    sweeps) on ``w``, or on each member's transpose when ``w`` is wider than
+    tall; singular values come back sorted non-increasing. A stack runs one
+    wave loop for all its members, and its sweeps stop after one in which no
+    member rotated (see ``_one_sided_jacobi``). The factors are bit-for-bit
     those of the plain per-pair Jacobi loop in ``tests/oracles.py`` (same
     pair order, same strided dots, same rotation arithmetic; only the
     columns' layout in memory differs, and a wave's dots go through one
-    stacked ``np.matmul`` that numpy hands to the same strided ddot, see
-    ``_one_sided_jacobi``), which the tests check.
+    stacked ``np.matmul`` that numpy hands to the same strided ddot), which
+    the tests check.
 
     A matrix with a NaN or infinite entry is a ValueError, and so is one
     whose ``(w*w).sum()**2`` is not finite (a sum of squares above about
-    1.34e154, the square root of the largest float). The bound dates from a
-    rotation test that took the product of two squared norms; relaxing it
-    needs a per-pair oracle test at the new bound.
+    1.34e154, the square root of the largest float). In a stack the first
+    such member raises its own message, with its index. The bound dates
+    from a rotation test that took the product of two squared norms;
+    relaxing it needs a per-pair oracle test at the new bound.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"truncated_svd expects a 2-D matrix, got shape {w.shape}")
-    n, m = w.shape
+    if not 2 <= w.ndim <= 3:
+        raise ShapeError(f"truncated_svd expects a 2-D matrix, or 3-D for a stack, got shape {w.shape}")
+    n, m = w.shape[-2:]
     if not (1 <= rank <= min(n, m)):
         raise ValueError(f"rank must be in [1, {min(n, m)}] for a {n}x{m} matrix, got {rank}")
-    if not np.isfinite(w).all():
-        raise ValueError(f"truncated_svd needs finite entries; the {n}x{m} matrix has NaN or inf")
+    finite = np.isfinite(w).all(axis=(-2, -1))
     with np.errstate(over="ignore"):
-        energy = float((w * w).sum())
-    if not math.isfinite(energy * energy):
+        energy = (w * w).sum(axis=(-2, -1))
+        bad = np.flatnonzero(~(finite & np.isfinite(energy * energy)))
+    if bad.size:
+        k = bad[0]
+        where = f" (stack member {k})" if w.ndim == 3 else ""
+        if not finite.reshape(-1)[k]:
+            raise ValueError(f"truncated_svd needs finite entries; the {n}x{m} matrix has NaN or inf{where}")
         raise ValueError(
             f"truncated_svd needs (w*w).sum()**2 finite (a sum of squares below about 1.34e154); "
-            f"the {n}x{m} matrix's sum of squares is {energy:.4g}"
+            f"the {n}x{m} matrix's sum of squares is {float(energy.reshape(-1)[k]):.4g}{where}"
         )
     if n >= m:
         u, sig, v = _one_sided_jacobi(w)
     else:
-        v, sig, u = _one_sided_jacobi(w.T)
+        v, sig, u = _one_sided_jacobi(w.swapaxes(-1, -2))
     return SvdResult(
-        u=u[:, :rank].copy(),
-        singular_values=sig[:rank].copy(),
-        v=v[:, :rank].copy(),
+        u=u[..., :rank].copy(),
+        singular_values=sig[..., :rank].copy(),
+        v=v[..., :rank].copy(),
     )
 
 

@@ -27,7 +27,7 @@ from vconlab.compression import (
     spec_to_dict,
     truncated_svd,
 )
-from vconlab.model import DenseBlock, init_params
+from vconlab.model import DenseBlock, init_params, stack_networks
 from vconlab.tensor import Tensor, backward, sum_all
 from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 
@@ -537,20 +537,21 @@ _MATMUL_NOTE = (
 def test_jacobi_stacked_matmul_of_stride_two_rows_gives_each_pairs_dot_bytes(rows):
     cols = 12
     rng = np.random.default_rng(rows)
-    whole = np.zeros((cols, 2 * (rows + cols)))[:, ::2]  # the sweep's layout: row k holds column k
-    whole[:, :rows] = rng.normal(size=(cols, rows))
-    col = whole[:, :rows]
-    col[3] = 0.0
-    col[8:] *= 1e-160  # dots among rows 8-11 are subnormal
-    stacks = [(col[:k], col[cols - k :]) for k in range(1, cols + 1)]  # forward
-    stacks += [(col[lo:hi], col[w - lo : w - hi : -1])  # reversed, as in a wave
+    # the sweep's layout for a stack of three: member s's column k is col[s, k], at stride 2
+    col = np.zeros((3, cols, 2 * rows))[..., ::2]
+    col[0] = rng.normal(size=(cols, rows))
+    col[0, 3] = 0.0
+    col[0, 8:] *= 1e-160  # dots among rows 8-11 are subnormal
+    col[2] = rng.normal(size=(cols, rows))  # member 1 stays zero
+    stacks = [(col[:, :k], col[:, cols - k :]) for k in range(1, cols + 1)]  # forward
+    stacks += [(col[:, lo:hi], col[:, w - lo : w - hi : -1])  # reversed, as in a wave
                for w, (lo, hi) in enumerate(compression._jacobi_waves(cols), start=1)]
-    stacks += [(col, col), (col[::-1], col)]
-    assert any(0.0 < abs(float(x.dot(x))) < np.finfo(np.float64).tiny for x in col)
-    for x, y in stacks:
-        got = compression._strided_dots(x, y)
-        want = np.array([x[k].dot(y[k]) for k in range(len(x))])
-        assert got.tobytes() == want.tobytes(), _MATMUL_NOTE
+    stacks += [(col, col), (col[:, ::-1], col), (col[::-1], col)]
+    assert any(0.0 < abs(float(x.dot(x))) < np.finfo(np.float64).tiny for x in col[0])
+    for x, y in stacks:  # the whole stack, and its first member alone
+        want = np.array([[x[s, k].dot(y[s, k]) for k in range(x.shape[1])] for s in range(len(x))])
+        assert compression._strided_dots(x, y).tobytes() == want.tobytes(), _MATMUL_NOTE
+        assert compression._strided_dots(x[0], y[0]).tobytes() == want[0].tobytes(), _MATMUL_NOTE
 
 
 def _assert_svd_matches_per_pair_loop(w, rank):
@@ -659,6 +660,107 @@ def test_truncated_svd_bit_identical_to_per_pair_loop_on_edge_shapes():
         for w in cases:
             for rank in sorted({1, min(w.shape)}):
                 _assert_svd_matches_per_pair_loop(w, rank)
+
+
+# --------------------------------------------------------------------------
+# Stacked SVD: one wave loop for every member
+
+# kinds of member whose sweeps stop after different counts: a zero matrix and
+# orthogonal columns rotate nothing, duplicate columns and the 1e-150 scale take
+# their own course, and one member sits just inside the (w*w).sum()**2 bound
+_SVD_MEMBER_KINDS = ("normal", "zero", "orthogonal", "duplicate", "tiny", "at_bound")
+
+
+def _svd_stack_member(kind, rows, cols, rng):
+    """A rows x cols member (rows >= cols) of the given kind."""
+    w = rng.normal(size=(rows, cols))
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "orthogonal":  # each column one nonzero entry, in its own row: every dot is exactly 0
+        out = np.zeros((rows, cols))
+        out[rng.permutation(rows)[:cols], np.arange(cols)] = w[0]
+        return out
+    if kind == "duplicate":
+        w[:, 1::2] = w[:, :1]
+        return w
+    if kind == "tiny":
+        return w * 1e-150
+    if kind == "at_bound":
+        w *= math.sqrt(_SQUARES_BOUND / float((w * w).sum())) * (1.0 - 1e-12)
+        energy = float((w * w).sum())
+        assert _SQUARES_BOUND * 0.999 < energy and math.isfinite(energy * energy)
+    return w
+
+
+def _assert_stacked_svd_gives_each_members_bytes(stack, rank):
+    res = truncated_svd(stack, rank)
+    for k, member in enumerate(stack):
+        lone = truncated_svd(member, rank)
+        u, sig, v = per_pair_jacobi_svd(member, rank)
+        for got, alone, oracle in ((res.u[k], lone.u, u), (res.singular_values[k], lone.singular_values, sig),
+                                   (res.v[k], lone.v, v)):
+            assert got.shape == alone.shape == oracle.shape
+            assert got.tobytes() == alone.tobytes(), f"stack member {k} differs from its lone SVD"
+            assert got.tobytes() == oracle.tobytes(), _STRIDE_NOTE
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_SVD_MEMBER_KINDS), min_size=1, max_size=4),
+    dims=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    wide=st.booleans(),
+    rank=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_svd_gives_each_member_its_lone_and_per_pair_bytes(kinds, dims, wide, rank, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = max(dims), min(dims)
+    stack = np.stack([_svd_stack_member(kind, rows, cols, rng) for kind in kinds])
+    if wide:
+        stack = stack.swapaxes(-1, -2)
+    _assert_stacked_svd_gives_each_members_bytes(stack, min(rank, cols))
+
+
+def test_stacked_svd_members_stop_after_their_own_sweeps(monkeypatch):
+    rng = np.random.default_rng(67)
+    stack = np.stack([_svd_stack_member(kind, 19, 13, rng) for kind in _SVD_MEMBER_KINDS])
+    for w in (stack, stack.swapaxes(-1, -2)):
+        _assert_stacked_svd_gives_each_members_bytes(w, 13)
+    full = truncated_svd(stack, 13)
+    monkeypatch.setattr(compression, "SVD_MAX_SWEEPS", 1)
+    one = truncated_svd(stack, 13)
+    # the zero and orthogonal members are done after one sweep, the others are not
+    done = [one.v[k].tobytes() == full.v[k].tobytes() for k in range(len(stack))]
+    assert done == [kind in ("zero", "orthogonal") for kind in _SVD_MEMBER_KINDS]
+
+
+def test_low_rank_compress_of_a_stack_takes_one_svd_per_layer(monkeypatch):
+    calls = []
+    real = compression.truncated_svd
+
+    def counting(w, rank):
+        calls.append(w.shape)
+        return real(w, rank)
+
+    monkeypatch.setattr(compression, "truncated_svd", counting)
+    compress_network(stack_networks([init_params([2, 16, 16, 3], seed) for seed in range(5)]), LowRank(4))
+    assert calls == [(5, 16, 2), (5, 16, 16), (5, 3, 16)]
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("bad", ["nan", "past_bound"])
+def test_stacked_svd_raises_a_bad_members_own_message(bad, at):
+    stack = np.random.default_rng(71).normal(size=(3, 5, 4))
+    if bad == "nan":
+        stack[at, 2, 1] = np.nan
+    else:
+        stack[at, :, 0] = 1e200
+    for w in (stack, stack.swapaxes(-1, -2)):
+        with pytest.raises(ValueError) as alone:
+            truncated_svd(w[at], 2)
+        with pytest.raises(ValueError) as stacked:
+            truncated_svd(w, 2)
+        assert str(stacked.value) == f"{alone.value} (stack member {at})"
 
 
 # --------------------------------------------------------------------------
