@@ -28,6 +28,7 @@ the members where it cannot (the tie and NaN fallback of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -375,6 +376,13 @@ def config_kind(section: dict, kinds: dict, prefix: str):
     return kinds[kind]
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's declared type, resolved once per class: with postponed
+    annotations, ``get_type_hints`` compiles every annotation string anew."""
+    return get_type_hints(cls)
+
+
 def config_fields(cls, section: dict, prefix: str, **given):
     """Build the dataclass ``cls`` from a JSON object: each field present in
     ``section`` goes through ``config_value`` with its declared type, an absent
@@ -383,7 +391,7 @@ def config_fields(cls, section: dict, prefix: str, **given):
     ``ValueError`` from the class, under the prefix, so each class's message
     starts with the name of the field it rejects."""
     reject_unknown(section, {"kind", *(f.name for f in fields(cls))}, prefix)
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     values = dict(given)
     for f in fields(cls):
         if f.name in section and f.name not in given:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vconlab import compression
 from vconlab.checkpoint import MAGIC, CheckpointError, load_network, save_network
 from vconlab.compression import (
     FAMILIES,
@@ -18,8 +20,10 @@ from vconlab.compression import (
     PruneStructured,
     PruneUnstructuredGlobal,
     PruneUnstructuredLayer,
+    ConfigError,
     compress_network,
     refresh_blocks,
+    spec_from_dict,
 )
 from vconlab.model import Network, init_params, stack_networks
 from vconlab.tensor import Tensor
@@ -457,3 +461,26 @@ def test_damaged_files_load_exactly_or_raise_checkpoint_error(data):
             return
         save_network(net, Path(d) / "again.vcnet", scheduler)
         assert (Path(d) / "again.vcnet").read_bytes() == blob
+
+
+def test_config_field_types_resolve_once_per_class(tmp_path, monkeypatch):
+    resolved = collections.Counter()
+    real = compression.get_type_hints
+
+    def counting(cls):
+        resolved[cls] += 1
+        return real(cls)
+
+    monkeypatch.setattr(compression, "get_type_hints", counting)
+    compression._field_types.cache_clear()
+    path = tmp_path / "net.vcnet"
+    save_network(compress_network(init_params(SIZES, 1), PruneUnstructuredGlobal(0.7)), path)
+    for _ in range(3):
+        load_network(path)  # one spec per compressed block
+        assert spec_from_dict({"kind": "prune_nm", "keep": 2, "group": 4}) == PruneNM(2, 4)
+        with pytest.raises(ConfigError, match=r"^compression\.sparsity must be a finite number, got 'x'$"):
+            spec_from_dict({"kind": "prune_layer", "sparsity": "x"})
+        keep = r"^compression\.keep must be in \[1, group\] for N:M pruning, got 5:4$"
+        with pytest.raises(ConfigError, match=keep):
+            spec_from_dict({"kind": "prune_nm", "keep": 5, "group": 4})
+    assert resolved == {PruneUnstructuredGlobal: 1, PruneNM: 1, PruneUnstructuredLayer: 1}
