@@ -675,13 +675,14 @@ def _rotated_columns(a: Array) -> Array:
     col[...] = a.swapaxes(-1, -2)
     work[..., range(cols), range(1, 2 * cols, 2)] = 1.0
     sq = _strided_dots(col, col)
+    waves = _jacobi_waves(cols)
     # a whole wave turns its slices through these, the largest wave's size
     sx_buf, sy_buf = np.empty((2, *stack, cols // 2, 2 * rows))
     # a zeta past the largest float is inf, as in Python float arithmetic, and gives t = 0
     with np.errstate(over="ignore"):
         for _ in range(SVD_MAX_SWEEPS):
             rotated = False
-            for w, (lo, hi) in enumerate(_jacobi_waves(cols), start=1):
+            for w, (lo, hi) in enumerate(waves, start=1):
                 # wave w pairs i = lo .. hi-1 with j = w-lo down to w-hi+1
                 i, j = slice(lo, hi), slice(w - lo, w - hi, -1)
                 pq = _strided_dots(col[..., i, :], col[..., j, :])
