@@ -281,22 +281,11 @@ def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool, post
 
 @dataclass
 class SeedResult:
-    """One member's run; ``wall_clock_seconds`` is its whole stack's."""
+    """One finished member: its ``summary.json`` row, its own log and its lone network."""
 
-    seed: int
-    final_test_accuracy: float
-    best_val_accuracy: float
-    param_count_dense: int
-    param_count_compressed: int
-    wall_clock_seconds: float
+    row: dict
     log: RunLog
     net: Network
-    scheduler: BetaScheduler | None
-
-    @property
-    def transition_finished(self) -> bool:
-        """A vcon run whose beta reached 0: its blocks can be finalized."""
-        return self.scheduler is not None and self.scheduler.t >= self.scheduler.q
 
 
 @dataclass
@@ -310,7 +299,8 @@ class StackResult:
 
 def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: str, q_steps: int) -> StackResult:
     """Train one arm's ``seeds`` as one stack of networks, then take each
-    member out as a lone network with its own log and accuracies."""
+    member out as a lone network with its own log and ``summary.json`` row
+    (``wall_clock_seconds`` is the stack's; vcon adds ``transition_finished``)."""
     start = time.perf_counter()
     net = stack_networks([init_params(exp.layer_sizes, seed, exp.activation) for seed in seeds])
     dense_count = net.select(0).param_count()
@@ -339,19 +329,24 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: 
         member, member_log = net.select(k), log.member(i)
         compressed_count = sum(b.param_count() for b in compressed_blocks(member))  # once originals are dropped
         best_val = max((acc for _, acc in member_log.epochs if not math.isnan(acc)), default=float("nan"))
-        members[i] = SeedResult(seeds[i], test_acc[k], best_val, dense_count, compressed_count, elapsed,
-                                member_log, member, scheduler)
+        row = dict(seed=seeds[i], final_test_accuracy=test_acc[k], best_val_accuracy=best_val,
+                   param_count_dense=dense_count, param_count_compressed=compressed_count, wall_clock_seconds=elapsed)
+        if scheduler is not None:  # vcon
+            row["transition_finished"] = scheduler.t >= scheduler.q
+        members[i] = SeedResult(row, member_log, member)
     return StackResult(log, [members[i] for i in range(len(seeds))])
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
+    """Write a finished member's run logs and checkpoint (whose header takes a
+    blended network's scheduler from its blocks), and its finalized network
+    once its row says the transition finished."""
+    seed = result.row["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_runlog(result.log,
-                 out_dir / f"runlog_steps_seed{result.seed}.csv",
-                 out_dir / f"runlog_epochs_seed{result.seed}.csv")
-    save_network(result.net, out_dir / f"checkpoint_seed{result.seed}.vcnet", result.scheduler)
-    if result.transition_finished:
-        save_network(finalize(result.net), out_dir / f"finalized_seed{result.seed}.vcnet")
+    write_runlog(result.log, out_dir / f"runlog_steps_seed{seed}.csv", out_dir / f"runlog_epochs_seed{seed}.csv")
+    save_network(result.net, out_dir / f"checkpoint_seed{seed}.vcnet")
+    if result.row.get("transition_finished"):
+        save_network(finalize(result.net), out_dir / f"finalized_seed{seed}.vcnet")
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -369,10 +364,6 @@ def _summary_dict(exp: ExperimentConfig, mode: str, rows: list[dict]) -> dict:
             "best_val_accuracy": _aggregate([r["best_val_accuracy"] for r in rows]),
         },
     }
-
-
-_ROW_FIELDS = ("seed", "final_test_accuracy", "best_val_accuracy", "param_count_dense",
-               "param_count_compressed", "wall_clock_seconds")
 
 
 @dataclass
@@ -397,10 +388,7 @@ def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str,
             outcomes.append(result)
             continue
         _write_seed_outputs(out_dir, result)
-        row = {name: getattr(result, name) for name in _ROW_FIELDS}
-        if mode == "vcon":  # finalized_seed{S}.vcnet was written exactly when this is true
-            row["transition_finished"] = result.transition_finished
-        outcomes.append((row, result.log.epochs))
+        outcomes.append((result.row, result.log.epochs))
     return outcomes
 
 
@@ -598,8 +586,7 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
         "vcon_test_accuracy": v["final_test_accuracy"],
         "delta": v["final_test_accuracy"] - b["final_test_accuracy"],
     } for b, v in zip(base.summary["per_seed"], vcon.summary["per_seed"])]
-    deltas = [row["delta"] for row in per_seed]
-    mean_delta = float(np.mean(deltas))
+    delta = _aggregate([row["delta"] for row in per_seed])
     compare = {
         "config": exp.raw,
         "baseline_mode": baseline,
@@ -608,9 +595,9 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
         "aggregate": {
             "baseline_test_accuracy": base.summary["aggregate"]["test_accuracy"],
             "vcon_test_accuracy": vcon.summary["aggregate"]["test_accuracy"],
-            "delta": _aggregate(deltas),
+            "delta": delta,
             # accuracy-point delta in the conventional parenthesized form
-            "formatted_delta": f"({100.0 * mean_delta:+.2f})",
+            "formatted_delta": f"({100.0 * delta['mean']:+.2f})",
         },
     }
     _write_json(exp.output_dir / "compare.json", compare)

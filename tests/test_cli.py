@@ -538,7 +538,24 @@ print(before, [get() for get in getters])
     assert after == [1] * len(before)
 
 
-def _stack_run(epochs):
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc's")
+def test_training_steps_reuse_freed_memory():
+    # once the heap has grown to a step's size, a step's arrays land in blocks
+    # earlier steps freed, so the kernel maps no fresh pages; without the
+    # settings this run takes about 370 faults per step. In a fresh process, so
+    # what earlier tests left in this one's heap does not count. A fresh stack's
+    # first evaluation (0.58 MB of activations) may still find no free block of
+    # its size, by where the new stack's arrays happened to land, and grow the
+    # heap once by about 145 pages, so the fewest faults of three runs count
+    code = """
+import resource
+from vconlab import cli, training
+from vconlab.compression import PruneUnstructuredLayer
+from vconlab.model import init_params, stack_networks
+from vconlab.vcon import BetaScheduler, wrap_network
+
+def stack_run(epochs):
     # a stack of five A7-shaped vcon networks, still early in its transition
     seeds = (0, 1, 2, 3, 4)
     net = wrap_network(stack_networks([init_params([2, 64, 64, 3], s) for s in seeds]),
@@ -546,20 +563,17 @@ def _stack_run(epochs):
     data = training.make_synthetic("spiral", classes=3, samples_per_class=500, noise=0.2, seed=0)
     training.train(net, data, training.TrainConfig(epochs=epochs, batch_size=64, seed=seeds))
 
-
-@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-                    reason="the allocator settings are glibc's")
-def test_training_steps_reuse_freed_memory():
-    # once the heap has grown to a step's size, a step's arrays land in blocks
-    # earlier steps freed, so the kernel maps no fresh pages; without the
-    # settings this run takes about 370 faults per step
-    resource = pytest.importorskip("resource")
-    cli._keep_freed_arrays()
-    _stack_run(epochs=1)
+cli._keep_freed_arrays()
+stack_run(epochs=1)
+for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _stack_run(epochs=2)  # 34 steps
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 34, f"{faults} minor page faults in 34 training steps"
+    stack_run(epochs=2)  # 34 steps
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    faults = [int(line) for line in out.split()]
+    assert min(faults) < 34, f"{faults} minor page faults in three runs of 34 training steps"
 
 
 def test_allocator_settings_go_together(monkeypatch):
@@ -627,6 +641,24 @@ def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch):
             assert _without_wall_clock(json.loads(one.read_text())) == _without_wall_clock(json.loads(two.read_text()))
         else:
             assert one.read_bytes() == two.read_bytes(), rel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_summary_rows_keep_their_key_order(tmp_path, monkeypatch, workers):
+    # the golden digests pin summary.json's bytes on the recorded numpy and
+    # OpenBLAS cores only; the row layout must hold everywhere, for stacks of
+    # 3 (one worker) and of 2 + 1 (two workers)
+    path, _ = _write_config(tmp_path, seeds=[0, 1, 2], q_steps=4)
+    keys = ["seed", "final_test_accuracy", "best_val_accuracy", "param_count_dense", "param_count_compressed",
+            "wall_clock_seconds"]
+    _force_workers(monkeypatch, workers)
+    for mode in ("dense", "ste_standard", "post_shot", "vcon"):
+        out = tmp_path / mode
+        assert main(["train", "--config", str(path), "--quiet", "--mode", mode, "--set", f"output_dir={out}"]) == 0
+        rows = read_summary(out / "summary.json")["per_seed"]
+        assert [row["seed"] for row in rows] == [0, 1, 2]
+        for row in rows:
+            assert list(row) == keys + ["transition_finished"] * (mode == "vcon"), (mode, row)
 
 
 # --------------------------------------------------------------------------
