@@ -17,13 +17,10 @@ from .tensor import (
     backward,
     gelu,
     linear,
-    mul,
     relu,
     scale,
     softmax_cross_entropy,
     ste_apply,
-    sub,
-    sum_all,
 )
 from .model import ACTIVATIONS, DenseBlock, Network, apply_activation, init_params, stack_networks
 from .compression import (
@@ -53,7 +50,6 @@ from .vcon import (
     beta_at,
     compressed_blocks,
     finalize,
-    schedulers_of,
     wrap_network,
 )
 from .training import (

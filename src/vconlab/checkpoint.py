@@ -12,9 +12,9 @@ then bias; blended: its original's, then its branch's), then the state
 its compressed part's family writes through ``write_state`` with the
 float and bit-row helpers below (bit rows are padded with zeros to a
 byte). This module alone reads and writes the tensors. The header
-carries layer sizes, activation tags, specs, and the shared scheduler
-state (q, t) when present; a file loads only if its header is exactly the
-one its network saves as. A stack of networks is not saved.
+carries layer sizes, activation tags, specs, and the network's scheduler
+state (q, t) when it has one; a file loads only if its header is exactly
+the one its network saves as. A stack of networks is not saved.
 """
 
 from __future__ import annotations
@@ -97,12 +97,13 @@ def _block_header(block) -> dict:
     return hdr
 
 
-def _header(net: Network, scheduler: BetaScheduler | None) -> dict:
+def _header(net: Network) -> dict:
+    sch = net.scheduler
     return {
         "format": FORMAT_VERSION,
         "name": net.name,
         "blocks": [_block_header(b) for b in net.blocks],
-        "scheduler": None if scheduler is None else {"q": scheduler.q, "t": scheduler.t},
+        "scheduler": None if sch is None else {"q": sch.q, "t": sch.t},
     }
 
 
@@ -115,18 +116,16 @@ def _write_block(w: _Writer, block) -> None:
 
 
 def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> None:
-    """Write the network and one scheduler state (by default the first blended
-    block's, which every blended block must share) to one flat file. A stack
-    is refused before the file is opened."""
+    """Write the network and its scheduler's state to one flat file.
+    ``scheduler`` may only be None or the network's own. Any other, a stack,
+    or a header the loader would refuse (blended blocks in a network built
+    without their scheduler) is refused before the file is opened."""
     if net.stack:
         raise CheckpointError(f"cannot save a stack of {net.stack[0]} networks to {path}; select a member first")
-    blended = [b.scheduler for b in net.blocks if isinstance(b, VconBlock)]
-    if scheduler is None and blended:
-        scheduler = blended[0]
-    if any(s != scheduler for s in blended):  # BetaScheduler compares (q, t)
-        raise CheckpointError(f"blended blocks at scheduler states {[(s.q, s.t) for s in blended]} "
-                              f"cannot share the header state ({scheduler.q}, {scheduler.t})")
-    header = _header(net, scheduler)
+    if scheduler is not None and scheduler is not net.scheduler:
+        raise CheckpointError(f"cannot save {path} with a scheduler other than its network's")
+    header = _header(net)
+    _check_header(header, path)
     with open(path, "wb") as fh:
         fh.write(MAGIC + json.dumps(header).encode("utf-8") + b"\n")
         w = _Writer(fh)
@@ -211,7 +210,7 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
     r = _Reader(blob, newline + 1, path=str(path))
     try:
         blocks = [_read_block(r, hdr, f"block {i}", scheduler) for i, hdr in enumerate(header["blocks"])]
-        net = Network(blocks, name=header.get("name", "net"))
+        net = Network(blocks, name=header.get("name", "net"), scheduler=scheduler)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, CheckpointError):
             raise
@@ -220,9 +219,9 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
         raise CheckpointError(
             f"{path}: {len(blob) - r.pos} unexpected trailing bytes at byte offset {r.pos}"
         )
-    if json.dumps(_header(net, scheduler)) != text:
+    if json.dumps(_header(net)) != text:
         raise CheckpointError(
             f"{path}: header at byte offset {len(MAGIC)} is not the one its network saves as"
             " (unknown key, key order, or number form)"
         )
-    return net, scheduler
+    return net, net.scheduler

@@ -304,12 +304,10 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: 
     start = time.perf_counter()
     net = stack_networks([init_params(exp.layer_sizes, seed, exp.activation) for seed in seeds])
     dense_count = net.select(0).param_count()
-    scheduler = None
     if mode == "ste_standard":
         net = compress_network(net, exp.compression)
     elif mode == "vcon":
-        scheduler = BetaScheduler(q=q_steps)
-        net = wrap_network(net, exp.compression, scheduler, train_original=not exp.freeze_original)
+        net = wrap_network(net, exp.compression, BetaScheduler(q=q_steps), train_original=not exp.freeze_original)
     cfg = TrainConfig(
         epochs=exp.epochs,
         batch_size=exp.batch_size,
@@ -331,16 +329,16 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: 
         best_val = max((acc for _, acc in member_log.epochs if not math.isnan(acc)), default=float("nan"))
         row = dict(seed=seeds[i], final_test_accuracy=test_acc[k], best_val_accuracy=best_val,
                    param_count_dense=dense_count, param_count_compressed=compressed_count, wall_clock_seconds=elapsed)
-        if scheduler is not None:  # vcon
-            row["transition_finished"] = scheduler.t >= scheduler.q
+        if net.scheduler is not None:  # vcon
+            row["transition_finished"] = net.scheduler.t >= net.scheduler.q
         members[i] = SeedResult(row, member_log, member)
     return StackResult(log, [members[i] for i in range(len(seeds))])
 
 
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
-    """Write a finished member's run logs and checkpoint (whose header takes a
-    blended network's scheduler from its blocks), and its finalized network
-    once its row says the transition finished."""
+    """Write a finished member's run logs and checkpoint (whose header holds
+    the network's scheduler state), and its finalized network once its row
+    says the transition finished."""
     seed = result.row["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_runlog(result.log, out_dir / f"runlog_steps_seed{seed}.csv", out_dir / f"runlog_epochs_seed{seed}.csv")

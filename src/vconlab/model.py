@@ -78,11 +78,13 @@ class DenseBlock:
 
 class Network:
     """An ordered chain of blocks; anything with forward/named_parameters,
-    the dims, ``stack`` and ``select`` fits."""
+    the dims, ``stack`` and ``select`` fits. ``scheduler`` is the one blend
+    schedule its blended blocks read beta from (None when it has none)."""
 
-    def __init__(self, blocks: Iterable, name: str = "net"):
+    def __init__(self, blocks: Iterable, name: str = "net", scheduler=None):
         self.blocks = list(blocks)
         self.name = name
+        self.scheduler = scheduler
         if not self.blocks:
             raise ValueError("a network needs at least one block")
         for prev, nxt in zip(self.blocks, self.blocks[1:]):
@@ -119,8 +121,8 @@ class Network:
     def select(self, index) -> Network:
         """Member ``index`` of a stack as a lone network (an int), or the members
         of an index array or mask as a smaller stack. Tensors are new; their
-        arrays may be views of this network's."""
-        return Network([block.select(index) for block in self.blocks], name=self.name)
+        arrays may be views of this network's. The scheduler is this network's."""
+        return Network([block.select(index) for block in self.blocks], name=self.name, scheduler=self.scheduler)
 
 
 def stack_networks(nets: Sequence[Network]) -> Network:

@@ -121,31 +121,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), _bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-
-    def _bw(g: Array) -> None:
-        if a.requires_grad:
-            _give(a, g)
-        if b.requires_grad:
-            _give(b, -g)
-
-    return _result(a.data - b.data, (a, b), _bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; both operands must share a shape exactly."""
-    _same_shape(a, b, "mul")
-
-    def _bw(g: Array) -> None:
-        if a.requires_grad:
-            _give(a, g * b.data)
-        if b.requires_grad:
-            _give(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), _bw)
-
-
 def scale(t: Tensor, c: float) -> Tensor:
     """Multiply by a plain Python float (no gradient flows into c)."""
     c = float(c)
@@ -175,15 +150,6 @@ def gelu(t: Tensor) -> Tensor:
         _give(t, g * local)
 
     return _result(0.5 * x * (1.0 + th), (t,), _bw)
-
-
-def sum_all(t: Tensor) -> Tensor:
-    """Sum of all entries, as a 0-d tensor."""
-
-    def _bw(g: Array) -> None:
-        _give(t, np.full_like(t.data, g))
-
-    return _result(np.asarray(t.data.sum()), (t,), _bw)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:

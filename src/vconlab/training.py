@@ -22,7 +22,7 @@ import numpy as np
 from .compression import CompressedBlock, CompressionSpec, compress_block, refresh_blocks
 from .model import DenseBlock, Network
 from .tensor import Tensor, backward, softmax_cross_entropy
-from .vcon import compressed_blocks, schedulers_of
+from .vcon import compressed_blocks
 
 Array = np.ndarray
 
@@ -439,17 +439,17 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
 
     The network is the run's phase: dense blocks train as they are,
     compressed blocks through the straight-through estimator, wrapped blocks
-    blend under their shared scheduler. With ``post_shot_spec`` an all-dense
+    blend under the network's scheduler. With ``post_shot_spec`` an all-dense
     network is compressed in place once ``q_steps`` steps are done.
 
     Derived compression state is refreshed once per weight update: once
     before the first step, then after each optimizer update, so every
     forward and every validation pass sees the state of the current
     weights. Per step: forward, mean-batch cross-entropy, backward,
-    optimizer update, refresh, then one tick of each scheduler, so the very
-    first forward sees beta = 1. The logged beta column is the weight of
-    the original branch: the scheduler's value for a blended network, 1
-    for an all-dense one, 0 for a compressed one.
+    optimizer update, refresh, then one tick of the network's scheduler,
+    so the very first forward sees beta = 1. The logged beta column is the
+    weight of the original branch: the scheduler's value for a blended
+    network, 1 for an all-dense one, 0 for a compressed one.
 
     A stack runs one graph per step: member i takes the batches of
     ``cfg.seed[i]`` and one loss, whose gradient reaches only its own
@@ -468,7 +468,6 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     n_train = len(y_train)
     spe = steps_per_epoch(n_train, cfg.batch_size)
     opt = Optimizer(_resolve_schedule(cfg.optimizer, cfg.epochs * spe))
-    schedulers = schedulers_of(net)
     log = RunLog()
     alive = np.arange(seeds.size)  # the member index of each slice still in the stack
     gstep = 0
@@ -479,7 +478,7 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
         for b in range(spe):
             if gstep == cfg.q_steps and cfg.post_shot_spec is not None:
                 _post_shot_switch(net, cfg.post_shot_spec)
-            beta = schedulers[0].beta() if schedulers else (1.0 if _all_dense(net) else 0.0)
+            beta = net.scheduler.beta() if net.scheduler is not None else (1.0 if _all_dense(net) else 0.0)
             while True:
                 idx = orders[..., b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 logits = net.forward(Tensor(x_train[idx]))
@@ -501,8 +500,8 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
             backward(loss)
             lr_used = opt.step(params)
             refresh_network(net, refresh_masks=not cfg.freeze_mask)
-            for sch in schedulers:
-                sch.step()
+            if net.scheduler is not None:
+                net.scheduler.step()
             log.steps.append((gstep, beta, lr_used, _by_member(loss.data, alive, seeds)))
             gstep += 1
         acc = evaluate(net, x_val, y_val, compressed_only=cfg.eval_compressed_only)

@@ -27,7 +27,8 @@ def beta_at(t: int, q: int) -> float:
 
 @dataclass
 class BetaScheduler:
-    """Counts optimizer steps; shared by every wrapped block of a network."""
+    """Counts optimizer steps: the network's scheduler, which each of its
+    blended blocks reads beta from."""
 
     q: int
     t: int = 0
@@ -103,7 +104,8 @@ def wrap_network(
     scheduler: BetaScheduler,
     train_original: bool = True,
 ) -> Network:
-    """Wrap every dense block of a network with a shared scheduler.
+    """Wrap every dense block of a network; ``scheduler`` becomes the
+    returned network's scheduler, which every blended block reads.
 
     Each branch starts from its block's current parameters (deep copy). With
     ``train_original=False`` the caller's blocks become the frozen originals:
@@ -116,16 +118,7 @@ def wrap_network(
     if not train_original:
         for block in net.blocks:
             block.weight.requires_grad = block.bias.requires_grad = False
-    return Network(blocks, name=net.name)
-
-
-def schedulers_of(net: Network) -> list[BetaScheduler]:
-    """Distinct scheduler objects across the network's wrapped blocks."""
-    out: list[BetaScheduler] = []
-    for block in net.blocks:
-        if isinstance(block, VconBlock) and not any(block.scheduler is s for s in out):
-            out.append(block.scheduler)
-    return out
+    return Network(blocks, name=net.name, scheduler=scheduler)
 
 
 def compressed_blocks(net: Network) -> list:
@@ -137,13 +130,10 @@ def compressed_blocks(net: Network) -> list:
 def finalize(net: Network) -> Network:
     """Strip original branches, keeping only the compressed blocks.
 
-    Allowed only once every wrapped block's scheduler has run its course
-    (t >= q); finalizing mid-transition would silently change the model.
+    Allowed only once the network's scheduler has run its course (t >= q);
+    finalizing mid-transition would silently change the model.
     """
-    for i, block in enumerate(net.blocks):
-        if isinstance(block, VconBlock) and block.scheduler.t < block.scheduler.q:
-            raise ValueError(
-                f"cannot finalize: block {i} is mid-transition "
-                f"(t={block.scheduler.t} < q={block.scheduler.q})"
-            )
+    sch = net.scheduler
+    if sch is not None and sch.t < sch.q:
+        raise ValueError(f"cannot finalize: the network is mid-transition (t={sch.t} < q={sch.q})")
     return Network(compressed_blocks(net), name=net.name)

@@ -35,13 +35,10 @@ from vconlab.tensor import (
     backward,
     gelu,
     linear,
-    mul,
     relu,
     scale,
     softmax_cross_entropy,
     ste_apply,
-    sub,
-    sum_all,
 )
 from vconlab.training import (
     OptimizerSpec,
@@ -54,6 +51,7 @@ from vconlab.training import (
 )
 from vconlab.vcon import BetaScheduler, beta_at, compressed_blocks, finalize, wrap_network
 
+from engine_ops import mul, sub, sum_all
 from oracles import finite_difference, rel_error, singular_values_oracle
 from test_families import SAMPLES
 

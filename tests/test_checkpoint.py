@@ -80,16 +80,18 @@ def test_blended_roundtrip_with_scheduler(tmp_path, spec):
     back, back_sched = load_network(p)
     assert (back_sched.q, back_sched.t) == (120, 37)
     _assert_params_equal(net, back)
-    # a single scheduler object is shared by all restored blocks
+    # the network's one scheduler is the one every restored block reads
+    assert back.scheduler is back_sched
     assert all(b.scheduler is back_sched for b in back.blocks)
     _assert_forward_equal(net, back, 4, seed=4)  # same beta on both sides
 
 
-def _one_step(net):
-    # one Adam step on one batch of every training point
+def _three_steps(net):
+    # three Adam steps, each on one batch of every training point: from the
+    # q=4, t=2 file at beta 0.5 and 0.25, then past t = q at beta 0
     ds = make_synthetic("spiral", classes=3, samples_per_class=10, seed=9)
-    train(net, ds, TrainConfig(epochs=1, batch_size=64, seed=3, optimizer=OptimizerSpec(lr=0.01)))
-    return [p.data.tobytes() for _, p in net.named_parameters()]
+    _, log = train(net, ds, TrainConfig(epochs=3, batch_size=64, seed=3, optimizer=OptimizerSpec(lr=0.01)))
+    return log.steps, [p.data.tobytes() for _, p in net.named_parameters()]
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
@@ -97,7 +99,7 @@ def test_loaded_network_forward_is_bit_equal(tmp_path, kind):
     # a network behaves the same after a save and load: freshly compressed,
     # mid-transition and finalized, at the family samples' sizes (the [5, 6, 3]
     # nets above are too small to show a last-bit layout difference), in its
-    # forward pass and in one more training step
+    # forward pass and in training on from there, its scheduler ticking too
     spec = SAMPLES[kind]
     nets = {
         "compressed": compress_network(init_params(SIZES, seed=7), spec),
@@ -112,32 +114,29 @@ def test_loaded_network_forward_is_bit_equal(tmp_path, kind):
         back, _ = load_network(p)
         if back.forward(x).data.tobytes() != net.forward(x).data.tobytes():
             differ.append(f"{state} forward")
-        if _one_step(back) != _one_step(net):
-            differ.append(f"{state} step")
+        if _three_steps(back) != _three_steps(net) or back.scheduler != net.scheduler:
+            differ.append(f"{state} steps")
     assert differ == []
+    assert nets["mid-transition"].scheduler == BetaScheduler(q=4, t=5)
 
 
 def test_scheduler_can_be_passed_explicitly(tmp_path):
-    net = init_params([2, 2], seed=5)
+    # the scheduler argument may only name the network's own: a dense network
+    # built with one round-trips it; any other, even in an equal state, is
+    # refused and nothing is written
+    sched = BetaScheduler(q=9, t=9)
+    net = Network(init_params([2, 2], seed=5).blocks, scheduler=sched)
     p = tmp_path / "net.vcnet"
-    save_network(net, p, scheduler=BetaScheduler(q=9, t=9))
-    _, sched = load_network(p)
-    assert (sched.q, sched.t) == (9, 9)
-    assert sched.phase == "converged"
-
-
-def test_blended_blocks_on_different_schedulers_are_refused(tmp_path):
-    # the header holds one scheduler state; a file holding block 0's would
-    # load block 1 at the wrong beta and still re-save to the same bytes
-    net = wrap_network(init_params([2, 4, 3], seed=5), PruneUnstructuredLayer(0.5), BetaScheduler(q=4, t=1))
-    net.blocks[1].scheduler = BetaScheduler(q=10, t=0)
-    with pytest.raises(CheckpointError, match=r"scheduler states \[\(4, 1\), \(10, 0\)\]"):
-        save_network(net, tmp_path / "net.vcnet")
-    with pytest.raises(CheckpointError, match="header state"):
-        save_network(net, tmp_path / "net.vcnet", BetaScheduler(q=10, t=0))
-    net.blocks[1].scheduler = BetaScheduler(q=4, t=1)  # equal states share the header
-    save_network(net, tmp_path / "net.vcnet")
-    assert load_network(tmp_path / "net.vcnet")[1] == BetaScheduler(q=4, t=1)
+    save_network(net, p, scheduler=sched)
+    back, back_sched = load_network(p)
+    assert (back_sched.q, back_sched.t) == (9, 9) and back.scheduler is back_sched
+    assert back_sched.phase == "converged"
+    blended = wrap_network(init_params([2, 4, 3], seed=5), PruneUnstructuredLayer(0.5), BetaScheduler(q=4, t=1))
+    for other, passed in ((net, BetaScheduler(q=9, t=9)), (blended, BetaScheduler(q=4, t=1)),
+                          (blended, sched), (init_params([2, 2], seed=5), sched)):
+        with pytest.raises(CheckpointError, match="other than its network's"):
+            save_network(other, tmp_path / "other.vcnet", passed)
+        assert not (tmp_path / "other.vcnet").exists()
 
 
 def test_signs_of_exact_zero_weights_roundtrip(tmp_path):
@@ -184,7 +183,8 @@ def test_block_payload_is_its_named_parameters_then_its_state(tmp_path, kind, st
     # a network stores its blocks' payloads one after another
     net = (compress_network(init_params(SIZES, seed=13), SAMPLES[kind]) if state == "compressed"
            else wrap_network(init_params(SIZES, seed=13), SAMPLES[kind], BetaScheduler(q=4, t=2)))
-    blocks = [_payload(Network([b]), tmp_path / f"block{i}.vcnet") for i, b in enumerate(net.blocks)]
+    blocks = [_payload(Network([b], scheduler=net.scheduler), tmp_path / f"block{i}.vcnet")
+              for i, b in enumerate(net.blocks)]
     for block, payload in zip(net.blocks, blocks):
         assert payload.startswith(_tensor_bytes(block))
     assert _payload(net, tmp_path / "net.vcnet") == b"".join(blocks)
@@ -308,6 +308,11 @@ def test_blended_block_needs_scheduler_state(tmp_path):
     p.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + blob[newline + 1 :])
     with pytest.raises(CheckpointError, match="without scheduler state"):
         load_network(p)
+    # nor is such a file written: blended blocks in a network built without
+    # their scheduler
+    with pytest.raises(CheckpointError, match="without scheduler state"):
+        save_network(Network(net.blocks), tmp_path / "unscheduled.vcnet")
+    assert not (tmp_path / "unscheduled.vcnet").exists()
 
 
 def test_errors_carry_the_path(tmp_path):

@@ -28,9 +28,10 @@ from vconlab.compression import (
     truncated_svd,
 )
 from vconlab.model import DenseBlock, init_params, stack_networks
-from vconlab.tensor import Tensor, backward, sum_all
+from vconlab.tensor import Tensor, backward
 from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
 
+from engine_ops import sum_all
 from oracles import (
     finite_difference,
     per_group_nm_mask_oracle,

@@ -12,9 +12,10 @@ import json
 import numpy as np
 import pytest
 
+from engine_ops import mul, sum_all
 from golden import record
 from vconlab import cli
-from vconlab.tensor import Tensor, backward, linear, mul, sum_all
+from vconlab.tensor import Tensor, backward, linear
 
 RECORDED = {core: json.loads(path.read_text()) for core, (_, path) in record.CORES.items() if path.exists()}
 CORE = record.fingerprint()["openblas_core"]

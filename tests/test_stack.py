@@ -18,6 +18,7 @@ import shutil
 import numpy as np
 import pytest
 
+from engine_ops import mul, sum_all
 from golden import record
 from test_families import SAMPLES, SIZES, same_state
 from test_golden import _WORKLOAD_SHAPES
@@ -31,9 +32,9 @@ from vconlab.compression import (
     spec_to_dict,
 )
 from vconlab.model import init_params, stack_networks
-from vconlab.tensor import Tensor, backward, linear, mul, sum_all
+from vconlab.tensor import Tensor, backward, linear
 from vconlab.training import OptimizerSpec, TrainConfig, TrainingDiverged, make_synthetic, train
-from vconlab.vcon import BetaScheduler, wrap_network
+from vconlab.vcon import BetaScheduler, beta_at, wrap_network
 
 STACKS = (1, 2, 5, 10)
 
@@ -146,20 +147,30 @@ def test_stacked_training_gives_each_members_run(kind, mode):
 
 
 def test_a_diverging_member_leaves_its_stack():
+    # the same NaN in member 1 of a dense and of a blended stack; the blended
+    # one keeps its scheduler, so beta walks on from 1 to 0 after the shrink
     seeds = (0, 1, 2)
-    nets = _members(seeds)
-    nets[1].blocks[1].weight.data[0, 0] = math.nan
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        net, log = train(stack_networks(nets), _spiral(), _cfg(seeds))
-    (failure,) = log.failures.values()
-    assert list(log.failures) == [1] and (failure.step, failure.lr, failure.beta) == (0, 0.02, 1.0)
-    assert net.stack == (2,)
-    assert all(math.isnan(loss[1]) for *_, loss in log.steps)
-    for i, seed in ((0, 0), (1, 2)):
-        lone, lone_log = train(init_params(SIZES, seed), _spiral(), _cfg(seed))
-        assert log.member(seeds.index(seed)) == lone_log
-        assert [p.data.tobytes() for _, p in net.select(i).named_parameters()] == \
-            [p.data.tobytes() for _, p in lone.named_parameters()]
+    starts = {
+        "dense": lambda net: net,
+        "vcon": lambda net: wrap_network(net, SAMPLES["prune_layer"], BetaScheduler(q=3)),
+    }
+    for mode, start in starts.items():
+        nets = _members(seeds)
+        nets[1].blocks[1].weight.data[0, 0] = math.nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            net, log = train(start(stack_networks(nets)), _spiral(), _cfg(seeds))
+        (failure,) = log.failures.values()
+        assert list(log.failures) == [1] and (failure.step, failure.lr, failure.beta) == (0, 0.02, 1.0), mode
+        assert net.stack == (2,)
+        assert all(math.isnan(loss[1]) for *_, loss in log.steps)
+        for i, seed in ((0, 0), (1, 2)):
+            lone, lone_log = train(start(init_params(SIZES, seed)), _spiral(), _cfg(seed))
+            assert log.member(seeds.index(seed)) == lone_log, mode
+            assert [p.data.tobytes() for _, p in net.select(i).named_parameters()] == \
+                [p.data.tobytes() for _, p in lone.named_parameters()], mode
+            assert net.select(i).scheduler is net.scheduler
+        betas = [beta for _, beta, *_ in log.steps]
+        assert len(betas) > 3 and betas == [1.0 if mode == "dense" else beta_at(t, 3) for t in range(len(betas))]
 
 
 def test_a_stack_whose_members_all_diverge_raises_the_first():

@@ -12,15 +12,13 @@ from vconlab.tensor import (
     backward,
     gelu,
     linear,
-    mul,
     relu,
     scale,
     softmax_cross_entropy,
     ste_apply,
-    sub,
-    sum_all,
 )
 
+from engine_ops import mul, sub, sum_all
 from oracles import FD_STEP, finite_difference, rel_error
 
 

@@ -10,17 +10,17 @@ from vconlab.compression import (
     compress_network,
 )
 from vconlab.model import Network, ShapeError, init_params
-from vconlab.tensor import Tensor, backward, softmax_cross_entropy, sum_all
+from vconlab.tensor import Tensor, backward, softmax_cross_entropy
 from vconlab.vcon import (
     BetaScheduler,
     VconBlock,
     beta_at,
     compressed_blocks,
     finalize,
-    schedulers_of,
     wrap_network,
 )
 
+from engine_ops import sum_all
 from oracles import finite_difference, rel_error
 
 VARIANTS = [PruneUnstructuredLayer(0.5), BinaryQuant(), LowRank(2)]
@@ -288,9 +288,3 @@ def test_finalize_q_zero_immediately_allowed():
     done = finalize(blended)
     x = Tensor(np.random.default_rng(21).uniform(-1, 1, size=(3, 3)))
     assert np.array_equal(done.forward(x).data, blended.forward(x).data)
-
-
-def test_schedulers_of_deduplicates():
-    _, blended, sch = _wrapped(BinaryQuant(), q=6, seed=22)
-    assert schedulers_of(blended) == [sch]
-    assert schedulers_of(init_params([2, 2], seed=0)) == []
