@@ -118,8 +118,7 @@ def _write_block(w: _Writer, block) -> None:
 def save_network(net: Network, path, scheduler: BetaScheduler | None = None) -> None:
     """Write the network and its scheduler's state to one flat file.
     ``scheduler`` may only be None or the network's own. Any other, a stack,
-    or a header the loader would refuse (blended blocks in a network built
-    without their scheduler) is refused before the file is opened."""
+    or a header the loader would refuse is refused before the file is opened."""
     if net.stack:
         raise CheckpointError(f"cannot save a stack of {net.stack[0]} networks to {path}; select a member first")
     if scheduler is not None and scheduler is not net.scheduler:

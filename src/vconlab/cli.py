@@ -13,7 +13,6 @@ OpenBLAS to one thread (``_one_blas_thread``).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,8 +38,11 @@ from .compression import (
 )
 from .model import ACTIVATIONS, Network, init_params, stack_networks
 from .training import (
+    EPOCH_HEADER,
+    SWEEP_HEADER,
     Constant,
     Cosine,
+    DataError,
     Dataset,
     OptimizerSpec,
     RunLog,
@@ -49,9 +51,11 @@ from .training import (
     load_csv,
     make_synthetic,
     q_steps_from_epochs,
+    read_table,
     steps_per_epoch,
     train,
     write_runlog,
+    write_table,
 )
 from .training import evaluate as _evaluate
 from .vcon import BetaScheduler, VconBlock, beta_at, compressed_blocks, finalize, wrap_network
@@ -335,13 +339,17 @@ def run_single(exp: ExperimentConfig, dataset: Dataset, seeds: list[int], mode: 
     return StackResult(log, [members[i] for i in range(len(seeds))])
 
 
+def _runlog_paths(out_dir: Path, seed: int) -> tuple[Path, Path]:
+    return out_dir / f"runlog_steps_seed{seed}.csv", out_dir / f"runlog_epochs_seed{seed}.csv"
+
+
 def _write_seed_outputs(out_dir: Path, result: SeedResult) -> None:
     """Write a finished member's run logs and checkpoint (whose header holds
     the network's scheduler state), and its finalized network once its row
     says the transition finished."""
     seed = result.row["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_runlog(result.log, out_dir / f"runlog_steps_seed{seed}.csv", out_dir / f"runlog_epochs_seed{seed}.csv")
+    write_runlog(result.log, *_runlog_paths(out_dir, seed))
     save_network(result.net, out_dir / f"checkpoint_seed{seed}.vcnet")
     if result.row.get("transition_finished"):
         save_network(finalize(result.net), out_dir / f"finalized_seed{seed}.vcnet")
@@ -371,22 +379,20 @@ class _Arm:
     out_dir: Path
     mode: str
     q: int
-    val_accuracy: list[tuple[int, int, float]] = field(default_factory=list)  # seed, epoch, accuracy
     summary: dict = field(default_factory=dict)
 
 
 def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str, q: int,
-              seeds: list[int]) -> list[tuple[dict, list[tuple[int, float]]] | TrainingDiverged]:
+              seeds: list[int]) -> list[dict | TrainingDiverged]:
     """One stack of runs, in whichever process it was given to: train, write
     each finished member's files, and return, in seed order, each member's
-    summary row and validation curve, or why it left the stack."""
+    summary row, or why it left the stack. The logs stay on disk only."""
     outcomes = []
     for result in run_single(exp, dataset, seeds, mode, q).members:
-        if isinstance(result, TrainingDiverged):
-            outcomes.append(result)
-            continue
-        _write_seed_outputs(out_dir, result)
-        outcomes.append((result.row, result.log.epochs))
+        if isinstance(result, SeedResult):
+            _write_seed_outputs(out_dir, result)
+            result = result.row
+        outcomes.append(result)
     return outcomes
 
 
@@ -457,9 +463,7 @@ def _keep_freed_arrays() -> None:
 def _chunks(seeds: list[int], count: int) -> list[list[int]]:
     """``seeds`` in ``count`` runs of consecutive seeds, sizes differing by at
     most one, the longer ones first."""
-    size, extra = divmod(len(seeds), count)
-    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)]).tolist()
-    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return [chunk.tolist() for chunk in np.array_split(seeds, count)]
 
 
 def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: bool) -> list[_Arm]:
@@ -501,19 +505,16 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
 
 
 def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, list[int]]], results, quiet: bool) -> None:
-    """Take each member's (row, validation curve) in task order, raising the
-    first that left its stack; write an arm's summary.json once its last
-    seed is in."""
+    """Take each member's summary row in task order, raising the first that
+    left its stack; write an arm's summary.json once its last seed is in."""
     rows = []
     for (arm, seeds), outcomes in zip(tasks, results):
-        for seed, outcome in zip(seeds, outcomes):
-            if isinstance(outcome, TrainingDiverged):
-                raise outcome
-            row, curve = outcome
+        for seed, row in zip(seeds, outcomes):
+            if isinstance(row, TrainingDiverged):
+                raise row
             if not quiet:
                 print(f"  mode={arm.mode} seed={seed} test_acc={row['final_test_accuracy']:.4f} "
                       f"({row['wall_clock_seconds']:.1f}s)")
-            arm.val_accuracy.extend((seed, epoch, acc) for epoch, acc in curve)
             rows.append(row)
         if len(rows) == len(exp.seeds):
             arm.summary = _summary_dict(exp, arm.mode, rows)
@@ -532,7 +533,7 @@ def _read_json(path, what: str, keys: tuple[str, ...]) -> dict:
         data = json.load(fh)
     for key in keys:
         if key not in data:
-            raise ConfigError(f"{path}: {what} is missing {key!r}")
+            raise DataError(f"{path}: {what} is missing {key!r}")
     return data
 
 
@@ -545,15 +546,7 @@ def read_compare(path) -> dict:
 
 
 def read_sweep_csv(path) -> list[tuple[int, int, int, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["q", "seed", "epoch", "val_accuracy"]:
-            raise ConfigError(f"{path}: unexpected sweep header {header}")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    return rows
+    return read_table(path, SWEEP_HEADER, (int, int, int, float))
 
 
 # --------------------------------------------------------------------------
@@ -609,13 +602,11 @@ def cmd_sweep_q(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
     q_list = _transition_steps(exp, dataset, sweep=True)
     arms = _run_arms(exp, dataset, [_Arm(exp.output_dir / f"q{q}", "vcon", q) for q in q_list], quiet)
-    rows = [(arm.q, *row) for arm in arms for row in arm.val_accuracy]
+    # the join of the arms' epoch logs, in Q, then seed, then epoch order
+    rows = [(arm.q, seed, *row) for arm in arms for seed in exp.seeds
+            for row in read_table(_runlog_paths(arm.out_dir, seed)[1], EPOCH_HEADER, (int, float))]
     sweep_path = exp.output_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "seed", "epoch", "val_accuracy"])
-        for q, seed, epoch, acc in rows:
-            writer.writerow([q, seed, epoch, repr(acc)])
+    write_table(sweep_path, SWEEP_HEADER, rows)
     if not quiet:
         print(f"swept q over {q_list} ({len(rows)} rows) -> {sweep_path}")
     return 0

@@ -79,7 +79,8 @@ class DenseBlock:
 class Network:
     """An ordered chain of blocks; anything with forward/named_parameters,
     the dims, ``stack`` and ``select`` fits. ``scheduler`` is the one blend
-    schedule its blended blocks read beta from (None when it has none)."""
+    schedule that every blended block must read beta from; only a network
+    without blended blocks may have none."""
 
     def __init__(self, blocks: Iterable, name: str = "net", scheduler=None):
         self.blocks = list(blocks)
@@ -92,6 +93,8 @@ class Network:
                 raise ShapeError(
                     f"block chain mismatch: {prev.out_dim} outputs feeding {nxt.in_dim} inputs"
                 )
+        if any(hasattr(b, "scheduler") and (scheduler is None or b.scheduler is not scheduler) for b in self.blocks):
+            raise ValueError("a blended block must read its network's scheduler")
 
     @property
     def input_dim(self) -> int:

@@ -325,36 +325,42 @@ class RunLog:
 
 STEP_HEADER = ["step", "beta", "lr", "train_loss"]
 EPOCH_HEADER = ["epoch", "val_accuracy"]
+SWEEP_HEADER = ["q", "seed", "epoch", "val_accuracy"]
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """A header row, then the rows; ``csv`` writes a float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def read_table(path, header: list[str], types) -> list[tuple]:
+    """The rows of a ``write_table`` table, each cell read by its column's
+    type; a wrong header, a row of another width or a cell its type cannot
+    read raises ``DataError`` at ``path:line``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if (got := next(reader, [])) != header:
+            raise DataError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append(tuple(t(cell) for t, cell in zip(types, row)))
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: unreadable cell in {row!r}") from None
+    return rows
 
 
 def write_runlog(log: RunLog, steps_path, epochs_path) -> None:
-    with open(steps_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(STEP_HEADER)
-        for step, beta, lr, loss in log.steps:
-            w.writerow([step, repr(beta), repr(lr), repr(loss)])
-    with open(epochs_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EPOCH_HEADER)
-        for epoch, acc in log.epochs:
-            w.writerow([epoch, repr(acc)])
+    write_table(steps_path, STEP_HEADER, log.steps)
+    write_table(epochs_path, EPOCH_HEADER, log.epochs)
 
 
 def read_runlog(steps_path, epochs_path) -> RunLog:
-    log = RunLog()
-    with open(steps_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != STEP_HEADER:
-            raise DataError(f"{steps_path}: missing step header {STEP_HEADER}")
-        for row in reader:
-            log.steps.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-    with open(epochs_path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != EPOCH_HEADER:
-            raise DataError(f"{epochs_path}: missing epoch header {EPOCH_HEADER}")
-        for row in reader:
-            log.epochs.append((int(row[0]), float(row[1])))
-    return log
+    return RunLog(read_table(steps_path, STEP_HEADER, (int, float, float, float)),
+                  read_table(epochs_path, EPOCH_HEADER, (int, float)))
 
 
 class TrainingDiverged(RuntimeError):

@@ -25,10 +25,10 @@ from vconlab.compression import (
     refresh_blocks,
     spec_from_dict,
 )
-from vconlab.model import Network, init_params, stack_networks
+from vconlab.model import DenseBlock, Network, init_params, stack_networks
 from vconlab.tensor import Tensor
 from vconlab.training import OptimizerSpec, TrainConfig, make_synthetic, train
-from vconlab.vcon import BetaScheduler, finalize, wrap_network
+from vconlab.vcon import BetaScheduler, VconBlock, finalize, wrap_network
 
 from test_families import SAMPLES, SIZES, same_state
 
@@ -308,11 +308,20 @@ def test_blended_block_needs_scheduler_state(tmp_path):
     p.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + blob[newline + 1 :])
     with pytest.raises(CheckpointError, match="without scheduler state"):
         load_network(p)
-    # nor is such a file written: blended blocks in a network built without
-    # their scheduler
-    with pytest.raises(CheckpointError, match="without scheduler state"):
-        save_network(Network(net.blocks), tmp_path / "unscheduled.vcnet")
-    assert not (tmp_path / "unscheduled.vcnet").exists()
+    # nor can a network hold blended blocks apart from its scheduler, even an
+    # equal copy of it, or blended blocks on no scheduler at all, so neither
+    # save_network nor finalize is handed one
+    unscheduled = [VconBlock(b.original, b.branch, None) for b in net.blocks]
+    for blocks, scheduler in ((net.blocks, None), (net.blocks, BetaScheduler(q=5, t=1)), (unscheduled, None)):
+        with pytest.raises(ValueError, match="blended block must read its network's scheduler"):
+            Network(blocks, scheduler=scheduler)
+    with pytest.raises(ValueError, match="mid-transition"):
+        finalize(net)
+    # a header the loader refuses is still not written: a zero-width layer
+    empty = Tensor(np.zeros((0, 2)), requires_grad=True)
+    with pytest.raises(CheckpointError, match="out_dim"):
+        save_network(Network([DenseBlock(empty, Tensor(np.zeros(0)), "none")]), tmp_path / "empty.vcnet")
+    assert not (tmp_path / "empty.vcnet").exists()
 
 
 def test_errors_carry_the_path(tmp_path):

@@ -29,7 +29,7 @@ from vconlab.cli import (
 )
 from vconlab.compression import PruneNM, compress_network
 from vconlab.model import init_params
-from vconlab.training import read_runlog
+from vconlab.training import DataError, read_runlog
 from vconlab.vcon import BetaScheduler, wrap_network
 
 
@@ -279,9 +279,9 @@ def test_train_dense_summary_param_counts_equal(tmp_path):
     assert 0.0 <= entry["final_test_accuracy"] <= 1.0
 
 
-def test_train_multi_seed_artifacts_and_aggregate(tmp_path):
+def test_train_multi_seed_artifacts_and_aggregate(tmp_path, capsys):
     path, _ = _write_config(tmp_path, seeds=[0, 1, 2])
-    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    assert main(["train", "--config", str(path)]) == 0
     out = tmp_path / "out"
     for seed in (0, 1, 2):
         log = read_runlog(out / f"runlog_steps_seed{seed}.csv", out / f"runlog_epochs_seed{seed}.csv")
@@ -292,6 +292,18 @@ def test_train_multi_seed_artifacts_and_aggregate(tmp_path):
     agg = summary["aggregate"]["test_accuracy"]
     assert abs(agg["mean"] - np.mean(accs)) <= 1e-12
     assert abs(agg["stddev"] - np.std(accs)) <= 1e-12
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"ste_standard: mean test accuracy {agg['mean']:.4f} (std {agg['stddev']:.4f}) "
+        f"over 3 seed(s) -> {out / 'summary.json'}")
+
+
+@pytest.mark.parametrize("reader, what, key", [(read_summary, "summary", "mode"),
+                                               (read_compare, "comparison", "baseline_mode")])
+def test_output_reader_missing_key_is_a_data_error(tmp_path, reader, what, key):
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps({"config": {}, "per_seed": [], "aggregate": {}}))
+    with pytest.raises(DataError, match=rf"out\.json: {what} is missing '{key}'$"):
+        reader(path)
 
 
 def test_train_seed_flag_replaces_list(tmp_path):
@@ -671,11 +683,17 @@ def test_summary_rows_keep_their_key_order(tmp_path, monkeypatch, workers):
 # cmd_sweep_q
 
 
-def test_sweep_q_merged_csv_and_row_count(tmp_path):
+def test_sweep_q_merged_csv_and_row_count(tmp_path, capsys):
     path, _ = _write_config(tmp_path, seeds=[0, 1], q_steps=[0, 8], mode="dense")
-    assert main(["sweep-q", "--config", str(path), "--quiet"]) == 0
-    rows = read_sweep_csv(tmp_path / "out" / "sweep.csv")
+    assert main(["sweep-q", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert capsys.readouterr().out.splitlines()[-1] == f"swept q over [0, 8] (8 rows) -> {out / 'sweep.csv'}"
+    rows = read_sweep_csv(out / "sweep.csv")
     assert len(rows) == 2 * 2 * 2  # |q| x seeds x epochs
+    # the join of the arms' epoch logs, row for row, in Q, seed, epoch order
+    joined = [f"{q},{seed},{line}" for q in (0, 8) for seed in (0, 1)
+              for line in (out / f"q{q}" / f"runlog_epochs_seed{seed}.csv").read_text().splitlines()[1:]]
+    assert (out / "sweep.csv").read_text().splitlines() == ["q,seed,epoch,val_accuracy", *joined]
     assert {q for q, *_ in rows} == {0, 8}
     for q, seed, epoch, acc in rows:
         assert epoch in (1, 2)

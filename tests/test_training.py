@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from vconlab.cli import read_sweep_csv
 from vconlab.compression import BinaryQuant, PruneUnstructuredLayer, compress_network
 from vconlab.model import Network, init_params
 from vconlab.tensor import Tensor
@@ -425,11 +426,43 @@ def test_runlog_roundtrip_exact(tmp_path):
     assert back == log  # repr round-trips floats exactly
 
 
-def test_runlog_header_validated(tmp_path):
-    (tmp_path / "s.csv").write_text("a,b\n")
-    (tmp_path / "e.csv").write_text("epoch,val_accuracy\n")
-    with pytest.raises(DataError, match="missing step header"):
-        read_runlog(tmp_path / "s.csv", tmp_path / "e.csv")
+_TABLES = {  # a well-formed table of two rows for each table a run writes
+    "steps": "step,beta,lr,train_loss\n0,1.0,0.1,0.6931471805599453\n1,0.5,0.1,1e-17\n",
+    "epochs": "epoch,val_accuracy\n1,0.5\n2,0.9533333333333334\n",
+    "sweep": "q,seed,epoch,val_accuracy\n0,0,1,0.5\n0,0,2,nan\n",
+}
+_FAULTS = {  # a fault in a table's lines, and the line it is reported at
+    "wrong_header": (lambda lines: ["x" + lines[0], *lines[1:]], 1),
+    "no_header": (lambda lines: lines[1:], 1),
+    "short_row": (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0]], 3),
+    "long_row": (lambda lines: [*lines[:2], lines[2] + ",0"], 3),
+    "unreadable_cell": (lambda lines: [*lines[:2], "1.5" + lines[2][1:]], 3),  # a float in an int column
+}
+
+
+def _read_table_file(table, path, tmp_path):
+    """Read ``path`` as ``table`` through the package's own reader."""
+    good = {}
+    for name in ("steps", "epochs"):
+        good[name] = tmp_path / f"good_{name}.csv"
+        good[name].write_text(_TABLES[name])
+    if table == "steps":
+        return read_runlog(path, good["epochs"])
+    if table == "epochs":
+        return read_runlog(good["steps"], path)
+    return read_sweep_csv(path)
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_malformed_table_is_a_data_error_at_its_line(tmp_path, table, fault):
+    path = tmp_path / "t.csv"
+    path.write_text(_TABLES[table])
+    _read_table_file(table, path, tmp_path)  # the unedited table reads
+    edit, line = _FAULTS[fault]
+    path.write_text("\n".join(edit(_TABLES[table].splitlines())) + "\n")
+    with pytest.raises(DataError, match=rf"t\.csv:{line}: "):
+        _read_table_file(table, path, tmp_path)
 
 
 # --------------------------------------------------------------------------
