@@ -11,6 +11,8 @@ Tensors with ``requires_grad=False`` (data, such as the input batch, or a
 fixed mask) take no gradient and no closure computes one for them.
 Each forward pass builds a new graph; no closure holds its own result, so
 a graph has no reference cycles and is freed once its output is dropped.
+Inside ``no_graph()`` ops link no graph at all, so a forward that nothing
+differentiates keeps only the arrays its caller still holds.
 
 Everything is float64. Forward results on finite inputs stay finite: the
 only exp/log live in ``softmax_cross_entropy``, which subtracts the row
@@ -20,7 +22,8 @@ max before exponentiating.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,10 +61,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = True  # False inside no_graph()
+
+
+@contextmanager
+def no_graph() -> Iterator[None]:
+    """Ops inside attach no parents and no closure: every result is data,
+    whatever its inputs need. The same arrays as outside; the previous
+    state comes back on exit, also through an exception or a nested use."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data: Array, parents: tuple[Tensor, ...], bw: Callable[[Array], None]) -> Tensor:
     # a result of data alone is data itself: no graph links, no closure
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = bw

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compression import CompressedBlock, CompressionSpec, compress_block, refresh_blocks
 from .model import DenseBlock, Network
-from .tensor import Tensor, backward, softmax_cross_entropy
+from .tensor import Tensor, backward, no_graph, softmax_cross_entropy
 from .vcon import compressed_blocks
 
 Array = np.ndarray
@@ -424,11 +424,12 @@ def refresh_network(net: Network, refresh_masks: bool = True) -> None:
 
 def evaluate(net: Network, features: Array, labels: Array, compressed_only: bool = False) -> float | list[float]:
     """Classification accuracy at the network's current state: a float, or a
-    list of one per member for a stack."""
+    list of one per member for a stack. The forward records no graph."""
     if len(labels) == 0:
         return np.full(net.stack, np.nan).tolist()
     x = Tensor(features)
-    out = (Network(compressed_blocks(net)) if compressed_only else net).forward(x)
+    with no_graph():
+        out = (Network(compressed_blocks(net)) if compressed_only else net).forward(x)
     pred = out.data.argmax(axis=-1)
     return (pred == labels).mean(axis=-1).tolist()
 
@@ -455,7 +456,9 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     optimizer update, refresh, then one tick of the network's scheduler,
     so the very first forward sees beta = 1. The logged beta column is the
     weight of the original branch: the scheduler's value for a blended
-    network, 1 for an all-dense one, 0 for a compressed one.
+    network, 1 for an all-dense one, 0 for a compressed one. The step's
+    graph is dropped as soon as backward has run, so only the parameters'
+    gradients live on through the update and the next forward.
 
     A stack runs one graph per step: member i takes the batches of
     ``cfg.seed[i]`` and one loss, whose gradient reaches only its own
@@ -504,11 +507,13 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
             for _, p in params:
                 p.grad = None  # a branch that left the graph must not replay its last gradient
             backward(loss)
+            losses = loss.data
+            del logits, loss  # frees the step's graph
             lr_used = opt.step(params)
             refresh_network(net, refresh_masks=not cfg.freeze_mask)
             if net.scheduler is not None:
                 net.scheduler.step()
-            log.steps.append((gstep, beta, lr_used, _by_member(loss.data, alive, seeds)))
+            log.steps.append((gstep, beta, lr_used, _by_member(losses, alive, seeds)))
             gstep += 1
         acc = evaluate(net, x_val, y_val, compressed_only=cfg.eval_compressed_only)
         log.epochs.append((epoch, _by_member(acc, alive, seeds)))

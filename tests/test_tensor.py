@@ -12,6 +12,7 @@ from vconlab.tensor import (
     backward,
     gelu,
     linear,
+    no_graph,
     relu,
     scale,
     softmax_cross_entropy,
@@ -280,3 +281,49 @@ def test_ste_forward_matches_transform_exactly(seed):
     mask = (rng.uniform(size=(3, 5)) > 0.5).astype(np.float64)
     out = ste_apply(Tensor(x), lambda w: w * mask)
     assert np.array_equal(out.data, x * mask)
+
+
+def _every_op(rng):
+    """Each op once on inputs that need a gradient: (name, result) pairs."""
+    x = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, size=2), requires_grad=True)
+    z = linear(x, w, b)
+    return [
+        ("linear", z),
+        ("relu", relu(z)),
+        ("gelu", gelu(z)),
+        ("add", add(z, z)),
+        ("scale", scale(z, 0.25)),
+        ("ste_apply", ste_apply(w, lambda a: a * (a > 0.0))),
+        ("softmax_cross_entropy", softmax_cross_entropy(z, [0, 1, 1, 0])),
+    ]
+
+
+def _no_graph_built(t):
+    return not t.requires_grad and t._parents == () and t._backward is None
+
+
+def test_no_graph_ops_return_data_with_the_same_bytes():
+    recorded = _every_op(np.random.default_rng(31))
+    with no_graph():
+        free = _every_op(np.random.default_rng(31))
+    for (name, r), (_, f) in zip(recorded, free):
+        assert r.requires_grad and r._parents and r._backward is not None, name
+        assert _no_graph_built(f), name
+        assert f.data.tobytes() == r.data.tobytes(), name
+    # a graph-free result is data: backward gives it no gradient
+    assert backward(free[-1][1]) == {}
+
+
+def test_no_graph_restores_the_previous_state_after_nesting_and_errors():
+    x = Tensor(np.ones((1, 2)), requires_grad=True)
+    with no_graph():
+        with no_graph():
+            assert _no_graph_built(relu(x))
+        assert _no_graph_built(relu(x))
+    assert relu(x).requires_grad
+    with pytest.raises(ShapeError):
+        with no_graph():
+            add(x, Tensor(np.ones((2, 2))))
+    assert relu(x)._parents == (x,)

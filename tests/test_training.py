@@ -1,13 +1,16 @@
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from vconlab import training
 from vconlab.cli import read_sweep_csv
 from vconlab.compression import BinaryQuant, PruneUnstructuredLayer, compress_network
-from vconlab.model import Network, init_params
-from vconlab.tensor import Tensor
+from vconlab.model import Network, init_params, stack_networks
+from vconlab.tensor import Tensor, backward, softmax_cross_entropy
 from vconlab.training import (
     Constant,
     Cosine,
@@ -697,6 +700,56 @@ def test_evaluate_compressed_only_uses_branch():
     acc_branch = evaluate(wrapped, x_val, y_val, compressed_only=True)
     logits = Network(compressed_blocks(wrapped)).forward(Tensor(x_val)).data
     assert acc_branch == float((logits.argmax(axis=1) == y_val).mean())
+
+
+@pytest.mark.parametrize("train_original", [True, False])
+def test_evaluate_leaves_every_gradient_and_flag_as_it_found_them(train_original):
+    ds = _blobs(noise=0.2, per_class=30)
+    x_val, y_val = ds.split("val")
+    net = wrap_network(init_params([2, 8, 3], seed=16), PruneUnstructuredLayer(0.5), BetaScheduler(q=10, t=3),
+                       train_original=train_original)
+    logits = net.forward(Tensor(x_val))
+    backward(softmax_cross_entropy(logits, y_val))
+    before = [(p.grad, p.requires_grad) for _, p in net.named_parameters()]
+    assert any(g is None for g, _ in before) == (not train_original)
+    for compressed_only in (False, True):
+        evaluate(net, x_val, y_val, compressed_only=compressed_only)
+        after = [(p.grad, p.requires_grad) for _, p in net.named_parameters()]
+        assert all(g is h and r == s for (g, r), (h, s) in zip(before, after))
+    # the graph-free forward is the recorded one's bytes
+    assert evaluate(net, x_val, y_val) == float((logits.data.argmax(axis=1) == y_val).mean())
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_train_frees_each_steps_graph_before_the_optimizer_runs(monkeypatch, stacked):
+    # a weakref to each step's logits array is dead once Optimizer.step begins,
+    # with the cycle collector off: a graph has no reference cycles
+    if stacked:  # a stack of two vcon networks, mid-transition through the whole run
+        net = wrap_network(stack_networks([init_params([2, 8, 3], seed=s) for s in (0, 1)]),
+                           PruneUnstructuredLayer(0.5), BetaScheduler(q=100))
+        seed = (0, 1)
+    else:
+        net, seed = init_params([2, 8, 3], seed=0), 0
+    logits_data, dead = [], []
+    loss_fn, step = training.softmax_cross_entropy, training.Optimizer.step
+
+    def keeping_a_weakref(logits, labels):
+        logits_data.append(weakref.ref(logits.data))
+        return loss_fn(logits, labels)
+
+    def noting_the_graph(self, named_params):
+        dead.append(logits_data[-1]() is None)
+        return step(self, named_params)
+
+    monkeypatch.setattr(training, "softmax_cross_entropy", keeping_a_weakref)
+    monkeypatch.setattr(training.Optimizer, "step", noting_the_graph)
+    gc.disable()
+    try:
+        _, log = train(net, _blobs(noise=0.2, per_class=30), TrainConfig(epochs=3, batch_size=16, seed=seed))
+    finally:
+        gc.enable()
+    assert len(dead) == len(log.steps) == 12
+    assert all(dead)
 
 
 def test_evaluate_empty_split_is_nan():
