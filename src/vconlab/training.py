@@ -102,45 +102,73 @@ def lr_at(step: int, spec: OptimizerSpec) -> float:
 
 
 class Optimizer:
-    """SGD or Adam over named parameters, in one flat layout per step.
+    """SGD or Adam over named parameters, streamed through two small scratch
+    buffers.
 
     A step updates the live parameters, those whose grad is not None;
-    the others (absent from the step's graph) are left untouched. Their
-    gradients are gathered into one flat buffer and the update runs as a
-    handful of whole-buffer ops, whose per-element arithmetic is the same
-    as one tensor at a time; each parameter then subtracts its slice from
-    its own array in place. The gather adds 0.0, so a -0.0 gradient counts
-    as +0.0. It takes a gradient of any layout; the engine's are C-ordered
-    (``linear`` returns its weight gradient as ``g.T @ x``), so for them it
-    is a contiguous copy.
+    the others (absent from the step's graph) are left untouched. The live
+    parameters' Adam moments lie in one flat m and one flat v, in live
+    order, and a step walks them in chunks of at most ``chunk`` elements:
+    it gathers the chunk's gradient pieces into one scratch buffer, runs
+    the update as a handful of whole-chunk ops into the other, whose
+    per-element arithmetic is the same as one tensor at a time, then
+    subtracts each piece's update from its parameter's array in place. A
+    parameter that fits in a chunk is one piece, whole; a larger one is cut
+    into C-ordered blocks of whole rows. So only m and v outlive a step,
+    and a step makes the same ops, and gives the same bytes, whatever the
+    chunk. The gather adds 0.0, so a -0.0 gradient counts as +0.0. It takes
+    a gradient and a parameter of any layout; the engine's gradients are
+    C-ordered (``linear`` returns its weight gradient as ``g.T @ x``), so
+    for them it is a contiguous copy.
 
     Adam moments are keyed by parameter name, so blocks can be swapped
     mid-run (the post-shot switch) without losing or misrouting moments.
-    A parameter that leaves the live set keeps its moments for when it
-    returns; one that comes back with another shape starts from zero. The
-    layout is rebuilt only when the live names or shapes change.
+    A parameter that leaves the live set keeps a copy of its moments for
+    when it returns, so the old layout's buffers are freed; one that comes
+    back with another shape starts from zero. The layout is rebuilt only
+    when the live names or shapes change.
     """
+
+    chunk = 24_576  # elements per scratch buffer: 192 KiB of float64
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.step_count = 0
         self._state: dict[str, tuple[Array, Array]] = {}  # name -> (m, v)
         self._layout: tuple[tuple[str, tuple[int, ...]], ...] | None = None
-        self._flat: list[Array] = []  # gradient, scratch, and for Adam m, v
-        self._slots: list[tuple[Array, Array]] = []  # per live parameter: (gradient, update) views
+        # per chunk: its m and v (empty for SGD), gradient and update scratch, and its pieces:
+        # (live index, index into the parameter or None for all of it, gradient view, update view)
+        self._chunks: list[tuple[Array, Array, Array, Array, list[tuple]]] = []
 
     def _relayout(self, live: Sequence[tuple[str, Tensor]]) -> None:
+        names = {name for name, _ in live}
+        state = {name: (m.copy(), v.copy()) for name, (m, v) in self._state.items() if name not in names}
         bounds = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
-        self._flat = [np.zeros(bounds[-1]) for _ in range(4 if self.spec.kind == "adam" else 2)]
-        self._slots = []
-        for (name, p), lo, hi in zip(live, bounds, bounds[1:]):
-            g, u, *moments = (buf[lo:hi].reshape(p.data.shape) for buf in self._flat)
-            self._slots.append((g, u))
-            if moments:
+        adam = self.spec.kind == "adam"
+        m_flat, v_flat = np.zeros(bounds[-1] if adam else 0), np.zeros(bounds[-1] if adam else 0)
+        width = min(self.chunk, bounds[-1])
+        g_buf, u_buf = np.empty(width), np.empty(width)
+        chunks: list[list] = []  # per chunk: [flat start, size, pieces]
+        at = 0
+        for i, ((name, p), lo, hi) in enumerate(zip(live, bounds, bounds[1:])):
+            if adam:
+                m, v = m_flat[lo:hi].reshape(p.data.shape), v_flat[lo:hi].reshape(p.data.shape)
                 old = self._state.get(name)
                 if old is not None and old[0].shape == p.data.shape:
-                    moments[0][...], moments[1][...] = old
-                self._state[name] = (moments[0], moments[1])
+                    m[...], v[...] = old
+                state[name] = (m, v)
+            for index, shape in _blocks(p.data.shape, self.chunk):
+                size = math.prod(shape)
+                if not chunks or chunks[-1][1] + size > self.chunk:
+                    chunks.append([at, 0, []])
+                chunk = chunks[-1]
+                views = (buf[chunk[1] : chunk[1] + size].reshape(shape) for buf in (g_buf, u_buf))
+                chunk[2].append((i, index, *views))
+                chunk[1] += size
+                at += size
+        self._state = state
+        self._chunks = [(m_flat[lo : lo + n], v_flat[lo : lo + n], g_buf[:n], u_buf[:n], pieces)
+                        for lo, n, pieces in chunks]
 
     def select(self, index) -> None:
         """Keep the moments of a stack's members ``index`` (``Network.select``)."""
@@ -156,30 +184,47 @@ class Optimizer:
         if layout != self._layout:
             self._relayout(live)
             self._layout = layout
-        for (_, p), (g_slot, _) in zip(live, self._slots):
-            np.add(p.grad, 0.0, out=g_slot)
-        g, u = self._flat[:2]
-        if spec.kind == "sgd":
-            np.multiply(g, lr, out=u)
-        else:
-            m, v = self._flat[2:]
-            m *= spec.beta1
-            np.multiply(g, 1.0 - spec.beta1, out=u)
-            m += u
-            v *= spec.beta2
-            np.multiply(g, g, out=g)
-            g *= 1.0 - spec.beta2
-            v += g
-            np.divide(m, 1.0 - spec.beta1**t, out=u)  # m_hat
-            u *= lr
-            np.divide(v, 1.0 - spec.beta2**t, out=g)  # v_hat
-            np.sqrt(g, out=g)
-            g += spec.eps
-            u /= g
-        for (_, p), (_, u_slot) in zip(live, self._slots):
-            p.data -= u_slot
+        tensors = [p for _, p in live]
+        for m, v, g, u, pieces in self._chunks:
+            for i, index, g_piece, _ in pieces:
+                grad = tensors[i].grad
+                np.add(grad if index is None else grad[index], 0.0, out=g_piece)
+            if spec.kind == "sgd":
+                np.multiply(g, lr, out=u)
+            else:
+                m *= spec.beta1
+                np.multiply(g, 1.0 - spec.beta1, out=u)
+                m += u
+                v *= spec.beta2
+                np.multiply(g, g, out=g)
+                g *= 1.0 - spec.beta2
+                v += g
+                np.divide(m, 1.0 - spec.beta1**t, out=u)  # m_hat
+                u *= lr
+                np.divide(v, 1.0 - spec.beta2**t, out=g)  # v_hat
+                np.sqrt(g, out=g)
+                g += spec.eps
+                u /= g
+            for i, index, _, u_piece in pieces:
+                data = tensors[i].data
+                target = data if index is None else data[index]  # a view: the update lands in place
+                target -= u_piece
         self.step_count += 1
         return lr
+
+
+def _blocks(shape: tuple[int, ...], limit: int) -> list[tuple[tuple | None, tuple[int, ...]]]:
+    """(index, shape) of each piece an array of ``shape`` is cut into for
+    chunks of ``limit`` elements: the whole array (index None) if it fits,
+    else blocks in C order, each a run of whole rows along the first axis
+    whose rows fit, so each piece is a view and a contiguous range of the
+    array's C-ordered flat index."""
+    if math.prod(shape) <= limit:
+        return [(None, shape)]
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= limit)
+    rows, step = shape[axis], limit // math.prod(shape[axis + 1 :])
+    return [((*lead, slice(a, min(a + step, rows))), (min(a + step, rows) - a, *shape[axis + 1 :]))
+            for lead in np.ndindex(*shape[:axis]) for a in range(0, rows, step)]
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +502,9 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     so the very first forward sees beta = 1. The logged beta column is the
     weight of the original branch: the scheduler's value for a blended
     network, 1 for an all-dense one, 0 for a compressed one. The step's
-    graph is dropped as soon as backward has run, so only the parameters'
-    gradients live on through the update and the next forward.
+    graph is dropped as soon as backward has run, and the parameters'
+    gradients as soon as the update has applied them, so none lives on
+    through the refresh, the evaluation or the next forward.
 
     A stack runs one graph per step: member i takes the batches of
     ``cfg.seed[i]`` and one loss, whose gradient reaches only its own
@@ -480,6 +526,8 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
     log = RunLog()
     alive = np.arange(seeds.size)  # the member index of each slice still in the stack
     gstep = 0
+    for _, p in net.named_parameters():
+        p.grad = None  # a gradient left by an earlier backward is no step's
     refresh_network(net, refresh_masks=not cfg.freeze_mask)
     for epoch in range(1, cfg.epochs + 1):
         orders = np.reshape([batch_order(int(seed), epoch, n_train) for seed in seeds.reshape(-1)[alive]],
@@ -503,13 +551,13 @@ def train(net: Network, dataset: Dataset, cfg: TrainConfig) -> tuple[Network, Ru
                 net.blocks = net.select(keep).blocks
                 opt.select(keep)
                 orders, alive = orders[keep], alive[keep]
-            params = net.named_parameters()
-            for _, p in params:
-                p.grad = None  # a branch that left the graph must not replay its last gradient
             backward(loss)
             losses = loss.data
             del logits, loss  # frees the step's graph
+            params = net.named_parameters()
             lr_used = opt.step(params)
+            for _, p in params:
+                p.grad = None  # nothing reads it again, and a branch that leaves the graph must not replay it
             refresh_network(net, refresh_masks=not cfg.freeze_mask)
             if net.scheduler is not None:
                 net.scheduler.step()

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -130,30 +131,35 @@ _LIVE_SETS = [
 @pytest.mark.parametrize("schedule", [Constant(), Cosine(total_steps=len(_LIVE_SETS), warmup_ratio=0.25)],
                          ids=["constant", "cosine"])
 def test_flat_optimizer_matches_per_tensor_loop_bit_for_bit(kind, schedule):
-    rng = np.random.default_rng(0)
-    spec = OptimizerSpec(kind=kind, lr=0.05, schedule=schedule)
-    opt, ref = Optimizer(spec), PerTensorOptimizer(kind, spec.beta1, spec.beta2, spec.eps)
-    params: dict[str, Tensor] = {}
-    for step, live in enumerate(_LIVE_SETS):
-        named = []
-        for key, shape in live.items():
-            name = key.rstrip("*")
-            p = params.get(name)
-            if p is None or key.endswith("*") or (shape is not None and p.data.shape != shape):
-                p = params[name] = _param(_draw(rng, shape))
-            p.grad = None if shape is None else _draw(rng, shape)
-            named.append((name, p))
-        twins = [(name, p.data.copy(), p.grad) for name, p in named]
-        lr = lr_at(step, spec)
-        assert opt.step(named) == lr
-        ref.step(twins, lr)
-        for (name, p), (_, data, _) in zip(named, twins):
-            assert p.data.tobytes() == data.tobytes(), (step, name)
-        if kind == "adam":
-            assert opt._state.keys() == ref.state.keys()
-            for name, (m, v) in opt._state.items():
-                assert m.tobytes() == ref.state[name]["m"].tobytes(), (step, name)
-                assert v.tobytes() == ref.state[name]["v"].tobytes(), (step, name)
+    # under chunks that cut the live sets across chunks and cut "a" (3 x 4)
+    # into single rows (5, 7) or single entries (1), and under the default,
+    # which holds each live set in one chunk
+    for chunk in (1, 5, 7, Optimizer.chunk):
+        rng = np.random.default_rng(0)
+        spec = OptimizerSpec(kind=kind, lr=0.05, schedule=schedule)
+        opt, ref = Optimizer(spec), PerTensorOptimizer(kind, spec.beta1, spec.beta2, spec.eps)
+        opt.chunk = chunk
+        params: dict[str, Tensor] = {}
+        for step, live in enumerate(_LIVE_SETS):
+            named = []
+            for key, shape in live.items():
+                name = key.rstrip("*")
+                p = params.get(name)
+                if p is None or key.endswith("*") or (shape is not None and p.data.shape != shape):
+                    p = params[name] = _param(_draw(rng, shape))
+                p.grad = None if shape is None else _draw(rng, shape)
+                named.append((name, p))
+            twins = [(name, p.data.copy(), p.grad) for name, p in named]
+            lr = lr_at(step, spec)
+            assert opt.step(named) == lr
+            ref.step(twins, lr)
+            for (name, p), (_, data, _) in zip(named, twins):
+                assert p.data.tobytes() == data.tobytes(), (chunk, step, name)
+            if kind == "adam":
+                assert opt._state.keys() == ref.state.keys()
+                for name, (m, v) in opt._state.items():
+                    assert m.tobytes() == ref.state[name]["m"].tobytes(), (chunk, step, name)
+                    assert v.tobytes() == ref.state[name]["v"].tobytes(), (chunk, step, name)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -178,6 +184,114 @@ def test_optimizer_takes_gradients_of_any_layout_to_the_same_bytes(kind):
         moments = [m.tobytes() + v.tobytes() for m, v in opt._state.values()]
         runs[layout] = ([p.data.tobytes() for p in params.values()], moments)
     assert runs["f"] == runs["c"] and runs["strided"] == runs["c"]
+
+
+# 3 cuts each row of 7 into slices, 14 the 5 x 7 array into blocks of two rows
+@pytest.mark.parametrize("chunk", [3, 14, Optimizer.chunk])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_updates_parameters_of_any_layout_in_place_to_the_same_bytes(kind, chunk):
+    # a Fortran-ordered, transposed or strided parameter array is updated in
+    # place, to the bytes a C-ordered one takes; a copy made by reshape would
+    # leave the parameter as it was
+    rng = np.random.default_rng(5)
+    start, grads = _draw(rng, (5, 7)), [_draw(rng, (5, 7)) for _ in range(3)]
+    layouts = {"c": np.ascontiguousarray, "f": np.asfortranarray, "transposed": lambda a: a.T.copy().T,
+               "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2]}
+    runs = {}
+    for layout, arrange in layouts.items():
+        opt = Optimizer(OptimizerSpec(kind=kind, lr=0.05))
+        opt.chunk = chunk
+        p = _param(0.0)
+        p.data = data = arrange(start.copy())
+        assert data.flags.c_contiguous == (layout == "c")
+        for g in grads:
+            p.grad = g
+            opt.step([("p", p)])
+        assert p.data is data
+        runs[layout] = data.tobytes(order="C")
+    assert all(run == runs["c"] for run in runs.values())
+    assert runs["c"] != np.ascontiguousarray(start).tobytes()
+
+
+def test_moments_of_a_parameter_that_leaves_free_the_old_layout():
+    # once "b" leaves, its moments are copied out and the old layout's flat m
+    # and v are freed; the copies carry on where they left off when it returns
+    opt, ref = Optimizer(OptimizerSpec(kind="adam", lr=0.05)), PerTensorOptimizer("adam")
+    a, b = _param([1.0, 2.0], grad=[0.5, -0.5]), _param([[3.0], [4.0]])
+    named, twins = [("a", a), ("b", b)], {"a": a.data.copy(), "b": b.data.copy()}
+    for b_live in (True, False, True):
+        b.grad = np.array([[0.25], [1.0]]) if b_live else None
+        if not b_live:
+            flats = [weakref.ref(moment.base) for moment in opt._state["a"] + opt._state["b"]]
+            assert all(flat() is not None for flat in flats)
+        opt.step(named)
+        ref.step([(name, twins[name], p.grad) for name, p in named], opt.spec.lr)
+        if not b_live:
+            assert all(flat() is None for flat in flats)
+    assert a.data.tobytes() == twins["a"].tobytes() and b.data.tobytes() == twins["b"].tobytes()
+
+
+def _wide_vcon(seed=0):
+    # the benchmark's wide shape mid-transition: both branches live, 134,662 entries
+    return wrap_network(init_params([2, 256, 256, 3], seed=seed), PruneUnstructuredLayer(0.95), BetaScheduler(q=100))
+
+
+def test_wide_training_gives_the_same_bytes_under_any_chunk(monkeypatch):
+    # four steps of a layout cut into many chunks give the bytes of one chunk
+    # holding it all, as one flat buffer per step did
+    ds = _blobs(noise=0.2, per_class=40)  # 84 training rows: four steps of 21
+    runs, chunks = {}, []
+    step = training.Optimizer.step
+
+    def counting(self, named_params):
+        lr = step(self, named_params)
+        chunks.append(len(self._chunks))
+        return lr
+
+    monkeypatch.setattr(training.Optimizer, "step", counting)
+    for chunk in (Optimizer.chunk, 10**9):
+        monkeypatch.setattr(training.Optimizer, "chunk", chunk)
+        net, log = train(_wide_vcon(), ds, TrainConfig(epochs=1, batch_size=21, seed=0))
+        runs[chunk] = ([p.data.tobytes() for _, p in net.named_parameters()], log.steps, log.epochs)
+    assert min(chunks[:4]) > 1 and chunks[4:] == [1] * 4
+    assert runs[Optimizer.chunk] == runs[10**9]
+
+
+def test_optimizer_keeps_only_moments_and_two_chunks_of_scratch():
+    # after the first step on the wide layout the optimizer holds m, v and two
+    # scratch buffers of at most a chunk each, not flat copies of every gradient
+    net = _wide_vcon()
+    x, y = _blobs(noise=0.2, per_class=10).split("train")
+    backward(softmax_cross_entropy(net.forward(Tensor(x)), y))
+    params = net.named_parameters()
+    live = sum(p.data.size for _, p in params if p.grad is not None)
+    assert live == 134_662
+    opt = Optimizer(OptimizerSpec(kind="adam", lr=0.01))
+    tracemalloc.start()
+    try:
+        opt.step(params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * 8 * live + 2 * 8 * Optimizer.chunk + 32 * 1024, held
+
+
+def test_train_releases_each_steps_gradients_once_applied(monkeypatch):
+    # every gradient is None again when the refresh after each update runs,
+    # and when train returns; the first step sees no gradient left from before
+    net = _wide_vcon()
+    x, y = _blobs(noise=0.2, per_class=10).split("train")
+    backward(softmax_cross_entropy(net.forward(Tensor(x)), y))
+    refresh, seen = training.refresh_network, []
+
+    def noting_the_gradients(net, refresh_masks=True):
+        seen.append(sum(p.grad is not None for _, p in net.named_parameters()))
+        return refresh(net, refresh_masks)
+
+    monkeypatch.setattr(training, "refresh_network", noting_the_gradients)
+    train(net, _blobs(noise=0.2, per_class=20), TrainConfig(epochs=2, batch_size=21, seed=0))
+    assert seen == [0] * 5
+    assert all(p.grad is None for _, p in net.named_parameters())
 
 
 def test_every_live_gradient_is_c_ordered_in_each_phase(monkeypatch):
