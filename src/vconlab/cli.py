@@ -4,10 +4,11 @@ Configs are one JSON file with nested sections; any leaf can be
 overridden from the command line with --set dotted.key=value. Exit codes:
 0 success, 1 runtime failure, 2 config error.
 
-Process set-up: ``main`` first keeps the arrays a training step frees in
-the process's heap (``_keep_freed_arrays``, glibc's allocator settings,
-which forked workers inherit), and each pool worker starts by keeping
-OpenBLAS to one thread (``_one_blas_thread``).
+Process set-up: before any run, ``main`` keeps the arrays a training step
+frees in the process's heap (``_keep_freed_arrays``, glibc's allocator
+settings) and keeps OpenBLAS to one thread (``_one_blas_thread``). A run
+then computes the same bytes in the command's own process as in a forked
+worker, which inherits both.
 """
 
 from __future__ import annotations
@@ -413,9 +414,11 @@ _OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64
 
 
 def _one_blas_thread() -> None:
-    """Worker start-up: keep a loaded OpenBLAS to one thread. The workers already
-    fill the CPUs; BLAS threads on top of them outnumber the cores and spin, which
-    made pooled runs slower than one process. Without /proc, nothing changes."""
+    """Process set-up: keep a loaded OpenBLAS to one thread, in this process and
+    in the workers it forks. A product OpenBLAS splits over threads may not give
+    its one-thread bytes, so a run's outputs would depend on the CPU count; and
+    workers already fill the CPUs, where BLAS threads on top of them spin.
+    Without /proc, nothing changes."""
     import ctypes
 
     try:
@@ -494,7 +497,7 @@ def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: 
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_one_blas_thread)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         futures = [pool.submit(_run_task, *job) for job in jobs]
         _collect(exp, tasks, (future.result() for future in futures), quiet)
@@ -624,7 +627,7 @@ def inspect_data(path) -> dict:
                  "activation": comp.activation}
         if isinstance(comp, CompressedBlock):
             entry.update(kind="compressed", compression=spec_to_dict(comp.spec),
-                         bit_footprint=comp.spec.bits(comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
+                         bit_footprint=comp.spec.bit_footprint(comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
         if isinstance(block, VconBlock):
             entry.update(kind="vcon", original_params=block.original.param_count())
         entry.update(index=i, param_count=block.param_count())
@@ -636,25 +639,13 @@ def cmd_inspect(path) -> int:
     report = inspect_data(path)
     print(f"network file: {report['path']}")
     sched = report["scheduler"]
-    if sched is None:
-        print("scheduler: none")
-    else:
-        print(f"scheduler: q={sched['q']} t={sched['t']} beta={sched['beta']:.6g} phase={sched['phase']}")
+    print("scheduler: none" if sched is None else
+          f"scheduler: q={sched['q']} t={sched['t']} beta={sched['beta']:.6g} phase={sched['phase']}")
     for entry in report["blocks"]:
-        desc = f"block {entry['index']}: {entry['kind']} {entry['out_dim']}x{entry['in_dim']} {entry['activation']}"
-        comp = entry["compression"]
-        if comp == "none":
-            desc += ", no compression"
-        else:
-            desc += f", {comp['kind']}"
-            if "density" in entry:
-                desc += f", density {entry['kept_weights']}/{entry['out_dim'] * entry['in_dim']} ({entry['density']:.4f})"
-            if "alpha" in entry:
-                desc += f", alpha {entry['alpha']:.6g}"
-            if "rank" in entry:
-                desc += f", rank {entry['rank']}"
-        desc += f", params {entry['param_count']}"
-        print(desc)
+        n, m, comp = entry["out_dim"], entry["in_dim"], entry["compression"]
+        family = "no compression" if comp == "none" else comp["kind"] + spec_from_dict(comp).render(entry, n, m)
+        print(f"block {entry['index']}: {entry['kind']} {n}x{m} {entry['activation']}, {family}, "
+              f"params {entry['param_count']}")
     print(f"total params: {report['param_count']}")
     return 0
 
@@ -690,6 +681,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_arrays()
+    _one_blas_thread()
     args = _parser().parse_args(argv)
     try:
         if args.command == "inspect":

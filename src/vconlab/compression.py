@@ -58,13 +58,14 @@ class CompressionSpec:
     block's effective weight (``effective_weight``; low rank instead
     overrides ``linear``, the block's pre-activation with its bias, with
     its factor product), counts the stored entries and bits of an n x m
-    layer (``stored``, ``bits``), and names its ``inspect`` fields
-    (``describe``). checkpoint.py stores a block's named tensors and its
-    bias; a family whose file holds more (its state, or a check on what
-    was read) writes it from a block through ``write_state`` and reads it
-    back for an n x m block through ``read_state``, which returns the
-    state, with checkpoint.py's writer (``floats``, ``bits``) and reader
-    (those and ``fail``).
+    layer (``stored``, ``bit_footprint``), names its ``inspect`` fields
+    (``describe``) and prints them for an n x m block (``render``).
+    checkpoint.py stores a block's named tensors and its bias; a family
+    whose file holds more (its state, or a check on what was read) writes
+    it from a block through ``write_state`` and reads it back for an n x m
+    block through ``read_state``, which returns the state, with
+    checkpoint.py's writer (``floats``, ``bits``) and reader (those and
+    ``fail``).
     """
 
     kind: ClassVar[str]
@@ -83,7 +84,7 @@ class CompressionSpec:
     def linear(self, block: CompressedBlock, x: Tensor) -> Tensor:
         return linear(x, self.effective_weight(block), block.bias)
 
-    def bits(self, n: int, m: int) -> int:
+    def bit_footprint(self, n: int, m: int) -> int:
         return 64 * self.stored(n, m)
 
     def count(self, block: CompressedBlock) -> int:
@@ -94,9 +95,6 @@ class CompressionSpec:
 
     def read_state(self, r, n: int, m: int, label: str):
         return None
-
-    def describe(self, block: CompressedBlock) -> dict:
-        return {}
 
     def shape_warnings(self, n: int, m: int) -> list[str]:
         """What compressing an n x m layer warns about; the CLI prints it once per command."""
@@ -134,6 +132,9 @@ class _MaskSpec(CompressionSpec):
 
     def describe(self, block):
         return {"kept_weights": self.count(block), "density": float(block.state.sum() / block.state.size)}
+
+    def render(self, fields, n, m):
+        return f", density {fields['kept_weights']}/{n * m} ({fields['density']:.4f})"
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class BinaryQuant(CompressionSpec):
     def stored(self, n, m):
         return n * m  # every entry stays, shrunk to one bit
 
-    def bits(self, n, m):
+    def bit_footprint(self, n, m):
         return n * m + 64
 
     def write_state(self, block, w):
@@ -245,6 +246,9 @@ class BinaryQuant(CompressionSpec):
 
     def describe(self, block):
         return {"alpha": float(block.state[0])}
+
+    def render(self, fields, n, m):
+        return f", alpha {fields['alpha']:.6g}"
 
 
 @dataclass(frozen=True)
@@ -295,6 +299,9 @@ class LowRank(CompressionSpec):
 
     def describe(self, block):
         return {"rank": self.rank}
+
+    def render(self, fields, n, m):
+        return f", rank {fields['rank']}"
 
     def shape_warnings(self, n, m):
         r = min(self.rank, n, m)

@@ -529,15 +529,21 @@ def test_progress_lines_come_in_task_order(tmp_path, capsys, monkeypatch):
                                               ("vcon", "0"), ("vcon", "1")]
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
-def test_worker_start_up_keeps_openblas_to_one_thread():
-    # in a fresh process, so this one's BLAS keeps its threads
-    code = """
+# the thread count every loaded OpenBLAS reports, one reading per getter
+_BLAS_GETTERS = """
 import ctypes
 from vconlab import cli
 libs = [ctypes.CDLL(line.split(None, 5)[5].strip()) for line in open("/proc/self/maps") if "openblas" in line]
 getters = [getattr(lib, n.replace("_set_", "_get_")) for lib in libs for n in cli._OPENBLAS_SET_THREADS
            if hasattr(lib, n)]
+"""
+_needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+
+
+@_needs_proc
+def test_worker_start_up_keeps_openblas_to_one_thread():
+    # in a fresh process, as main, which earlier tests called, keeps this one's BLAS to one thread
+    code = _BLAS_GETTERS + """
 before = [get() for get in getters]
 cli._one_blas_thread()
 print(before, [get() for get in getters])
@@ -548,6 +554,65 @@ print(before, [get() for get in getters])
     if not before or max(before) == 1:
         pytest.skip("no multi-threaded OpenBLAS here")
     assert after == [1] * len(before)
+
+
+@_needs_proc
+@pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["in_process", "pooled"])
+def test_every_run_reads_one_blas_thread(tmp_path, seeds):
+    # main sets the process up before any run: a one-task command runs in its
+    # own process, two tasks run in two forked workers, and each run reads one
+    # thread from every getter though OPENBLAS_NUM_THREADS asks for two
+    path, _ = _write_config(tmp_path, seeds=seeds)
+    code = _BLAS_GETTERS + """
+import json, os, sys
+real_run, parent = cli.run_single, os.getpid()
+
+def run_single(*args):
+    # one write, so that lines of two workers do not interleave
+    os.write(1, (json.dumps([os.getpid() == parent, [get() for get in getters]]) + "\\n").encode())
+    return real_run(*args)
+
+cli.run_single, cli._worker_count = run_single, lambda tasks: min(tasks, 2)
+print(json.dumps([get() for get in getters]), flush=True)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, "train", "--config", str(path), "--quiet"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    before, *runs = map(json.loads, out.splitlines())
+    if not before or max(before) == 1:
+        pytest.skip("no multi-threaded OpenBLAS here")
+    assert runs == [[len(seeds) == 1, [1] * len(before)]] * len(seeds)
+
+
+@_needs_proc
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs for two BLAS threads")
+def test_one_task_run_does_not_depend_on_blas_threads(tmp_path):
+    # a one-seed train runs in the command's own process, whose 256x256
+    # products, split over two BLAS threads, took other bytes than on one
+    # (from step 11 of a binary vcon run); in fresh processes, as this one's
+    # BLAS is kept to one thread by earlier main calls
+    code = _BLAS_GETTERS + """
+import sys
+print([get() for get in getters])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "spiral.json")
+    argv = ["train", "--config", config, "--mode", "vcon", "--seed", "7", "--quiet", "--set", "epochs=3",
+            "--set", "q_epochs=3", "--set", "model.layer_sizes=[2,256,256,3]", "--set", 'compression={"kind":"binary"}']
+    trees = []
+    for threads in ("2", "1"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+        tree = tmp_path / f"threads{threads}"
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--set", f"output_dir={tree}"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        if threads == "2" and max(json.loads(out), default=1) == 1:
+            pytest.skip("no multi-threaded OpenBLAS here")
+        trees.append(tree)
+    files = ["runlog_steps_seed7.csv", "checkpoint_seed7.vcnet", "finalized_seed7.vcnet"]
+    for name in files:
+        assert (trees[0] / name).read_bytes() == (trees[1] / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",

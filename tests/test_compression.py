@@ -947,8 +947,8 @@ def test_spec_param_count_structured_and_trailing_nm():
 
 
 def test_bit_footprint_binary():
-    assert BinaryQuant().bits(64, 64) == 4096 + 64
-    assert PruneUnstructuredLayer(0.95).bits(64, 64) == 205 * 64
+    assert BinaryQuant().bit_footprint(64, 64) == 4096 + 64
+    assert PruneUnstructuredLayer(0.95).bit_footprint(64, 64) == 205 * 64
 
 
 def test_block_param_count_matches_masks():

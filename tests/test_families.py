@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vconlab.checkpoint import load_network, save_network
-from vconlab.cli import inspect_data
+from vconlab.cli import cmd_inspect, inspect_data
 from vconlab.compression import (
     FAMILIES,
     BinaryQuant,
@@ -55,7 +55,7 @@ def _resave_is_identical(net, path, scheduler=None):
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
-def test_family_files_reports_and_counts(tmp_path, kind):
+def test_family_files_reports_and_counts(tmp_path, capsys, kind):
     spec = SAMPLES[kind]
     net = compress_network(init_params(SIZES, seed=1), spec)
     assert _resave_is_identical(net, tmp_path / "net.vcnet")
@@ -63,10 +63,15 @@ def test_family_files_reports_and_counts(tmp_path, kind):
     assert _resave_is_identical(blended, tmp_path / "blend.vcnet")
 
     report = inspect_data(tmp_path / "net.vcnet")
-    for entry, block in zip(report["blocks"], net.blocks):
+    cmd_inspect(tmp_path / "net.vcnet")
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("block ")]
+    assert len(lines) == len(net.blocks)
+    for entry, block, line in zip(report["blocks"], net.blocks, lines):
         assert entry["compression"] == spec_to_dict(spec)
         fields = spec.describe(block)
         assert fields and {k: entry[k] for k in fields} == fields
+        # the printed line shows the fields as the family renders them
+        assert f", {kind}{spec.render(fields, block.out_dim, block.in_dim)}, params " in line
 
     biases = sum(b.bias.data.size for b in net.blocks)
     shapes = [(n, m) for m, n in zip(SIZES, SIZES[1:])]
