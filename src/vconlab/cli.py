@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -261,10 +261,9 @@ def build_dataset(exp: ExperimentConfig) -> Dataset:
     return load_csv(ds["path"]) if ds["kind"] == "csv" else make_synthetic(**ds)
 
 
-def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool, post_shot: bool = False) -> list[int]:
+def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool) -> list[int]:
     """The config's transition lengths in optimizer steps: one for train and
-    compare, at least two for sweep-q; q_epochs count whole epochs of steps.
-    A post_shot run must switch to its compressed net before its last step."""
+    compare, at least two for sweep-q; q_epochs count whole epochs of steps."""
     q = exp.q_steps if exp.q_epochs is None else exp.q_epochs
     if sweep:
         _expect(isinstance(q, list) and len(q) >= 2,
@@ -273,15 +272,14 @@ def _transition_steps(exp: ExperimentConfig, dataset: Dataset, sweep: bool, post
         _expect(not isinstance(q, list), "train/compare need a scalar q_epochs or q_steps (lists are for sweep-q)")
         _expect(q is not None or exp.mode not in ("vcon", "post_shot"), f"mode {exp.mode!r} needs q_epochs or q_steps")
         q = [q or 0]
-    n_train = len(dataset.split("train")[1])
     if exp.q_epochs is not None:
-        q = [q_steps_from_epochs(v, n_train, exp.batch_size) for v in q]
-    if post_shot:
-        run = exp.epochs * steps_per_epoch(n_train, exp.batch_size)
-        key = "q_steps" if exp.q_epochs is None else "q_epochs"
-        _expect(q[0] < run, f"{key} must end post_shot's dense phase before the run ends: it would "
-                f"switch at step {q[0]} of a {run}-step run, so the run would never compress")
+        q = [q_steps_from_epochs(v, len(dataset.split("train")[1]), exp.batch_size) for v in q]
     return q
+
+
+def _arm(exp: ExperimentConfig, mode: str, q_steps: int, output_dir: Path) -> ExperimentConfig:
+    """``exp`` as one arm: its runs in ``mode``, with a ``q_steps``-step transition, written to ``output_dir``."""
+    return replace(exp, mode=mode, q_epochs=None, q_steps=q_steps, output_dir=output_dir)
 
 
 @dataclass
@@ -361,10 +359,10 @@ def _aggregate(values: list[float]) -> dict:
     return {"mean": float(arr.mean()), "stddev": float(arr.std())}
 
 
-def _summary_dict(exp: ExperimentConfig, mode: str, rows: list[dict]) -> dict:
+def _summary_dict(arm: ExperimentConfig, rows: list[dict]) -> dict:
     return {
-        "config": exp.raw,
-        "mode": mode,
+        "config": arm.raw,
+        "mode": arm.mode,
         "per_seed": rows,
         "aggregate": {
             "test_accuracy": _aggregate([r["final_test_accuracy"] for r in rows]),
@@ -373,25 +371,14 @@ def _summary_dict(exp: ExperimentConfig, mode: str, rows: list[dict]) -> dict:
     }
 
 
-@dataclass
-class _Arm:
-    """One output directory of runs: a mode and a transition length, run on every seed."""
-
-    out_dir: Path
-    mode: str
-    q: int
-    summary: dict = field(default_factory=dict)
-
-
-def _run_task(exp: ExperimentConfig, dataset: Dataset, out_dir: Path, mode: str, q: int,
-              seeds: list[int]) -> list[dict | TrainingDiverged]:
-    """One stack of runs, in whichever process it was given to: train, write
-    each finished member's files, and return, in seed order, each member's
-    summary row, or why it left the stack. The logs stay on disk only."""
+def _run_task(arm: ExperimentConfig, dataset: Dataset, seeds: list[int]) -> list[dict | TrainingDiverged]:
+    """One stack of an arm's runs, in whichever process it was given to: train,
+    write each finished member's files, and return, in seed order, each
+    member's summary row, or why it left the stack. The logs stay on disk only."""
     outcomes = []
-    for result in run_single(exp, dataset, seeds, mode, q).members:
+    for result in run_single(arm, dataset, seeds, arm.mode, arm.q_steps).members:
         if isinstance(result, SeedResult):
-            _write_seed_outputs(out_dir, result)
+            _write_seed_outputs(arm.output_dir, result)
             result = result.row
         outcomes.append(result)
     return outcomes
@@ -464,53 +451,57 @@ def _keep_freed_arrays() -> None:
 
 
 def _chunks(seeds: list[int], count: int) -> list[list[int]]:
-    """``seeds`` in ``count`` runs of consecutive seeds, sizes differing by at
-    most one, the longer ones first."""
-    return [chunk.tolist() for chunk in np.array_split(seeds, count)]
+    """``seeds`` in ``count`` runs of consecutive seeds (at most one per seed),
+    sizes differing by at most one, the longer ones first."""
+    return [chunk.tolist() for chunk in np.array_split(seeds, min(count, len(seeds)))]
 
 
-def _run_arms(exp: ExperimentConfig, dataset: Dataset, arms: list[_Arm], quiet: bool) -> list[_Arm]:
-    """Run each arm on every seed. A task trains a chunk of an arm's seeds as
-    one stack (``run_single``): each arm's seeds are split into ``ceil(workers
-    / arms)`` chunks, so the workers, one per CPU, each take about one stack,
-    and with several tasks and workers the tasks are spread over forked
-    worker processes. Each member writes its own files as soon as its stack
-    ends. Results are taken in task order (arm by arm, seed by seed), so
-    progress lines, each arm's summary.json (written after its last seed)
-    and the first failure do not depend on the worker count. A member that
-    diverges leaves its stack; the others finish and keep their files, and
-    its failure is raised when the results reach it.
+def _run_arms(arms: list[ExperimentConfig], dataset: Dataset, quiet: bool) -> list[dict]:
+    """Run each arm on each of its seeds and return each arm's summary. A task
+    trains a chunk of an arm's seeds as one stack (``run_single``): each arm's
+    seeds are split into ``ceil(workers / arms)`` chunks, so the workers, one
+    per CPU, each take about one stack, and with several tasks and workers
+    the tasks are spread over forked worker processes. Each member writes its
+    own files as soon as its stack ends. Results are taken in task order (arm
+    by arm, seed by seed), so progress lines, each arm's summary.json (written
+    after its last seed) and the first failure do not depend on the worker
+    count. A member that diverges leaves its stack; the others finish and
+    keep their files, and its failure is raised when the results reach it.
 
-    What compressing each layer warns about is printed once, here, before any
-    run starts."""
-    if any(arm.mode != "dense" for arm in arms):
-        for n, m in zip(exp.layer_sizes[1:], exp.layer_sizes):
-            for message in exp.compression.shape_warnings(n, m):
-                print(f"warning: {message}", file=sys.stderr)
-    workers = _worker_count(len(arms) * len(exp.seeds))
-    chunks = _chunks(exp.seeds, -(-workers // len(arms)))  # at most one per seed, as workers <= runs
-    tasks = [(arm, chunk) for arm in arms for chunk in chunks]
-    jobs = [(exp, dataset, arm.out_dir, arm.mode, arm.q, chunk) for arm, chunk in tasks]
+    Before any run starts, a post_shot arm must switch to its compressed net
+    before its last step, and what compressing the arms' layers warns about
+    is printed, each message once."""
+    n_train = len(dataset.split("train")[1])
+    for arm in arms:
+        run = arm.epochs * steps_per_epoch(n_train, arm.batch_size)
+        key = "q_steps" if arm.raw.get("q_epochs") is None else "q_epochs"
+        _expect(arm.mode != "post_shot" or arm.q_steps < run, f"{key} must end post_shot's dense phase before "
+                f"the run ends: it would switch at step {arm.q_steps} of a {run}-step run, so the run would "
+                "never compress")
+    for message in dict.fromkeys(message for arm in arms if arm.mode != "dense"
+                                 for n, m in zip(arm.layer_sizes[1:], arm.layer_sizes)
+                                 for message in arm.compression.shape_warnings(n, m)):
+        print(f"warning: {message}", file=sys.stderr)
+    workers = _worker_count(sum(len(arm.seeds) for arm in arms))
+    tasks = [(arm, chunk) for arm in arms for chunk in _chunks(arm.seeds, -(-workers // len(arms)))]
     if workers == 1:
-        _collect(exp, tasks, (_run_task(*job) for job in jobs), quiet)
-        return arms
+        return _collect(tasks, (_run_task(arm, dataset, chunk) for arm, chunk in tasks), quiet)
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
-        futures = [pool.submit(_run_task, *job) for job in jobs]
-        _collect(exp, tasks, (future.result() for future in futures), quiet)
+        futures = [pool.submit(_run_task, arm, dataset, chunk) for arm, chunk in tasks]
+        return _collect(tasks, (future.result() for future in futures), quiet)
     finally:
         # after a failure, tasks not yet started are dropped and running ones finish
         pool.shutdown(cancel_futures=True)
-    return arms
 
 
-def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, list[int]]], results, quiet: bool) -> None:
+def _collect(tasks: list[tuple[ExperimentConfig, list[int]]], results, quiet: bool) -> list[dict]:
     """Take each member's summary row in task order, raising the first that
-    left its stack; write an arm's summary.json once its last seed is in."""
-    rows = []
+    left its stack; write and return each arm's summary once its last seed is in."""
+    rows, summaries = [], []
     for (arm, seeds), outcomes in zip(tasks, results):
         for seed, row in zip(seeds, outcomes):
             if isinstance(row, TrainingDiverged):
@@ -519,10 +510,11 @@ def _collect(exp: ExperimentConfig, tasks: list[tuple[_Arm, list[int]]], results
                 print(f"  mode={arm.mode} seed={seed} test_acc={row['final_test_accuracy']:.4f} "
                       f"({row['wall_clock_seconds']:.1f}s)")
             rows.append(row)
-        if len(rows) == len(exp.seeds):
-            arm.summary = _summary_dict(exp, arm.mode, rows)
-            _write_json(arm.out_dir / "summary.json", arm.summary)
+        if len(rows) == len(arm.seeds):
+            summaries.append(_summary_dict(arm, rows))
+            _write_json(arm.output_dir / "summary.json", summaries[-1])
             rows = []
+    return summaries
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -533,7 +525,12 @@ def _write_json(path: Path, data: dict) -> None:
 
 def _read_json(path, what: str, keys: tuple[str, ...]) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or bytes that are not UTF-8
+            raise DataError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
     for key in keys:
         if key not in data:
             raise DataError(f"{path}: {what} is missing {key!r}")
@@ -558,10 +555,10 @@ def read_sweep_csv(path) -> list[tuple[int, int, int, float]]:
 
 def cmd_train(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
-    (q,) = _transition_steps(exp, dataset, sweep=False, post_shot=exp.mode == "post_shot")
-    (arm,) = _run_arms(exp, dataset, [_Arm(exp.output_dir, exp.mode, q)], quiet)
+    (q,) = _transition_steps(exp, dataset, sweep=False)
+    (summary,) = _run_arms([_arm(exp, exp.mode, q, exp.output_dir)], dataset, quiet)
     if not quiet:
-        agg = arm.summary["aggregate"]["test_accuracy"]
+        agg = summary["aggregate"]["test_accuracy"]
         print(f"{exp.mode}: mean test accuracy {agg['mean']:.4f} (std {agg['stddev']:.4f}) "
               f"over {len(exp.seeds)} seed(s) -> {exp.output_dir / 'summary.json'}")
     return 0
@@ -571,15 +568,15 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
     if baseline not in ("ste_standard", "post_shot"):
         raise ConfigError(f"baseline must be ste_standard or post_shot, got {baseline!r}")
     dataset = build_dataset(exp)
-    (q,) = _transition_steps(exp, dataset, sweep=False, post_shot=baseline == "post_shot")
-    base, vcon = _run_arms(exp, dataset, [_Arm(exp.output_dir / "baseline", baseline, q),
-                                          _Arm(exp.output_dir / "vcon", "vcon", q)], quiet)
+    (q,) = _transition_steps(exp, dataset, sweep=False)
+    base, vcon = _run_arms([_arm(exp, baseline, q, exp.output_dir / "baseline"),
+                            _arm(exp, "vcon", q, exp.output_dir / "vcon")], dataset, quiet)
     per_seed = [{
         "seed": b["seed"],
         "baseline_test_accuracy": b["final_test_accuracy"],
         "vcon_test_accuracy": v["final_test_accuracy"],
         "delta": v["final_test_accuracy"] - b["final_test_accuracy"],
-    } for b, v in zip(base.summary["per_seed"], vcon.summary["per_seed"])]
+    } for b, v in zip(base["per_seed"], vcon["per_seed"])]
     delta = _aggregate([row["delta"] for row in per_seed])
     compare = {
         "config": exp.raw,
@@ -587,8 +584,8 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
         "q_steps": q,
         "per_seed": per_seed,
         "aggregate": {
-            "baseline_test_accuracy": base.summary["aggregate"]["test_accuracy"],
-            "vcon_test_accuracy": vcon.summary["aggregate"]["test_accuracy"],
+            "baseline_test_accuracy": base["aggregate"]["test_accuracy"],
+            "vcon_test_accuracy": vcon["aggregate"]["test_accuracy"],
             "delta": delta,
             # accuracy-point delta in the conventional parenthesized form
             "formatted_delta": f"({100.0 * delta['mean']:+.2f})",
@@ -604,10 +601,11 @@ def cmd_compare(exp: ExperimentConfig, baseline: str = "ste_standard", quiet: bo
 def cmd_sweep_q(exp: ExperimentConfig, quiet: bool = False) -> int:
     dataset = build_dataset(exp)
     q_list = _transition_steps(exp, dataset, sweep=True)
-    arms = _run_arms(exp, dataset, [_Arm(exp.output_dir / f"q{q}", "vcon", q) for q in q_list], quiet)
+    arms = [_arm(exp, "vcon", q, exp.output_dir / f"q{q}") for q in q_list]
+    _run_arms(arms, dataset, quiet)
     # the join of the arms' epoch logs, in Q, then seed, then epoch order
-    rows = [(arm.q, seed, *row) for arm in arms for seed in exp.seeds
-            for row in read_table(_runlog_paths(arm.out_dir, seed)[1], EPOCH_HEADER, (int, float))]
+    rows = [(arm.q_steps, seed, *row) for arm in arms for seed in arm.seeds
+            for row in read_table(_runlog_paths(arm.output_dir, seed)[1], EPOCH_HEADER, (int, float))]
     sweep_path = exp.output_dir / "sweep.csv"
     write_table(sweep_path, SWEEP_HEADER, rows)
     if not quiet:

@@ -13,6 +13,7 @@ gives the bytes it would give alone.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
@@ -382,19 +383,25 @@ def write_table(path, header: list[str], rows) -> None:
 def read_table(path, header: list[str], types) -> list[tuple]:
     """The rows of a ``write_table`` table, each cell read by its column's
     type; a wrong header, a row of another width or a cell its type cannot
-    read raises ``DataError`` at ``path:line``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if (got := next(reader, [])) != header:
-            raise DataError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows.append(tuple(t(cell) for t, cell in zip(types, row)))
-            except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: unreadable cell in {row!r}") from None
+    read raises ``DataError`` at ``path:line``, as do bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if (got := next(reader, [])) != header:
+        raise DataError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+        try:
+            rows.append(tuple(t(cell) for t, cell in zip(types, row)))
+        except ValueError:
+            raise DataError(f"{path}:{reader.line_num}: unreadable cell in {row!r}") from None
     return rows
 
 

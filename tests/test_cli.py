@@ -304,6 +304,13 @@ def test_output_reader_missing_key_is_a_data_error(tmp_path, reader, what, key):
     path.write_text(json.dumps({"config": {}, "per_seed": [], "aggregate": {}}))
     with pytest.raises(DataError, match=rf"out\.json: {what} is missing '{key}'$"):
         reader(path)
+    # not JSON at all, and JSON that is no object: a string holding every key's name, and a number
+    for text, message in (("{config", "is not valid JSON: "),
+                          ('"config mode per_seed aggregate"', "must be a JSON object$"),
+                          ("3", "must be a JSON object$")):
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"out\.json: {what} {message}"):
+            reader(path)
 
 
 def test_train_seed_flag_replaces_list(tmp_path):
@@ -502,13 +509,54 @@ def test_low_rank_warnings_print_once_per_command(tmp_path, capfd, monkeypatch, 
     _force_workers(monkeypatch, workers)
     path, _ = _write_config(tmp_path, model={"layer_sizes": [2, 16, 16, 3]}, seeds=[0, 1], q_steps=4,
                             compression={"kind": "low_rank", "rank": 4})
-    assert main(["compare", "--config", str(path), "--quiet", "--baseline", "post_shot"]) == 0
-    err = capfd.readouterr().err  # file-descriptor capture also sees the workers
-    messages = ["rank 4 clamped to 2 for a 16x2 layer",
-                "rank 2 on a 16x2 layer stores 36 values vs 32 dense; no size benefit",
-                "rank 4 clamped to 3 for a 3x16 layer",
-                "rank 3 on a 3x16 layer stores 57 values vs 48 dense; no size benefit"]
-    assert err.splitlines() == [f"warning: {message}" for message in messages]
+    # two arms of the one config, then three
+    for command in (["compare", "--baseline", "post_shot"], ["sweep-q", "--set", "q_steps=[0,2,4]"]):
+        assert main([*command, "--config", str(path), "--quiet"]) == 0
+        err = capfd.readouterr().err  # file-descriptor capture also sees the workers
+        assert err.splitlines() == _LOW_RANK_WARNINGS, command
+
+
+_LOW_RANK_WARNINGS = [f"warning: {message}" for message in (  # rank 4 of a [2, 16, 16, 3] network
+    "rank 4 clamped to 2 for a 16x2 layer",
+    "rank 2 on a 16x2 layer stores 36 values vs 32 dense; no size benefit",
+    "rank 4 clamped to 3 for a 3x16 layer",
+    "rank 3 on a 3x16 layer stores 57 values vs 48 dense; no size benefit")]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_arms_of_their_own_configs_write_what_each_writes_alone(tmp_path, capfd, monkeypatch, workers):
+    # three arms of one _run_arms call, each its own config: they differ in mode, seeds, learning rate,
+    # compression and layer sizes. At 4 workers the one-seed arm still takes one chunk, not ceil(4 / 3) = 2
+    _force_workers(monkeypatch, workers)
+    configs = {
+        "vcon": _write_config(tmp_path, mode="vcon", q_steps=4, seeds=[0, 1],
+                              optimizer={"kind": "adam", "lr": 0.03})[1],
+        "ste": _write_config(tmp_path, q_steps=0, seeds=[2], model={"layer_sizes": [2, 16, 16, 3]},
+                             compression={"kind": "low_rank", "rank": 4})[1],
+        "post_shot": _write_config(tmp_path, mode="post_shot", q_steps=3, seeds=[0, 1, 2],
+                                   model={"layer_sizes": [2, 12, 3]}, compression={"kind": "binary"})[1],
+    }
+    arms = [validate_config({**cfg, "output_dir": str(tmp_path / "arms" / name)}) for name, cfg in configs.items()]
+    capfd.readouterr()
+    summaries = cli._run_arms(arms, build_dataset(arms[0]), quiet=True)
+    assert capfd.readouterr().err.splitlines() == _LOW_RANK_WARNINGS  # the low_rank arm's, once
+    assert [summary["mode"] for summary in summaries] == ["vcon", "ste_standard", "post_shot"]
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        arm, alone = tmp_path / "arms" / name, tmp_path / "alone" / name
+        assert main(["train", "--config", str(path), "--quiet", "--set", f"output_dir={alone}"]) == 0
+        files = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in arm.iterdir()) == files
+        assert {f.rsplit(".", 1)[1] for f in files} == {"csv", "vcnet", "json"}
+        for f in files:
+            if f.endswith(".json"):
+                ours, theirs = json.loads((arm / f).read_text()), json.loads((alone / f).read_text())
+                assert ours["config"].pop("output_dir") == str(arm)
+                assert theirs["config"].pop("output_dir") == str(alone)
+                assert _without_wall_clock(ours) == _without_wall_clock(theirs), f"{name}/{f}"
+            else:
+                assert (arm / f).read_bytes() == (alone / f).read_bytes(), f"{name}/{f}"
 
 
 def test_progress_lines_come_in_task_order(tmp_path, capsys, monkeypatch):

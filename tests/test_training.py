@@ -554,6 +554,7 @@ _FAULTS = {  # a fault in a table's lines, and the line it is reported at
     "short_row": (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0]], 3),
     "long_row": (lambda lines: [*lines[:2], lines[2] + ",0"], 3),
     "unreadable_cell": (lambda lines: [*lines[:2], "1.5" + lines[2][1:]], 3),  # a float in an int column
+    "not_utf8": (lambda lines: [*lines[:2], lines[2] + "\xff"], 3),  # written as the byte 0xff
 }
 
 
@@ -577,7 +578,7 @@ def test_malformed_table_is_a_data_error_at_its_line(tmp_path, table, fault):
     path.write_text(_TABLES[table])
     _read_table_file(table, path, tmp_path)  # the unedited table reads
     edit, line = _FAULTS[fault]
-    path.write_text("\n".join(edit(_TABLES[table].splitlines())) + "\n")
+    path.write_bytes(("\n".join(edit(_TABLES[table].splitlines())) + "\n").encode("latin-1"))
     with pytest.raises(DataError, match=rf"t\.csv:{line}: "):
         _read_table_file(table, path, tmp_path)
 
