@@ -124,10 +124,11 @@ class Optimizer:
 
     Adam moments are keyed by parameter name, so blocks can be swapped
     mid-run (the post-shot switch) without losing or misrouting moments.
-    A parameter that leaves the live set keeps a copy of its moments for
-    when it returns, so the old layout's buffers are freed; one that comes
-    back with another shape starts from zero. The layout is rebuilt only
-    when the live names or shapes change.
+    A parameter that leaves the live set drops its moments with the old
+    layout's buffers (in ``train`` none returns: vcon originals leave once
+    the transition ends, low-rank post-shot dense weights at the switch);
+    one that returns, or changes shape, starts from zero like a new one.
+    The layout is rebuilt only when the live names or shapes change.
     """
 
     chunk = 24_576  # elements per scratch buffer: 192 KiB of float64
@@ -142,8 +143,7 @@ class Optimizer:
         self._chunks: list[tuple[Array, Array, Array, Array, list[tuple]]] = []
 
     def _relayout(self, live: Sequence[tuple[str, Tensor]]) -> None:
-        names = {name for name, _ in live}
-        state = {name: (m.copy(), v.copy()) for name, (m, v) in self._state.items() if name not in names}
+        state = {}
         bounds = np.cumsum([0] + [p.data.size for _, p in live]).tolist()
         adam = self.spec.kind == "adam"
         m_flat, v_flat = np.zeros(bounds[-1] if adam else 0), np.zeros(bounds[-1] if adam else 0)
@@ -237,25 +237,19 @@ _SPIRAL_WIND = 4.0  # radians each arm winds from center to rim
 
 @dataclass
 class Dataset:
+    """Rows split 70/15/15 in order: the first floor(0.70 * count) train,
+    the next floor(0.15 * count) val, the rest test."""
+
     features: Array  # (count, dim) float64
     labels: Array  # (count,) int64
-    split_tags: Array  # (count,) one of SPLITS
 
     def split(self, tag: str) -> tuple[Array, Array]:
         if tag not in SPLITS:
             raise ValueError(f"unknown split {tag!r}, expected one of {SPLITS}")
-        sel = self.split_tags == tag
-        return self.features[sel], self.labels[sel]
-
-
-def _split_tags(count: int) -> Array:
-    n_train = int(math.floor(0.70 * count))
-    n_val = int(math.floor(0.15 * count))
-    tags = np.empty(count, dtype="<U5")
-    tags[:n_train] = "train"
-    tags[n_train : n_train + n_val] = "val"
-    tags[n_train + n_val :] = "test"
-    return tags
+        n_train, n_val = math.floor(0.70 * len(self.labels)), math.floor(0.15 * len(self.labels))
+        rows = {"train": slice(0, n_train), "val": slice(n_train, n_train + n_val),
+                "test": slice(n_train + n_val, None)}[tag]
+        return self.features[rows], self.labels[rows]
 
 
 def make_synthetic(
@@ -293,38 +287,53 @@ def make_synthetic(
             angles = phase + _SPIRAL_WIND * radii + noise * rng.standard_normal(samples_per_class)
             features[rows] = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
     order = rng.permutation(count)
-    return Dataset(features[order], labels[order], _split_tags(count))
+    return Dataset(features[order], labels[order])
 
 
 class DataError(ValueError):
     """Malformed dataset file."""
 
 
-def load_csv(path, standardize: bool = True) -> Dataset:
+def _csv_rows(path):
+    """Each row of a CSV file with the line it ends on, as the ``csv`` reader
+    counts lines (a quoted cell may span several); bytes that are not UTF-8,
+    or a row the ``csv`` reader refuses, raise ``DataError`` at ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:  # such as a cell past the reader's field size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def load_csv(path) -> Dataset:
     """Load `f0,...,fk,label` rows; split 70/15/15 in file order.
 
     Features are standardized per column with mean/std taken over the
     train split only (constant columns become zeros). Feature cells must be
     finite; labels must be non-negative integers that fit int64.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header is None:
         raise DataError(f"{path}:1: empty file, expected a header row 'f0,...,fk,label'")
-    header = rows[0]
     n_feat = len(header) - 1
     expected = [f"f{i}" for i in range(n_feat)] + ["label"]
     if n_feat < 1 or header != expected:
-        raise DataError(
-            f"{path}:1: expected a header row 'f0,...,fk,label', got {','.join(header)!r}"
-        )
-    body = rows[1:]
+        raise DataError(f"{path}:1: expected a header row 'f0,...,fk,label', got {','.join(header)!r}")
+    body = list(rows)
     if not body:
         raise DataError(f"{path}:2: no data rows")
     features = np.empty((len(body), n_feat))
     labels = np.empty(len(body), dtype=np.int64)
-    for i, row in enumerate(body):
-        lineno = i + 2
+    for i, (lineno, row) in enumerate(body):
         if len(row) != n_feat + 1:
             raise DataError(f"{path}:{lineno}: expected {n_feat + 1} cells, got {len(row)}")
         try:
@@ -338,14 +347,11 @@ def load_csv(path, standardize: bool = True) -> Dataset:
             raise IndexError(f"{path}:{lineno}: label {row[-1]!r} is not a valid class index")
         features[i] = values[:-1]
         labels[i] = int(lab)
-    tags = _split_tags(len(body))
-    if standardize:
-        train_rows = features[tags == "train"]
-        mean = train_rows.mean(axis=0)
-        std = train_rows.std(axis=0)
-        std[std == 0.0] = 1.0
-        features = (features - mean) / std
-    return Dataset(features, labels, tags)
+    train_rows, _ = Dataset(features, labels).split("train")
+    mean = train_rows.mean(axis=0)
+    std = train_rows.std(axis=0)
+    std[std == 0.0] = 1.0
+    return Dataset((features - mean) / std, labels)
 
 
 # --------------------------------------------------------------------------
@@ -384,25 +390,18 @@ def read_table(path, header: list[str], types) -> list[tuple]:
     """The rows of a ``write_table`` table, each cell read by its column's
     type; a wrong header, a row of another width or a cell its type cannot
     read raises ``DataError`` at ``path:line``, as do bytes that are not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    if (got := next(reader, [])) != header:
+    rows = _csv_rows(path)
+    if (got := next(rows, (None, []))[1]) != header:
         raise DataError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
-    rows = []
-    for row in reader:
+    table = []
+    for line, row in rows:
         if len(row) != len(header):
-            raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"{path}:{line}: expected {len(header)} cells, got {len(row)}")
         try:
-            rows.append(tuple(t(cell) for t, cell in zip(types, row)))
+            table.append(tuple(t(cell) for t, cell in zip(types, row)))
         except ValueError:
-            raise DataError(f"{path}:{reader.line_num}: unreadable cell in {row!r}") from None
-    return rows
+            raise DataError(f"{path}:{line}: unreadable cell in {row!r}") from None
+    return table
 
 
 def write_runlog(log: RunLog, steps_path, epochs_path) -> None:

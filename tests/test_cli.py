@@ -241,6 +241,17 @@ def test_exit_1_on_missing_csv_dataset(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_exit_1_on_csv_dataset_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"f0,f1,label\n1.0,2.0,0\n0.5,2.0\xff,1\n")
+    path, _ = _write_config(tmp_path, dataset={"kind": "csv", "path": str(data)}, mode="dense",
+                            compression={"kind": "none"})
+    assert main(["train", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{data}:3: not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_run_records_a_config_that_validates(tmp_path):
     data = tmp_path / "d.csv"
     rows = ["f0,f1,label"] + [f"{i % 7}.5,{-(i % 5)}.25,{i % 3}" for i in range(60)]

@@ -1,3 +1,4 @@
+import csv
 import gc
 import math
 import pickle
@@ -150,6 +151,9 @@ def test_flat_optimizer_matches_per_tensor_loop_bit_for_bit(kind, schedule):
                 p.grad = None if shape is None else _draw(rng, shape)
                 named.append((name, p))
             twins = [(name, p.data.copy(), p.grad) for name, p in named]
+            for name, p in named:
+                if p.grad is None:
+                    ref.state.pop(name, None)  # a parameter that leaves the live set drops its moments
             lr = lr_at(step, spec)
             assert opt.step(named) == lr
             ref.step(twins, lr)
@@ -214,20 +218,23 @@ def test_optimizer_updates_parameters_of_any_layout_in_place_to_the_same_bytes(k
 
 
 def test_moments_of_a_parameter_that_leaves_free_the_old_layout():
-    # once "b" leaves, its moments are copied out and the old layout's flat m
-    # and v are freed; the copies carry on where they left off when it returns
+    # once "b" leaves, its moments are freed with the old layout's flat m and
+    # v; when it returns it starts from zero moments, as a new parameter does
     opt, ref = Optimizer(OptimizerSpec(kind="adam", lr=0.05)), PerTensorOptimizer("adam")
     a, b = _param([1.0, 2.0], grad=[0.5, -0.5]), _param([[3.0], [4.0]])
     named, twins = [("a", a), ("b", b)], {"a": a.data.copy(), "b": b.data.copy()}
     for b_live in (True, False, True):
         b.grad = np.array([[0.25], [1.0]]) if b_live else None
         if not b_live:
+            departed = [weakref.ref(moment) for moment in opt._state["b"]]
             flats = [weakref.ref(moment.base) for moment in opt._state["a"] + opt._state["b"]]
-            assert all(flat() is not None for flat in flats)
+            assert all(alive() is not None for alive in departed + flats)
+            ref.state.pop("b")
         opt.step(named)
         ref.step([(name, twins[name], p.grad) for name, p in named], opt.spec.lr)
         if not b_live:
-            assert all(flat() is None for flat in flats)
+            assert opt._state.keys() == {"a"}
+            assert all(gone() is None for gone in departed + flats)
     assert a.data.tobytes() == twins["a"].tobytes() and b.data.tobytes() == twins["b"].tobytes()
 
 
@@ -426,6 +433,29 @@ def test_synthetic_shapes_and_split_sizes():
         assert len(x) == len(y) == size
 
 
+def _split_by_tags(ds, tag):
+    # the split rule as a per-row tag array and a mask: floor(0.70 * count)
+    # train rows, then floor(0.15 * count) val rows, then the rest test
+    count = len(ds.labels)
+    n_train, n_val = int(math.floor(0.70 * count)), int(math.floor(0.15 * count))
+    tags = np.empty(count, dtype="<U5")
+    tags[:n_train], tags[n_train : n_train + n_val], tags[n_train + n_val :] = "train", "val", "test"
+    return ds.features[tags == tag], ds.labels[tags == tag]
+
+
+def test_split_returns_the_rows_of_the_tag_rule():
+    for count in range(41):
+        ds = Dataset(np.arange(count * 3, dtype=np.float64).reshape(count, 3), np.arange(count, dtype=np.int64))
+        parts = [ds.split(tag) for tag in ("train", "val", "test")]
+        for tag, (x, y) in zip(("train", "val", "test"), parts):
+            x_ref, y_ref = _split_by_tags(ds, tag)
+            assert x.shape == x_ref.shape and x.tobytes() == x_ref.tobytes(), (count, tag)
+            assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes(), (count, tag)
+        assert sum(len(y) for _, y in parts) == count
+    with pytest.raises(ValueError, match="unknown split"):
+        ds.split("holdout")
+
+
 def test_synthetic_deterministic_by_seed():
     a = make_synthetic("blobs", seed=11, samples_per_class=40)
     b = make_synthetic("blobs", seed=11, samples_per_class=40)
@@ -465,15 +495,16 @@ def _write_csv(path, text):
     return path
 
 
-def test_load_csv_roundtrip_unstandardized(tmp_path):
-    rows = ["f0,f1,label"] + [f"{i}.5,{-i}.25,{i % 3}" for i in range(10)]
-    p = _write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
-    ds = load_csv(p, standardize=False)
-    assert ds.features.shape == (10, 2)
-    assert ds.features[4, 0] == 4.5
-    assert ds.features[4, 1] == -4.25
-    assert ds.labels[4] == 1
-    assert (ds.split_tags == "train").sum() == 7  # floor(0.7 * 10)
+def test_load_csv_roundtrip_standardized(tmp_path):
+    # the features are the file's values, less the train rows' mean, over their std
+    raw = np.array([[i + 0.5, -i - 0.25] for i in range(10)])
+    rows = ["f0,f1,label"] + [f"{a!r},{b!r},{i % 3}" for i, (a, b) in enumerate(raw.tolist())]
+    ds = load_csv(_write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n"))
+    train_raw = raw[:7]  # floor(0.7 * 10)
+    expected = (raw - train_raw.mean(axis=0)) / train_raw.std(axis=0)
+    assert ds.features.tobytes() == expected.tobytes()
+    assert ds.labels.tolist() == [i % 3 for i in range(10)]
+    assert [len(ds.split(tag)[1]) for tag in ("train", "val", "test")] == [7, 1, 2]
 
 
 def test_load_csv_standardizes_on_train_split_only(tmp_path):
@@ -495,6 +526,16 @@ def test_load_csv_missing_header(tmp_path):
 def test_load_csv_malformed_row_reports_line(tmp_path):
     p = _write_csv(tmp_path / "d.csv", "f0,label\n1.0,0\noops,1\n")
     with pytest.raises(DataError, match=r"d\.csv:3: malformed numeric"):
+        load_csv(p)
+    p.write_bytes(b"f0,f1,label\n1.0,2.0,0\n0.5,2.0\xff,1\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: not UTF-8"):
+        load_csv(p)
+    # a quoted cell spans lines 2-3, so the row after it is on line 4
+    p = _write_csv(tmp_path / "d.csv", 'f0,label\n"1.0\n",0\noops,1\n')
+    with pytest.raises(DataError, match=r"d\.csv:4: malformed numeric"):
+        load_csv(p)
+    p = _write_csv(tmp_path / "d.csv", f"f0,label\n1.0,0\n{'1' * csv.field_size_limit()}2,1\n")
+    with pytest.raises(DataError, match=r"d\.csv:3: field larger than field limit"):
         load_csv(p)
     for cell in ("nan", "inf", "-inf", "1e999"):
         p = _write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n0.5,{cell},1\n")
@@ -555,6 +596,7 @@ _FAULTS = {  # a fault in a table's lines, and the line it is reported at
     "long_row": (lambda lines: [*lines[:2], lines[2] + ",0"], 3),
     "unreadable_cell": (lambda lines: [*lines[:2], "1.5" + lines[2][1:]], 3),  # a float in an int column
     "not_utf8": (lambda lines: [*lines[:2], lines[2] + "\xff"], 3),  # written as the byte 0xff
+    "oversized_cell": (lambda lines: [*lines[:2], lines[2] + "0" * csv.field_size_limit()], 3),
 }
 
 
@@ -868,7 +910,7 @@ def test_train_frees_each_steps_graph_before_the_optimizer_runs(monkeypatch, sta
 
 
 def test_evaluate_empty_split_is_nan():
-    ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), np.array(["train", "train"], dtype="<U5"))
+    ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64))  # 1 train row, 0 val, 1 test
     net = init_params([2, 2], seed=15)
     assert math.isnan(evaluate(net, *ds.split("val")))
 
