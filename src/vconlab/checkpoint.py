@@ -12,9 +12,10 @@ then bias; blended: its original's, then its branch's), then the state
 its compressed part's family writes through ``write_state`` with the
 float and bit-row helpers below (bit rows are padded with zeros to a
 byte). This module alone reads and writes the tensors. The header
-carries layer sizes, activation tags, specs, and the network's scheduler
-state (q, t) when it has one; a file loads only if its header is exactly
-the one its network saves as. A stack of networks is not saved.
+carries the name "net" (in every file), layer sizes, activation tags,
+specs, and the network's scheduler state (q, t) when it has one; a file
+loads only if its header is exactly the one its network saves as. A
+stack of networks is not saved.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _header(net: Network) -> dict:
     sch = net.scheduler
     return {
         "format": FORMAT_VERSION,
-        "name": net.name,
+        "name": "net",
         "blocks": [_block_header(b) for b in net.blocks],
         "scheduler": None if sch is None else {"q": sch.q, "t": sch.t},
     }
@@ -209,7 +210,7 @@ def load_network(path) -> tuple[Network, BetaScheduler | None]:
     r = _Reader(blob, newline + 1, path=str(path))
     try:
         blocks = [_read_block(r, hdr, f"block {i}", scheduler) for i, hdr in enumerate(header["blocks"])]
-        net = Network(blocks, name=header.get("name", "net"), scheduler=scheduler)
+        net = Network(blocks, scheduler=scheduler)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, CheckpointError):
             raise

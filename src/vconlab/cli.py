@@ -625,7 +625,7 @@ def inspect_data(path) -> dict:
                  "activation": comp.activation}
         if isinstance(comp, CompressedBlock):
             entry.update(kind="compressed", compression=spec_to_dict(comp.spec),
-                         bit_footprint=comp.spec.bit_footprint(comp.out_dim, comp.in_dim), **comp.spec.describe(comp))
+                         bit_footprint=comp.spec.bit_footprint(comp), **comp.spec.describe(comp))
         if isinstance(block, VconBlock):
             entry.update(kind="vcon", original_params=block.original.param_count())
         entry.update(index=i, param_count=block.param_count())

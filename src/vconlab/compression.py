@@ -57,9 +57,9 @@ class CompressionSpec:
     blocks with equal specs; the base derives nothing). It gives the
     block's effective weight (``effective_weight``; low rank instead
     overrides ``linear``, the block's pre-activation with its bias, with
-    its factor product), counts the stored entries and bits of an n x m
-    layer (``stored``, ``bit_footprint``), names its ``inspect`` fields
-    (``describe``) and prints them for an n x m block (``render``).
+    its factor product), counts the entries and bits a block holds in
+    its ``params`` (``count``, ``bit_footprint``), names its ``inspect``
+    fields (``describe``) and prints them for an n x m block (``render``).
     checkpoint.py stores a block's named tensors and its bias; a family
     whose file holds more (its state, or a check on what was read) writes
     it from a block through ``write_state`` and reads it back for an n x m
@@ -84,11 +84,11 @@ class CompressionSpec:
     def linear(self, block: CompressedBlock, x: Tensor) -> Tensor:
         return linear(x, self.effective_weight(block), block.bias)
 
-    def bit_footprint(self, n: int, m: int) -> int:
-        return 64 * self.stored(n, m)
-
     def count(self, block: CompressedBlock) -> int:
-        return self.stored(block.out_dim, block.in_dim)
+        return sum(t.data.size for t in block.params.values())
+
+    def bit_footprint(self, block: CompressedBlock) -> int:
+        return 64 * self.count(block)
 
     def write_state(self, block: CompressedBlock, w) -> None:
         pass
@@ -102,9 +102,11 @@ class CompressionSpec:
 
 
 class _MaskSpec(CompressionSpec):
-    """Pruning: a 0/1 mask, the block's state, applied through the STE.
-    Subclasses give the rule ``masks``, which maps a list of weights to
-    their masks."""
+    """Pruning: a 0/1 mask, the block's state, applied through the STE,
+    and a block counts what its mask keeps. Subclasses give the rule's
+    ``masks``, which maps a list of weights to their masks, and ``stored``,
+    what it keeps of an n x m weight: the loader checks a file's mask
+    against it before any block exists."""
 
     network_wide: ClassVar[bool] = False  # the kept count holds per network, not per layer
 
@@ -229,11 +231,8 @@ class BinaryQuant(CompressionSpec):
         weight = alpha[..., None, None] * signs
         return ste_apply(block.params["weight"], lambda w: weight)
 
-    def stored(self, n, m):
-        return n * m  # every entry stays, shrunk to one bit
-
-    def bit_footprint(self, n, m):
-        return n * m + 64
+    def bit_footprint(self, block):
+        return self.count(block) + 64 * block.state[0].size  # one bit per entry, 64 per member's alpha
 
     def write_state(self, block, w):
         alpha, signs = block.state
@@ -288,9 +287,6 @@ class LowRank(CompressionSpec):
 
     def linear(self, block, x):
         return linear(linear(x, block.params["b"]), block.params["a"], block.bias)
-
-    def stored(self, n, m):
-        return min(self.rank, n, m) * (n + m)
 
     def read_state(self, r, n, m, label):
         if self.rank > min(n, m):
@@ -883,4 +879,4 @@ def compress_network(net, spec: CompressionSpec):
     """Compress every block of a dense network with one shared spec."""
     blocks = [compress_block(b, spec) for b in net.blocks]
     refresh_blocks(blocks)
-    return Network(blocks, name=net.name)
+    return Network(blocks)

@@ -82,9 +82,8 @@ class Network:
     schedule that every blended block must read beta from; only a network
     without blended blocks may have none."""
 
-    def __init__(self, blocks: Iterable, name: str = "net", scheduler=None):
+    def __init__(self, blocks: Iterable, scheduler=None):
         self.blocks = list(blocks)
-        self.name = name
         self.scheduler = scheduler
         if not self.blocks:
             raise ValueError("a network needs at least one block")
@@ -125,7 +124,7 @@ class Network:
         """Member ``index`` of a stack as a lone network (an int), or the members
         of an index array or mask as a smaller stack. Tensors are new; their
         arrays may be views of this network's. The scheduler is this network's."""
-        return Network([block.select(index) for block in self.blocks], name=self.name, scheduler=self.scheduler)
+        return Network([block.select(index) for block in self.blocks], scheduler=self.scheduler)
 
 
 def stack_networks(nets: Sequence[Network]) -> Network:
@@ -135,7 +134,7 @@ def stack_networks(nets: Sequence[Network]) -> Network:
 
     layers = zip(*(net.blocks for net in nets))
     return Network([DenseBlock(stacked([b.weight for b in blocks]), stacked([b.bias for b in blocks]),
-                               blocks[0].activation) for blocks in layers], name=nets[0].name)
+                               blocks[0].activation) for blocks in layers])
 
 
 def init_params(layer_sizes: Sequence[int], seed: int, activation: str = "relu") -> Network:

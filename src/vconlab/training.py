@@ -317,8 +317,9 @@ def load_csv(path) -> Dataset:
     """Load `f0,...,fk,label` rows; split 70/15/15 in file order.
 
     Features are standardized per column with mean/std taken over the
-    train split only (constant columns become zeros). Feature cells must be
-    finite; labels must be non-negative integers that fit int64.
+    train split only (constant columns become zeros), so a file needs 2
+    rows. Feature cells must be finite; labels must be non-negative
+    integers that fit int64.
     """
     rows = _csv_rows(path)
     _, header = next(rows, (None, None))
@@ -348,6 +349,8 @@ def load_csv(path) -> Dataset:
         features[i] = values[:-1]
         labels[i] = int(lab)
     train_rows, _ = Dataset(features, labels).split("train")
+    if not len(train_rows):
+        raise DataError(f"{path}: {len(body)} data row, no train split (the first 70%); need at least 2 rows")
     mean = train_rows.mean(axis=0)
     std = train_rows.std(axis=0)
     std[std == 0.0] = 1.0

@@ -118,7 +118,7 @@ def wrap_network(
     if not train_original:
         for block in net.blocks:
             block.weight.requires_grad = block.bias.requires_grad = False
-    return Network(blocks, name=net.name, scheduler=scheduler)
+    return Network(blocks, scheduler=scheduler)
 
 
 def compressed_blocks(net: Network) -> list:
@@ -136,4 +136,4 @@ def finalize(net: Network) -> Network:
     sch = net.scheduler
     if sch is not None and sch.t < sch.q:
         raise ValueError(f"cannot finalize: the network is mid-transition (t={sch.t} < q={sch.q})")
-    return Network(compressed_blocks(net), name=net.name)
+    return Network(compressed_blocks(net))

@@ -252,6 +252,17 @@ def test_exit_1_on_csv_dataset_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_1_on_csv_dataset_of_one_row(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("f0,label\n1.5,0\n")
+    path, _ = _write_config(tmp_path, dataset={"kind": "csv", "path": str(data)}, mode="dense",
+                            compression={"kind": "none"}, model={"layer_sizes": [1, 8, 3], "activation": "relu"})
+    assert main(["train", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: 1 data row") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_run_records_a_config_that_validates(tmp_path):
     data = tmp_path / "d.csv"
     rows = ["f0,f1,label"] + [f"{i % 7}.5,{-(i % 5)}.25,{i % 3}" for i in range(60)]
@@ -674,15 +685,10 @@ sys.exit(cli.main(sys.argv[1:]))
         assert (trees[0] / name).read_bytes() == (trees[1] / name).read_bytes(), name
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-                    reason="the allocator settings are glibc's")
-def test_training_steps_reuse_freed_memory():
-    # once the heap has grown to a step's size, a step's arrays land in blocks
-    # earlier steps freed, so the kernel maps no fresh pages; without the
-    # settings this run takes about 370 faults per step. In a fresh process, so
-    # what earlier tests left in this one's heap does not count, with every
-    # stack built before any trains, so a window counts training steps only
-    code = """
+# a fresh process, so what earlier tests left in this one's heap does not count,
+# with every stack built before any trains, so a window counts training steps only;
+# it prints the minor page faults of two windows of 34 steps
+_REUSE_CHILD = """
 import resource
 from vconlab import cli, training
 from vconlab.compression import PruneUnstructuredLayer
@@ -701,7 +707,7 @@ def run(epochs):
     net, data = stacks.pop(0)
     training.train(net, data, training.TrainConfig(epochs=epochs, batch_size=64, seed=seeds))
 
-cli._keep_freed_arrays()
+SETUP
 stacks = [stack() for _ in range(4)]
 run(epochs=1)
 # the first stack trained after the warm-up one may still grow the heap, where
@@ -712,9 +718,33 @@ for _ in range(2):
     run(epochs=2)  # 34 steps
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def _training_window_faults(setup, **env):
+    code = _REUSE_CHILD.replace("SETUP", setup)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    faults = [int(line) for line in out.split()]
+    return [int(line) for line in out.split()]
+
+
+glibc_only = pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                                reason="the allocator settings are glibc's")
+
+
+@glibc_only
+def test_training_steps_reuse_freed_memory():
+    # once the heap has grown to a step's size, a step's arrays land in blocks
+    # earlier steps freed, so the kernel maps no fresh pages; without the
+    # settings this run takes about 950 faults per step
+    faults = _training_window_faults("cli._keep_freed_arrays()")
+    assert len(faults) == 2 and max(faults) < 34, f"{faults} minor page faults in two runs of 34 training steps"
+
+
+@glibc_only
+def test_library_caller_gets_mains_allocator_settings_from_the_environment():
+    # a caller that trains without main sets the same pair through glibc's environment variables
+    faults = _training_window_faults("", MALLOC_MMAP_THRESHOLD_=str(cli._MMAP_THRESHOLD),
+                                     MALLOC_TRIM_THRESHOLD_=str(cli._TRIM_THRESHOLD))
     assert len(faults) == 2 and max(faults) < 34, f"{faults} minor page faults in two runs of 34 training steps"
 
 

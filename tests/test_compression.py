@@ -934,10 +934,17 @@ def test_binary_forward_uses_the_signs_of_the_last_refresh():
 
 
 def test_spec_param_count_frozen_values():
-    assert PruneUnstructuredLayer(0.95).stored(64, 64) == 205
-    assert PruneNM(1, 16).stored(64, 64) == 256
-    assert LowRank(8).stored(64, 64) == 1024
-    assert BinaryQuant().stored(64, 64) == 4096
+    # a block counts the entries it holds: its kept weights, or its factors' entries
+    def count(spec, n=64, m=64):
+        block = compress_block(_dense(n, m, seed=30), spec)
+        return block.spec.count(block)
+
+    assert count(PruneUnstructuredLayer(0.95)) == PruneUnstructuredLayer(0.95).stored(64, 64) == 205
+    assert count(PruneNM(1, 16)) == PruneNM(1, 16).stored(64, 64) == 256
+    assert count(LowRank(8)) == 1024
+    assert count(BinaryQuant()) == 4096
+    # rank 4 is clamped to 2 on a 64x2 layer: factors of 64 x 2 and 2 x 2
+    assert count(LowRank(4), 64, 2) == 2 * 66
 
 
 def test_spec_param_count_structured_and_trailing_nm():
@@ -947,8 +954,17 @@ def test_spec_param_count_structured_and_trailing_nm():
 
 
 def test_bit_footprint_binary():
-    assert BinaryQuant().bit_footprint(64, 64) == 4096 + 64
-    assert PruneUnstructuredLayer(0.95).bit_footprint(64, 64) == 205 * 64
+    def bits(spec):
+        block = compress_block(_dense(64, 64, seed=31), spec)
+        return block.spec.bit_footprint(block)
+
+    assert bits(BinaryQuant()) == 4096 + 64
+    assert bits(PruneUnstructuredLayer(0.95)) == 205 * 64
+    assert bits(LowRank(8)) == 1024 * 64
+    # a stack of three binary members: every entry's bit, and each member's alpha
+    stacked = stack_networks([init_params([2, 64, 3], s) for s in range(3)]).blocks[0]
+    block = compress_block(stacked, BinaryQuant())
+    assert block.spec.bit_footprint(block) == 3 * (64 * 2 + 64)
 
 
 def test_block_param_count_matches_masks():

@@ -26,7 +26,7 @@ from vconlab.compression import (
     compress_network,
     spec_to_dict,
 )
-from vconlab.model import init_params
+from vconlab.model import init_params, stack_networks
 from vconlab.tensor import Tensor
 from vconlab.vcon import BetaScheduler, wrap_network
 
@@ -78,9 +78,36 @@ def test_family_files_reports_and_counts(tmp_path, capsys, kind):
     if kind == "prune_global":
         total = sum(n * m for n, m in shapes)
         expected = total - math.floor(spec.sparsity * total)
+    elif kind == "binary":
+        expected = 16 * 2 + 16 * 16 + 3 * 16  # every entry stays, shrunk to one bit
+    elif kind == "low_rank":
+        expected = 2 * (16 + 2) + 2 * (16 + 16) + 2 * (3 + 16)  # rank-2 factors
     else:
         expected = sum(spec.stored(n, m) for n, m in shapes)
     assert net.param_count() == expected + biases
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_stack_counts_the_sum_of_its_members(kind):
+    members = [init_params([2, 8, 3], seed) for seed in range(3)]
+    stack = compress_network(stack_networks(members), SAMPLES[kind])
+    blended = wrap_network(stack_networks(members), SAMPLES[kind], BetaScheduler(q=10))
+    for net in (stack, blended):
+        assert net.param_count() == sum(net.select(i).param_count() for i in range(3))
+    # every entry of each member's weights is counted, and each member's biases
+    if kind == "binary":
+        assert stack.param_count() == 3 * (16 + 24 + 8 + 3) == 153
+    if kind == "low_rank":
+        assert stack.param_count() == 3 * (2 * (8 + 2) + 2 * (3 + 8) + 8 + 3) == 159
+
+
+def test_global_pruning_reports_the_bits_each_block_keeps(tmp_path):
+    # one threshold for the whole network: each layer keeps its own share, not its fraction
+    save_network(compress_network(init_params([2, 64, 64, 3], seed=0), PruneUnstructuredGlobal(0.9)),
+                 tmp_path / "net.vcnet")
+    blocks = inspect_data(tmp_path / "net.vcnet")["blocks"]
+    assert [entry["kept_weights"] for entry in blocks] == [51, 318, 73]
+    assert [entry["bit_footprint"] for entry in blocks] == [64 * 51, 64 * 318, 64 * 73]
 
 
 

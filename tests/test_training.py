@@ -2,7 +2,9 @@ import csv
 import gc
 import math
 import pickle
+import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -568,6 +570,18 @@ def test_load_csv_empty_and_headless(tmp_path):
         load_csv(_write_csv(tmp_path / "d.csv", ""))
     with pytest.raises(DataError, match="no data rows"):
         load_csv(_write_csv(tmp_path / "e.csv", "f0,label\n"))
+
+
+def test_load_csv_needs_a_train_row(tmp_path):
+    # floor(0.70 * 1) = 0: one row leaves nothing to standardize over, and numpy would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = _write_csv(tmp_path / "d.csv", "f0,label\n1.5,0\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: 1 data row, .*need at least 2 rows"):
+            load_csv(p)
+        ds = load_csv(_write_csv(tmp_path / "e.csv", "f0,label\n1.5,0\n2.5,1\n"))
+    assert [len(ds.split(tag)[1]) for tag in ("train", "val", "test")] == [1, 0, 1]
+    assert ds.features.tolist() == [[0.0], [1.0]]
 
 
 # --------------------------------------------------------------------------
